@@ -1,48 +1,34 @@
-"""Benchmark the numba spectrum kernel against the numpy fallback.
+"""Benchmark the GF(2) spectrum kernel.
 
 Enumerates the extension codes of a 3-dimensional code over F_16 (4096
-words at r=1, 16.7M at r=2) with both implementations and reports wall
-times and the speedup.  Run from the repository root:
+words at r=1, 16.7M at r=2) in one thread, reports wall time and
+codewords per second, and checks the r=1 spectrum against the golden
+value.  Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
 
 from rankspectra import GabidulinCode, prime_field
-from rankspectra import _kernels
 from rankspectra.oracle import brute_spectrum
 
-
-def timed(label, fn):
-    start = time.perf_counter()
-    result = fn()
-    elapsed = time.perf_counter() - start
-    print(f"  {label:<18} {elapsed:8.3f} s   {result}")
-    return elapsed, result
+GOLDEN_R1 = [1, 15, 420, 2460, 1200]
 
 
 def main():
     tower = prime_field(2).extend([1, 1, 0, 0, 1])
     code = GabidulinCode(tower, 0, 1, [[7, 4, 11, 15], [7, 9, 2, 3], [5, 1, 5, 9]])
     print(f"code: {code}")
-    print(f"numba available: {_kernels.HAS_NUMBA}")
-    if _kernels.HAS_NUMBA:
-        # trigger compilation outside the timed region
-        brute_spectrum(code, 1, use_numba=True)
     for r in (1, 2):
-        total = 16 ** (3 * r)
-        print(f"r={r} ({total} codewords):")
-        results = {}
-        if _kernels.HAS_NUMBA:
-            t, out = timed("numba kernel", lambda: brute_spectrum(code, r, use_numba=True))
-            results["numba"] = (t, out)
-        t, out = timed("numpy fallback", lambda: brute_spectrum(code, r, use_numba=False))
-        results["numpy"] = (t, out)
-        if "numba" in results:
-            assert results["numba"][1] == results["numpy"][1], "kernel mismatch"
-            speedup = results["numpy"][0] / results["numba"][0]
-            print(f"  speedup: {speedup:.1f}x")
+        total = code.Q ** (r * code.k)
+        start = time.perf_counter()
+        counts = brute_spectrum(code, r)
+        elapsed = time.perf_counter() - start
+        print(f"r={r}: {total} codewords in {elapsed:.3f} s "
+              f"({total / elapsed:,.0f} codewords/s)  {counts}")
+        if r == 1 and counts != GOLDEN_R1:
+            raise SystemExit(f"r=1 spectrum {counts} != golden {GOLDEN_R1}")
 
 
 if __name__ == "__main__":

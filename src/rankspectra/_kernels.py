@@ -1,35 +1,22 @@
-"""Bit-packed GF(2) rank-spectrum kernels.
+"""Bit-packed GF(2) rank-spectrum kernel.
 
 The enumeration oracle's hot loop walks every message of the extension
-code, forms the codeword incrementally (addition in characteristic 2 is
-XOR on the canonical encodings), packs the bit-planes of the entries
-into machine words and computes the GF(2) rank by elimination on packed
-rows.  Two implementations are provided: a numba kernel and a chunked
-vectorized numpy fallback.  Setting RANKSPECTRA_NO_NUMBA forces the
-fallback; both produce identical counts and both accept a subrange of
+code, forms the codeword (addition in characteristic 2 is XOR on the
+canonical encodings), packs the bit-planes of the entries into machine
+words and computes the GF(2) rank by elimination on packed rows.  The
+kernel is vectorized over chunks of messages and accepts a subrange of
 the message space so callers can partition the work across threads.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-
-def numba_enabled() -> bool:
-    return HAS_NUMBA and not os.environ.get("RANKSPECTRA_NO_NUMBA")
+_CHUNK = 1 << 16
 
 
 def _spectrum_odometer(contrib, mtilde, start, stop, counts):
-    """Reference implementation; also the numba kernel body.
+    """Reference implementation, one message at a time.
 
     contrib[t, v, j] is the encoding of the j-th entry of v * row_t of the
     generator matrix; message index digits are big-endian in t.
@@ -84,47 +71,41 @@ def _spectrum_odometer(contrib, mtilde, start, stop, counts):
     return counts
 
 
-if HAS_NUMBA:
-    _spectrum_numba = njit(cache=True, nogil=True)(_spectrum_odometer)
+def _ranks(rows, n):
+    """GF(2) rank of each column of packed rows, shape (mtilde, size).
 
-
-def _spectrum_numpy(contrib, mtilde, start, stop, counts, chunk=1 << 16):
-    """Chunked vectorized fallback: batch codeword assembly and elimination."""
-    k, S, n = contrib.shape
+    Pivots on the highest set bit.  basis[h] holds, per message, the
+    basis row whose leading bit is h, or 0; every step is a word
+    operation under an all-ones/all-zeros mask, so no message branches.
+    """
+    size = rows.shape[1]
+    basis = np.zeros((n, size), dtype=np.uint64)
+    rank = np.zeros(size, dtype=np.int64)
+    bit = np.empty(size, dtype=np.uint64)
+    mask = np.empty(size, dtype=np.uint64)
     one = np.uint64(1)
-    for lo in range(start, stop, chunk):
-        idx = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
-        words = np.zeros((idx.size, n), dtype=np.uint64)
-        for t in range(k):
-            d = (idx // S ** (k - 1 - t)) % S
-            words ^= contrib[t, d, :]
-        rows = np.empty((idx.size, mtilde), dtype=np.uint64)
-        for i in range(mtilde):
-            r = np.zeros(idx.size, dtype=np.uint64)
-            sh = np.uint64(i)
-            for j in range(n):
-                r |= ((words[:, j] >> sh) & one) << np.uint64(j)
-            rows[:, i] = r
-        # per-element GF(2) elimination, vectorized over the batch
-        basis = np.zeros((idx.size, n), dtype=np.uint64)
-        rank = np.zeros(idx.size, dtype=np.int64)
-        for i in range(mtilde):
-            row = rows[:, i].copy()
-            for h in range(n - 1, -1, -1):
-                has = ((row >> np.uint64(h)) & one).astype(bool)
-                exists = basis[:, h] != 0
-                red = has & exists
-                row[red] ^= basis[red, h]
-                ins = has & ~exists
-                basis[ins, h] = row[ins]
-                rank[ins] += 1
-                row[ins] = 0
-        counts += np.bincount(rank, minlength=n + 1)
-    return counts
+    for row in rows:
+        for h in range(n - 1, -1, -1):
+            sh = np.uint64(h)
+            # reduce by the pivot row for h, if there is one
+            np.right_shift(row, sh, out=bit)
+            bit &= one
+            np.negative(bit, out=mask)
+            mask &= basis[h]
+            row ^= mask
+            # bit h still set: no pivot yet, so the row becomes it
+            np.right_shift(row, sh, out=bit)
+            bit &= one
+            np.negative(bit, out=mask)
+            rank -= mask.view(np.int64)
+            mask &= row
+            basis[h] |= mask
+            row ^= mask
+    return rank
 
 
-def spectrum_counts(contrib, mtilde: int, start: int = 0, stop: int | None = None,
-                    use_numba: bool | None = None) -> np.ndarray:
+def spectrum_counts(contrib, mtilde: int, start: int = 0,
+                    stop: int | None = None) -> np.ndarray:
     """Rank-weight histogram over a range of message indices.
 
     Returns an int64 vector of length n + 1; entry s counts messages whose
@@ -138,10 +119,19 @@ def spectrum_counts(contrib, mtilde: int, start: int = 0, stop: int | None = Non
     if not (0 <= start <= stop <= total):
         raise ValueError("message index range out of bounds")
     counts = np.zeros(n + 1, dtype=np.int64)
-    if start == stop:
-        return counts
-    if use_numba is None:
-        use_numba = numba_enabled()
-    if use_numba and HAS_NUMBA:
-        return _spectrum_numba(contrib, mtilde, start, stop, counts)
-    return _spectrum_numpy(contrib, mtilde, start, stop, counts)
+    one = np.uint64(1)
+    for lo in range(start, stop, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
+        words = np.zeros((idx.size, n), dtype=np.uint64)
+        for t in range(k):
+            d = (idx // S ** (k - 1 - t)) % S
+            words ^= contrib[t, d, :]
+        rows = np.empty((mtilde, idx.size), dtype=np.uint64)
+        for i in range(mtilde):
+            r = np.zeros(idx.size, dtype=np.uint64)
+            sh = np.uint64(i)
+            for j in range(n):
+                r |= ((words[:, j] >> sh) & one) << np.uint64(j)
+            rows[i] = r
+        counts += np.bincount(_ranks(rows, n), minlength=n + 1)
+    return counts

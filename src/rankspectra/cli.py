@@ -359,6 +359,7 @@ _SECTION_KEYS = {
 
 
 def run(args) -> tuple[str, int]:
+    _require(args.r >= 1, f"--r must be >= 1, got {args.r}")
     if args.command == "mrd":
         return run_mrd(args)
     with open(args.file, "rb") as fh:
@@ -424,3 +425,7 @@ def main(argv=None) -> int:
 
 def console_main():  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

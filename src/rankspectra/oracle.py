@@ -9,6 +9,7 @@ linear-algebra layers with the fast pipeline, on purpose.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
@@ -46,13 +47,13 @@ def _extension_setup(code: GabidulinCode, r: int):
 
 def brute_spectrum(code: GabidulinCode, r: int = 1,
                    cap: int = DEFAULT_CODEWORD_CAP,
-                   threads: int = 1,
-                   use_numba: bool | None = None):
+                   threads: int = 1):
     """Rank-weight distribution of the r-th extension code by full enumeration.
 
     Every message of F_{Q^r}^k is encoded and the GF(q) rank of its
     codeword expansion tallied.  Binary base fields go through the packed
-    bit kernels; other characteristics take a scalar path.
+    bit kernel, split across at most ``os.cpu_count()`` threads; other
+    characteristics take a scalar path.
     """
     tower, ext_level = _extension_setup(code, r)
     Qt = tower.sizes[ext_level]
@@ -72,14 +73,14 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
             for v in range(Qt):
                 for j in range(n):
                     contrib[t, v, j] = tower.mul(v, code.G[t][j], ext_level)
+        threads = min(threads, os.cpu_count() or 1)
         if threads <= 1:
-            counts = _kernels.spectrum_counts(contrib, mtilde, use_numba=use_numba)
+            counts = _kernels.spectrum_counts(contrib, mtilde)
         else:
             bounds = [total * t // threads for t in range(threads + 1)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = pool.map(
-                    lambda se: _kernels.spectrum_counts(
-                        contrib, mtilde, se[0], se[1], use_numba=use_numba),
+                    lambda se: _kernels.spectrum_counts(contrib, mtilde, se[0], se[1]),
                     zip(bounds, bounds[1:]),
                 )
                 counts = sum(parts)

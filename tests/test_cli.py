@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rankspectra
 from rankspectra.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +122,31 @@ def test_mrd_invalid_parameters(capsys):
     status = main(["mrd", "--q", "2", "--m", "3", "--n", "4", "--k", "2"])
     capsys.readouterr()
     assert status == 2
+
+
+@pytest.mark.parametrize("r", ["-1", "0"])
+def test_nonpositive_r_rejected(capsys, r):
+    status = main(["spectrum", EXAMPLE, "--r", r, "--format", "text"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "--r must be >= 1" in captured.err
+    status = main(["mrd", "--q", "2", "--m", "4", "--n", "4", "--k", "2", "--r", r])
+    capsys.readouterr()
+    assert status == 2
+
+
+def test_module_entry_point():
+    package_root = str(Path(rankspectra.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankspectra.cli", "analyze", EXAMPLE],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["spectrum"]["A"] == [1, 15, 420, 2460, 1200]
 
 
 def test_missing_file(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from rankspectra import (
@@ -7,6 +9,9 @@ from rankspectra import (
     enumerate_subspaces,
     gaussian_binomial,
     higher_spectra,
+    oracle,
+    prime_field,
+    rank_weight,
     uniform_qmatroid,
     virtual_betti_table,
     weight_distribution,
@@ -26,18 +31,52 @@ def test_brute_spectrum_example_r1(example_code):
     assert brute_spectrum(example_code, 1) == [1, 15, 420, 2460, 1200]
 
 
-def test_brute_spectrum_scalar_path_matches(example_code):
-    # force the generic element-wise path by pretending q is not 2:
-    # compare instead against a small r=1 run with the kernel disabled
-    fast = brute_spectrum(example_code, 1, use_numba=True)
-    slow = brute_spectrum(example_code, 1, use_numba=False)
-    assert fast == slow
+def test_brute_spectrum_binary_path_matches_scalar():
+    # m=2 < n=3, so no codeword reaches rank n; compare the packed kernel
+    # (and its contrib table) with rank_weight applied to every codeword
+    tower = prime_field(2).extend([1, 1, 1])
+    code = GabidulinCode(tower, 0, 1, [[1, 2, 3], [0, 1, 1]])
+    for r in (1, 2):
+        ext = tower if r == 1 else tower.extend(tower.find_irreducible(r, 1))
+        level = ext.top_level
+        counts = [0] * (code.n + 1)
+        for message in product(range(ext.size(level)), repeat=code.k):
+            word = [0] * code.n
+            for u, row in zip(message, code.G):
+                for j in range(code.n):
+                    word[j] = ext.add(word[j], ext.mul(u, row[j], level), level)
+            counts[rank_weight(ext, level, 0, word)] += 1
+        assert counts[1] and counts[2] and not counts[3]
+        assert brute_spectrum(code, r) == counts
 
 
 def test_brute_spectrum_threads(example_code):
     single = brute_spectrum(example_code, 1, threads=1)
     multi = brute_spectrum(example_code, 1, threads=3)
     assert single == multi
+
+
+def test_brute_spectrum_threads_clamped(example_code, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    single = brute_spectrum(example_code, 1, threads=1)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
+    assert brute_spectrum(example_code, 1, threads=10**6) == single
+    assert workers == [2]
 
 
 def test_brute_spectrum_cap(example_code):
