@@ -7,7 +7,6 @@ from .fields import FieldTower, prime_field
 from .lattice import BettiTable, CycleLattice, build_cycle_lattice, virtual_betti_table
 from .linalg import (
     GF,
-    Mat,
     Subspace,
     all_subspaces,
     enumerate_subspaces,
@@ -35,7 +34,7 @@ from .spectra import (
 __all__ = [
     "InputError", "ResourceLimitError", "StructuralError",
     "FieldTower", "prime_field",
-    "GF", "Mat", "Subspace", "all_subspaces", "enumerate_subspaces",
+    "GF", "Subspace", "all_subspaces", "enumerate_subspaces",
     "gaussian_binomial", "matrix_count", "rank_support", "rank_weight",
     "GabidulinCode", "QMatroid", "qmatroid_from_code", "uniform_qmatroid",
     "BettiTable", "CycleLattice", "build_cycle_lattice", "virtual_betti_table",

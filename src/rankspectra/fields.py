@@ -16,16 +16,11 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import InputError, ResourceLimitError, StructuralError
+from .errors import InputError, StructuralError
 
 # Constructed fields are capped at 2**31 elements; this is a desk-scale
 # library, not a cryptographic one.
 MAX_FIELD_SIZE = 2**31
-
-# Multiplication tables are built lazily for levels up to this size.
-_MUL_TABLE_LIMIT = 1 << 10
 
 
 def is_prime(p: int) -> bool:
@@ -47,9 +42,11 @@ class FieldTower:
     ``i-1``, stored as a little-endian tuple of level-``i-1`` encodings).
     """
 
-    __slots__ = ("p", "moduli", "degrees", "sizes", "_mul_tables", "_signature")
+    __slots__ = ("p", "moduli", "degrees", "sizes", "_signature")
 
     def __init__(self, p: int, _moduli=(), _degrees=(), _sizes=None):
+        if p > MAX_FIELD_SIZE:
+            raise InputError(f"characteristic {p} exceeds the {MAX_FIELD_SIZE} element cap")
         if not is_prime(p):
             raise InputError(f"characteristic must be prime, got {p}")
         self.p = p
@@ -62,7 +59,6 @@ class FieldTower:
             self.sizes = tuple(sizes)
         else:
             self.sizes = tuple(_sizes)
-        self._mul_tables = {}
         self._signature = (self.p, self.moduli)
 
     # -- construction -------------------------------------------------
@@ -170,9 +166,6 @@ class FieldTower:
 
     def mul(self, a: int, b: int, level: int = -1) -> int:
         level = self._idx(level)
-        table = self._mul_tables.get(level)
-        if table is not None:
-            return int(table[a, b])
         if level == 0:
             return (a * b) % self.p
         if a == 0 or b == 0:
@@ -361,35 +354,6 @@ class FieldTower:
             if self._reducible_factor_degree(f, level) is None:
                 return f
         raise StructuralError("no irreducible polynomial found")  # pragma: no cover
-
-    # -- tables ---------------------------------------------------------
-
-    def mul_table(self, level: int = -1) -> np.ndarray:
-        """Dense multiplication table for a level (size capped); cached.
-
-        Lower-level tables are built first so that higher tables are cheap.
-        Subsequent scalar ``mul`` calls at this level use the table too.
-        """
-        level = self._idx(level)
-        table = self._mul_tables.get(level)
-        if table is not None:
-            return table
-        size = self.sizes[level]
-        if size > _MUL_TABLE_LIMIT:
-            raise ResourceLimitError(
-                f"refusing to build a {size}x{size} multiplication table",
-                required=size * size,
-                cap=_MUL_TABLE_LIMIT * _MUL_TABLE_LIMIT,
-            )
-        if level > 0 and self.sizes[level - 1] <= _MUL_TABLE_LIMIT:
-            self.mul_table(level - 1)
-        table = np.empty((size, size), dtype=np.uint32)
-        for a in range(size):
-            table[a, 0] = 0
-            for b in range(1, size):
-                table[a, b] = self.mul(a, b, level)
-        self._mul_tables[level] = table
-        return table
 
 
 def prime_field(p: int) -> FieldTower:

@@ -1,7 +1,12 @@
 """The lattice of q-cycles of the dual q-matroid, and its Betti tables.
 
 The nodes are the q-cycles of M*, ordered by inclusion and ranked by
-nullity.  Moebius values on the lattice, and on its collapsed versions
+nullity.  X |-> X^perp maps them one to one onto the q-flats of M (Jurrius
+and Pellikaan, "Defining the q-analogue of a matroid", 2018): for a line
+L outside X^perp, the hyperplane (X^perp + L)^perp of X keeps the dual
+rank of X iff L raises the rank of X^perp by one.  The nullity of X in M*
+is k - rho(X^perp), so one scan of the q-flats of M gives every node.
+Moebius values on the lattice, and on its collapsed versions
 (all nodes of rank <= l identified with the bottom), stand in for the
 graded Betti numbers of the associated simplicial-complex resolutions:
 the (l, i, j) entry aggregates (-1)^i mu^(l)(0, P) over nodes P of rank
@@ -11,7 +16,7 @@ l + i and dimension j, which is nonnegative for geometric lattices.
 from __future__ import annotations
 
 from .errors import StructuralError
-from .linalg import DEFAULT_SUBSPACE_CAP
+from .linalg import DEFAULT_SUBSPACE_CAP, enumerate_subspaces
 from .qmatroid import QMatroid
 
 
@@ -28,14 +33,22 @@ class CycleLattice:
         self.nodes = [nodes[i] for i in order]
         self.nullity = [nullities[i] for i in order]
         self.dims = [X.dim for X in self.nodes]
-        size = len(self.nodes)
+        # X contains Y iff every projective point of Y lies in X; points are
+        # bits, indexed by their RREF vectors
+        points = enumerate_subspaces(matroid.gf, self.n, 1, cap=None)
+        index = {P.rows[0]: t for t, P in enumerate(points)}
+        masks = []
+        for X in self.nodes:
+            mask = 0
+            for v in X.vectors():
+                t = index.get(v)
+                if t is not None:
+                    mask |= 1 << t
+            masks.append(mask)
         # strictly-below relation as index sets (desk-scale lattices)
         self.below = [
-            frozenset(
-                j for j in range(size)
-                if j != i and self.nodes[i].contains(self.nodes[j])
-            )
-            for i in range(size)
+            frozenset(j for j, mj in enumerate(masks) if mj & mi == mj and j != i)
+            for i, mi in enumerate(masks)
         ]
         self._mobius = {}
         self._validate()
@@ -154,12 +167,16 @@ class BettiTable:
 
 
 def build_cycle_lattice(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> CycleLattice:
-    """Lattice of q-cycles of M* (the caller passes the primal matroid)."""
-    dual = M.dual()
-    cycles = dual.qcycles(cap=cap)
-    nodes = [X for X, _ in cycles]
-    nullities = [eta for _, eta in cycles]
-    return CycleLattice(M, nodes, nullities)
+    """Lattice of q-cycles of M* (the caller passes the primal matroid).
+
+    The nodes come from the q-flats of M: each flat F gives the q-cycle
+    F^perp of M*, of nullity k - rho(F).  ``M.dual().qcycles()`` finds the
+    same nodes by the definition and serves as the test reference.
+    """
+    k = M.full_rank
+    flats = M.qflats(cap=cap)
+    return CycleLattice(M, [F.complement() for F in flats],
+                        [k - M.rank(F) for F in flats])
 
 
 def virtual_betti_table(L: CycleLattice) -> BettiTable:

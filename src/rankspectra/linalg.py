@@ -9,26 +9,29 @@ values are immutable after construction.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt
 
 from .errors import InputError, ResourceLimitError
-from .fields import FieldTower, prime_field
+from .fields import MAX_FIELD_SIZE, FieldTower, prime_field
 
 DEFAULT_SUBSPACE_CAP = 10**7
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise InputError(f"{q} is not a prime power")
-            return p, e
-    raise InputError(f"{q} is not a prime power")
+    if q > MAX_FIELD_SIZE:
+        raise InputError(f"field of size {q} exceeds the {MAX_FIELD_SIZE} element cap")
+    if q < 2:
+        raise InputError(f"{q} is not a prime power")
+    # the least divisor above 1 is prime; none up to isqrt(q) means q is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise InputError(f"{q} is not a prime power")
+    return p, e
 
 
 class GF:
@@ -83,28 +86,6 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.size})"
-
-
-class Mat:
-    """Immutable dense matrix over one field level; rows of integer encodings."""
-
-    __slots__ = ("gf", "rows", "nrows", "ncols")
-
-    def __init__(self, gf: GF, rows):
-        self.gf = gf
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise InputError("ragged matrix")
-        if any(not (0 <= x < gf.size) for row in self.rows for x in row):
-            raise InputError("matrix entry out of range for the field")
-
-    def __eq__(self, other):
-        return isinstance(other, Mat) and self.gf == other.gf and self.rows == other.rows
-
-    def __repr__(self):
-        return f"Mat({self.gf}, {list(map(list, self.rows))})"
 
 
 def rref(gf: GF, rows):

@@ -5,7 +5,8 @@ monotone and submodular.  The two sources used here are Gabidulin
 rank-metric codes (rho(U) = rank of G Y^T over the extension field) and
 the uniform q-matroid rho(X) = min(dim X, k).  Duality, conullity,
 q-flats, q-cycles and restriction are all derived from the rank oracle,
-which is memoized per canonical subspace.
+which is memoized per canonical subspace; the q-flats are kept after
+their first scan.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ class QMatroid:
         self.q = gf.size
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
+        self._flats: tuple[Subspace, ...] | None = None
         self.name = name
 
     # -- rank and derived functions ------------------------------------
@@ -154,7 +156,15 @@ class QMatroid:
         return True
 
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
-        return [X for X in all_subspaces(self.gf, self.n, cap=cap) if self.is_qflat(X)]
+        """All q-flats by increasing (dimension, basis); scanned once, then kept.
+
+        The capped enumeration runs to its end before the first
+        ``is_qflat``, whose line scan is uncapped.
+        """
+        if self._flats is None:
+            subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
+            self._flats = tuple(X for X in subspaces if self.is_qflat(X))
+        return self._flats
 
     def is_qcycle(self, X: Subspace) -> bool:
         """Minimal among subspaces of its nullity.
@@ -173,7 +183,11 @@ class QMatroid:
         return True
 
     def qcycles(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
-        """All q-cycles with their nullities, by increasing (dimension, basis)."""
+        """All q-cycles with their nullities, by increasing (dimension, basis).
+
+        The reference definition: the pipeline reads the q-cycles of M* off
+        ``qflats`` of M instead.
+        """
         out = []
         for X in all_subspaces(self.gf, self.n, cap=cap):
             if self.is_qcycle(X):

@@ -95,14 +95,6 @@ def weight_poly_mobius(M: QMatroid, s: int,
     return WeightPolynomial(coeffs)
 
 
-def matroid_weight_polys(M: QMatroid, table: BettiTable | None = None,
-                         cap: int | None = DEFAULT_SUBSPACE_CAP):
-    """All weight polynomials s = 0..n via the Betti route."""
-    if table is None:
-        table = virtual_betti_table(build_cycle_lattice(M, cap=cap))
-    return weight_polys_betti(table)
-
-
 # -- distributions -----------------------------------------------------
 
 

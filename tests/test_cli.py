@@ -1,18 +1,28 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rankspectra
+from rankspectra import QMatroid, all_subspaces
 from rankspectra.cli import main
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "example_code.json")
 UNIFORM = str(DATA / "uniform_2_4.json")
 MRD = str(DATA / "mrd_2_4.json")
+
+# sha256 of the `analyze` stdout for every input in tests/data
+ANALYZE_SHA256 = {
+    "example_code.json": "b744bb71c9d4737a0b73f2721dbaeeaf55fc4c3e64e15ca110d0529bf918e17a",
+    "mrd_2_4.json": "64203e0f29e9ea56902d1a795b6044a0572405b38a331eb380c3e46f84865624",
+    "uniform_2_4.json": "29d03e901485261566a94573d6f5429b619c55eb558fd58c2b0ff183faaeeab1",
+}
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +50,32 @@ def test_analyze_r2(capsys):
     assert status == 0
     assert report["spectrum"]["Qtilde"] == 256
     assert sum(report["spectrum"]["A"]) == 256**3
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.json")))
+def test_analyze_report_pinned(capsys, name):
+    status, out = run_cli(capsys, "analyze", str(DATA / name))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick")],
+                         ids=["analyze", "verify-quick"])
+def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
+    calls = Counter()
+    for name in ("dual", "qcycles", "is_qflat"):
+        original = getattr(QMatroid, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(QMatroid, name, counted)
+    status, _ = run_cli(capsys, *argv[:1], EXAMPLE, *argv[1:])
+    assert status == 0
+    assert calls["dual"] == calls["qcycles"] == 0
+    # one is_qflat test per subspace of F_2^4: a single scan
+    assert calls["is_qflat"] == sum(1 for _ in all_subspaces(rankspectra.GF.of_order(2), 4))
 
 
 def test_deterministic_output(capsys):
@@ -136,17 +172,37 @@ def test_nonpositive_r_rejected(capsys, r):
     assert status == 2
 
 
-def test_module_entry_point():
+def run_module(*argv, timeout=120):
+    """``python -m rankspectra.cli ARGV`` in a subprocess; a hang fails the test."""
     package_root = str(Path(rankspectra.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rankspectra.cli", "analyze", EXAMPLE],
-        capture_output=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "rankspectra.cli", *argv],
+        capture_output=True, env=env, timeout=timeout,
     )
+
+
+def test_module_entry_point():
+    proc = run_module("analyze", EXAMPLE)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spectrum"]["A"] == [1, 15, 420, 2460, 1200]
+
+
+@pytest.mark.parametrize("doc,status", [
+    # 2^61 - 1 is prime: rejected by the field-size cap before any primality test
+    ({"p": 2**61 - 1, "m_extension": [1, 1, 0, 0, 1], "n": 4,
+      "generator": [[1, 0, 0, 0]]}, 2),
+    # a prime q just under the cap: factored fast, then the subspace cap applies
+    ({"uniform": {"q": 1000000007, "k": 1, "n": 2}}, 3),
+], ids=["huge_characteristic", "huge_uniform_q"])
+def test_huge_field_fails_fast(tmp_path, doc, status):
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_module("analyze", str(spec), timeout=30)
+    assert proc.returncode == status
+    assert proc.stdout == b""
 
 
 def test_missing_file(capsys):

@@ -106,10 +106,3 @@ def test_find_irreducible_deterministic():
     f = t.find_irreducible(4)
     assert f == (1, 1, 0, 0, 1)
     assert t.is_irreducible(f)
-
-
-def test_mul_table_matches_scalar(f9):
-    table = f9.mul_table(1)
-    for a in range(9):
-        for b in range(9):
-            assert table[a, b] == f9.mul(a, b, 1)

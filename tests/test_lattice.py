@@ -1,12 +1,21 @@
+import random
+
 import pytest
 
 from rankspectra import (
     BettiTable,
+    CycleLattice,
+    GabidulinCode,
+    InputError,
+    QMatroid,
     StructuralError,
     build_cycle_lattice,
+    cross_checked_weights,
+    enumerate_subspaces,
     gaussian_binomial,
     uniform_qmatroid,
     virtual_betti_table,
+    weight_polys_betti,
 )
 
 # Betti table of the session example code: (l, i, dim) -> value
@@ -127,3 +136,56 @@ def test_table_equality_ignores_zero_entries(example_table):
     clone = BettiTable(4, 2, 3, dict(example_table.entries))
     clone.entries[(0, 2, 2)] = 0
     assert clone == example_table
+
+
+@pytest.mark.parametrize("dim,rank,axiom", [(1, 0, "P3"), (3, 1, "P2")],
+                         ids=["line-rank-0", "3-space-rank-1"])
+def test_corrupted_rank_oracle_rejected(dim, rank, axiom):
+    # U(2,4) with one subspace's rank overwritten: a line of rank 0 breaks
+    # submodularity, a 3-space of rank 1 breaks monotonicity
+    base = uniform_qmatroid(2, 4, 2)
+    target = next(enumerate_subspaces(base.gf, 4, dim))
+    M = QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))
+    assert M.verify_axioms()["violation"]["axiom"] == axiom
+    with pytest.raises(StructuralError):
+        table = virtual_betti_table(build_cycle_lattice(M))
+        cross_checked_weights(M, table, weight_polys_betti(table))
+
+
+def _random_f16_matroid(tower16, k, seed):
+    rng = random.Random(seed)
+    while True:
+        gen = [[rng.randrange(16) for _ in range(4)] for _ in range(k)]
+        try:
+            return GabidulinCode(tower16, 0, 1, gen).qmatroid()
+        except InputError:
+            continue
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("example", ()), ("mrd", ()),
+    ("uniform", (1, 4, 2)), ("uniform", (2, 4, 2)), ("uniform", (3, 4, 2)),
+    ("uniform", (2, 3, 3)),
+    ("random", (2, 1)), ("random", (3, 2)), ("random", (3, 3)),
+], ids=["example", "mrd", "U(1,4)", "U(2,4)", "U(3,4)", "U(2,3)-q3",
+        "random-k2", "random-k3-a", "random-k3-b"])
+def test_lattice_from_flats_matches_dual_qcycles(request, tower16, kind, params):
+    if kind == "example":
+        M = request.getfixturevalue("example_matroid")
+    elif kind == "mrd":
+        M = request.getfixturevalue("mrd_code").qmatroid()
+    elif kind == "uniform":
+        M = uniform_qmatroid(*params)
+    else:
+        M = _random_f16_matroid(tower16, *params)
+    L = build_cycle_lattice(M)
+    cycles = M.dual().qcycles()
+    ref = CycleLattice(M, [X for X, _ in cycles], [eta for _, eta in cycles])
+    assert L.nodes == ref.nodes
+    assert L.nullity == ref.nullity
+    assert L.below == ref.below
+    # the point-mask order is the inclusion order
+    assert L.below == [
+        frozenset(j for j, Y in enumerate(L.nodes) if j != i and X.contains(Y))
+        for i, X in enumerate(L.nodes)
+    ]
