@@ -19,7 +19,6 @@ from .qmatroid import GabidulinCode, QMatroid, qmatroid_from_code, uniform_qmatr
 from .spectra import (
     WeightPolynomial,
     cross_checked_weights,
-    generalized_weights,
     higher_spectra,
     mrd_closed_form,
     uniform_betti_table,
@@ -38,9 +37,9 @@ __all__ = [
     "gaussian_binomial", "matrix_count", "rank_support", "rank_weight",
     "GabidulinCode", "QMatroid", "qmatroid_from_code", "uniform_qmatroid",
     "BettiTable", "CycleLattice", "build_cycle_lattice", "virtual_betti_table",
-    "WeightPolynomial", "cross_checked_weights", "generalized_weights",
-    "higher_spectra", "mrd_closed_form", "uniform_betti_table",
-    "uniform_h_sequence", "weight_distribution", "weight_poly_betti",
-    "weight_poly_mobius", "weight_polys_betti", "weights_from_polys",
+    "WeightPolynomial", "cross_checked_weights", "higher_spectra",
+    "mrd_closed_form", "uniform_betti_table", "uniform_h_sequence",
+    "weight_distribution", "weight_poly_betti", "weight_poly_mobius",
+    "weight_polys_betti", "weights_from_polys",
     "__version__",
 ]

@@ -217,9 +217,6 @@ class FieldTower:
             raise ZeroDivisionError("inversion of zero field element")
         return self.pow(a, self.sizes[level] - 2, level)
 
-    def div(self, a: int, b: int, level: int = -1) -> int:
-        return self.mul(a, self.inv(b, level), level)
-
     def frobenius(self, a: int, level: int = -1, base_level: int = 0) -> int:
         """x -> x^s for s the size of ``base_level``; fixes that subfield pointwise."""
         level = self._idx(level)

@@ -16,7 +16,7 @@ l + i and dimension j, which is nonnegative for geometric lattices.
 from __future__ import annotations
 
 from .errors import StructuralError
-from .linalg import DEFAULT_SUBSPACE_CAP, enumerate_subspaces
+from .linalg import DEFAULT_SUBSPACE_CAP
 from .qmatroid import QMatroid
 
 
@@ -34,9 +34,8 @@ class CycleLattice:
         self.nullity = [nullities[i] for i in order]
         self.dims = [X.dim for X in self.nodes]
         # X contains Y iff every projective point of Y lies in X; points are
-        # bits, indexed by their RREF vectors
-        points = enumerate_subspaces(matroid.gf, self.n, 1, cap=None)
-        index = {P.rows[0]: t for t, P in enumerate(points)}
+        # bits, indexed by their RREF vectors in the matroid's line tuple
+        index = {P.rows[0]: t for t, P in enumerate(matroid.lines())}
         masks = []
         for X in self.nodes:
             mask = 0

@@ -68,9 +68,6 @@ class GF:
     def inv(self, a):
         return self.tower.inv(a, self.level)
 
-    def div(self, a, b):
-        return self.tower.div(a, b, self.level)
-
     def elements(self):
         return range(self.size)
 
@@ -199,22 +196,12 @@ class Subspace:
             raise InputError("ambient dimension mismatch")
         return all(self.contains_vector(r) for r in other.rows)
 
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains(self)
-
-    def __lt__(self, other: "Subspace") -> bool:
-        return self.dim < other.dim and other.contains(self)
-
     # -- lattice operations -------------------------------------------
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.n != self.n or other.gf != self.gf:
             raise InputError("ambient mismatch")
         return Subspace.from_rows(self.gf, self.n, self.rows + other.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # via double duality: X meet Y = (X^perp + Y^perp)^perp
-        return self.complement().sum(other.complement()).complement()
 
     def complement(self) -> "Subspace":
         """Orthogonal complement w.r.t. the standard dot product."""
@@ -232,12 +219,6 @@ class Subspace:
         return Subspace.from_rows(gf, n, kernel_rows)
 
     # -- coordinate charts --------------------------------------------
-
-    def chart_coordinates(self, vec):
-        """Coordinates of an inside vector w.r.t. the RREF basis."""
-        if not self.contains_vector(vec):
-            raise InputError("vector not contained in the subspace")
-        return tuple(vec[p] for p in self.pivots)
 
     def embed_vector(self, coords):
         gf = self.gf

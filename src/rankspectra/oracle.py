@@ -230,10 +230,6 @@ class ClassicalMatroid:
                     f"classical submodularity fails on {A:b}, {B:b}")
 
 
-def build_classical_matroid(M: QMatroid, seed: int = 0) -> ClassicalMatroid:
-    return ClassicalMatroid(M, seed=seed)
-
-
 def verify_lattice_isomorphism(M: QMatroid,
                                cap: int | None = DEFAULT_SUBSPACE_CAP) -> dict:
     """Match q-structure against the classical matroid on projective points.
@@ -244,7 +240,7 @@ def verify_lattice_isomorphism(M: QMatroid,
     complement of the points of X-perp is a rank- and order-preserving
     bijection onto them.  Any mismatch raises with a witness.
     """
-    cl = build_classical_matroid(M)
+    cl = ClassicalMatroid(M)
     n, q = M.n, M.q
     point_index = {P: t for t, P in enumerate(cl.points)}
 
@@ -318,7 +314,7 @@ def inclusion_exclusion_poly(M: QMatroid, U: Subspace,
     if s == 0:
         return WeightPolynomial([1])
     restricted = M.restrict(U)
-    cl = build_classical_matroid(restricted)
+    cl = ClassicalMatroid(restricted)
     if cl.size > max_points:
         raise ResourceLimitError(
             f"{cl.size} points exceed the inclusion-exclusion limit",

@@ -5,8 +5,8 @@ monotone and submodular.  The two sources used here are Gabidulin
 rank-metric codes (rho(U) = rank of G Y^T over the extension field) and
 the uniform q-matroid rho(X) = min(dim X, k).  Duality, conullity,
 q-flats, q-cycles and restriction are all derived from the rank oracle,
-which is memoized per canonical subspace; the q-flats are kept after
-their first scan.
+which is memoized per canonical subspace; the lines of F_q^n and the
+q-flats are kept after their first scan.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
+        self._lines: tuple[Subspace, ...] | None = None
         self.name = name
 
     # -- rank and derived functions ------------------------------------
@@ -143,17 +144,25 @@ class QMatroid:
     def dual(self) -> "QMatroid":
         return QMatroid(self.gf, self.n, self.dual_rank, name=f"dual({self.name})")
 
-    # -- flats and cycles ----------------------------------------------
+    # -- line steps, flats and cycles ----------------------------------
+
+    def lines(self) -> tuple[Subspace, ...]:
+        """The one-dimensional subspaces of F_q^n in enumeration order; built once."""
+        if self._lines is None:
+            self._lines = tuple(enumerate_subspaces(self.gf, self.n, 1, cap=None))
+        return self._lines
+
+    def _steps(self, X: Subspace):
+        """Yield (L, X + L, rho(X + L) - rho(X)) for each line L outside X."""
+        rX = self.rank(X)
+        for L in self.lines():
+            if not X.contains(L):
+                XL = X.sum(L)
+                yield L, XL, self.rank(XL) - rX
 
     def is_qflat(self, F: Subspace) -> bool:
-        """True iff adjoining any outside line strictly increases the rank."""
-        rF = self.rank(F)
-        for line in enumerate_subspaces(self.gf, self.n, 1, cap=None):
-            if F.contains(line):
-                continue
-            if self.rank(F.sum(line)) == rF:
-                return False
-        return True
+        """True iff adjoining any outside line changes the rank."""
+        return all(step for _, _, step in self._steps(F))
 
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
         """All q-flats by increasing (dimension, basis); scanned once, then kept.
@@ -222,7 +231,23 @@ class QMatroid:
     # -- axiom verification ---------------------------------------------
 
     def verify_axioms(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> dict:
-        """Check (P1) on all subspaces and (P2), (P3) on all pairs.
+        """Check (P1) on all subspaces and (P2), (P3) on line steps.
+
+        For every X, each step X -> X + L over a line L outside X must
+        raise the rank by 0 or 1, and the closure cl X, grown from X one
+        step-0 line at a time (S -> T = S + L), must keep the rank of X.
+        Witnesses: step < 0 gives P2 (X, X + L); step > 1 gives P3 (X, L),
+        as X meet L = 0; rho(T) < rho(X) gives P2 (S, T); rho(T) > rho(X)
+        gives P3 (S, X + L), whose meet is X since L is not in S.
+
+        Given (P1) this accepts exactly the q-matroids.  P1-P3 imply steps
+        in {0, 1} and rho(cl X) = rho(X) (P3 on (S, X + L)).  Conversely,
+        steps >= 0 give P2 along chains of lines, and steps <= 1 with
+        rho(cl X) = rho(X) give diminishing returns: for A <= B and a line
+        x not in B, a step 0 at A stays 0 at B.  Induct over one line y at
+        a time: if y is a step 0 at A, then A + x + y <= cl A; otherwise
+        rho(A + y) <= rho(A + x + y) <= rho(A + x) + 1.  Summing steps
+        along matched chains (A meet B -> A and B -> A + B) gives P3.
 
         Returns {"ok": bool, "violation": description-or-None}.
         """
@@ -232,19 +257,32 @@ class QMatroid:
             if not (0 <= r <= X.dim):
                 return {"ok": False, "violation": {
                     "axiom": "P1", "X": X.serialize(), "rank": r}}
+
+        def violation(axiom, X, Y):
+            return {"ok": False, "violation": {
+                "axiom": axiom, "X": X.serialize(), "Y": Y.serialize()}}
+
         for X in subs:
             rX = self.rank(X)
-            for Y in subs:
-                if X.dim <= Y.dim and Y.contains(X):
-                    if rX > self.rank(Y):
-                        return {"ok": False, "violation": {
-                            "axiom": "P2", "X": X.serialize(), "Y": Y.serialize()}}
-        for i, X in enumerate(subs):
-            for Y in subs[i:]:
-                lhs = self.rank(X.sum(Y)) + self.rank(X.intersect(Y))
-                if lhs > self.rank(X) + self.rank(Y):
-                    return {"ok": False, "violation": {
-                        "axiom": "P3", "X": X.serialize(), "Y": Y.serialize()}}
+            zero_steps = []
+            for L, XL, step in self._steps(X):
+                if step < 0:
+                    return violation("P2", X, XL)
+                if step > 1:
+                    return violation("P3", X, L)
+                if step == 0:
+                    zero_steps.append((L, XL))
+            S = X
+            for L, XL in zero_steps:
+                if S.contains(L):
+                    continue
+                T = S.sum(L)
+                rT = self.rank(T)
+                if rT < rX:
+                    return violation("P2", S, T)
+                if rT > rX:
+                    return violation("P3", S, XL)
+                S = T
         return {"ok": True, "violation": None}
 
 

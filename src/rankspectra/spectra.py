@@ -13,7 +13,7 @@ turns those values into the higher weight spectra.
 from __future__ import annotations
 
 from .errors import InputError, StructuralError
-from .lattice import BettiTable, build_cycle_lattice, virtual_betti_table
+from .lattice import BettiTable
 from .linalg import (
     DEFAULT_SUBSPACE_CAP,
     all_subspaces,
@@ -190,20 +190,6 @@ def weights_from_polys(polys):
             raise StructuralError(f"no weight polynomial of degree {i}")
         out.append(degrees[i])
     return tuple(out)
-
-
-def generalized_weights(M: QMatroid, method: str = "conullity",
-                        table: BettiTable | None = None,
-                        cap: int | None = DEFAULT_SUBSPACE_CAP):
-    if method == "conullity":
-        return weights_conullity(M, cap=cap)
-    if method == "betti":
-        if table is None:
-            table = virtual_betti_table(build_cycle_lattice(M, cap=cap))
-        return weights_betti(table)
-    if method == "flats":
-        return weights_flats(M, cap=cap)
-    raise InputError(f"unknown weight method: {method}")
 
 
 def cross_checked_weights(M: QMatroid, table: BettiTable, polys,

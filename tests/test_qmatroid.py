@@ -1,8 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankspectra import (
     GabidulinCode,
     InputError,
+    QMatroid,
     Subspace,
     all_subspaces,
     enumerate_subspaces,
@@ -126,3 +131,101 @@ def test_restriction_is_qmatroid(example_matroid):
 def test_uniform_requires_valid_params():
     with pytest.raises(InputError):
         uniform_qmatroid(5, 4, 2)
+
+
+# -- the line-step axiom check against the pairwise definition ------------
+
+
+def _meet(A, B):
+    return A.complement().sum(B.complement()).complement()
+
+
+def _violates(M, axiom, X, Y=None):
+    """True iff (X, Y) is a genuine witness against the named axiom."""
+    if axiom == "P1":
+        return not (0 <= M.rank(X) <= X.dim)
+    if axiom == "P2":
+        return Y.contains(X) and M.rank(X) > M.rank(Y)
+    return M.rank(X.sum(Y)) + M.rank(_meet(X, Y)) > M.rank(X) + M.rank(Y)
+
+
+def _pairwise_ok(M):
+    """(P1) on every subspace, (P2) and (P3) on every pair."""
+    subs = list(all_subspaces(M.gf, M.n))
+    return (all(not _violates(M, "P1", X) for X in subs)
+            and all(not _violates(M, "P2", X, Y) for X in subs for Y in subs)
+            and all(not _violates(M, "P3", X, Y)
+                    for i, X in enumerate(subs) for Y in subs[i + 1:]))
+
+
+def _deserialize(gf, n, codes):
+    rows = []
+    for code in codes:
+        digits = []
+        for _ in range(n):
+            code, digit = divmod(code, gf.size)
+            digits.append(digit)
+        rows.append(tuple(digits))
+    return Subspace.from_rows(gf, n, rows)
+
+
+def _base_matroid(tower16, kind, n, seed):
+    if kind == "F_3^2":
+        return uniform_qmatroid(seed % 3, 2, 3)
+    if kind == "uniform":
+        return uniform_qmatroid(seed % (n + 1), n, 2)
+    rng = random.Random(seed)
+    while True:
+        gen = [[rng.randrange(16) for _ in range(n)] for _ in range(1 + seed % n)]
+        try:
+            return GabidulinCode(tower16, 0, 1, gen).qmatroid()
+        except InputError:
+            continue
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["uniform", "F_16-code", "F_3^2"]),
+       n=st.sampled_from([3, 4]),
+       seed=st.integers(0, 2**16),
+       changes=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 1, 2])),
+                        max_size=3))
+def test_axiom_check_matches_pairwise_definition(tower16, kind, n, seed, changes):
+    # perturbed uniform and F_16-code q-matroids over F_2^3, F_2^4, F_3^2:
+    # each change moves one subspace's rank by +-delta, inside [0, dim] when
+    # one of the two fits, so most perturbations keep (P1)
+    base = _base_matroid(tower16, kind, n, seed)
+    subs = list(all_subspaces(base.gf, base.n))
+    ranks = {X: base.rank(X) for X in subs}
+    for index, delta in changes:
+        X = subs[index % len(subs)]
+        ranks[X] += delta if 0 <= ranks[X] + delta <= X.dim else -delta
+    M = QMatroid(base.gf, base.n, ranks.__getitem__)
+    result = M.verify_axioms()
+    assert result["ok"] == _pairwise_ok(M)
+    if not result["ok"]:
+        v = result["violation"]
+        X = _deserialize(M.gf, M.n, v["X"])
+        Y = _deserialize(M.gf, M.n, v["Y"]) if "Y" in v else None
+        assert _violates(M, v["axiom"], X, Y)
+
+
+def test_verify_axioms_sum_calls_bounded(monkeypatch):
+    # one ``sum`` per (subspace, outside line) and at most n per closure;
+    # checking P3 on every pair of the 374 subspaces needs about 70k
+    M = uniform_qmatroid(2, 5, 2)
+    subs = sum(1 for _ in all_subspaces(M.gf, 5))
+    lines = sum(1 for _ in enumerate_subspaces(M.gf, 5, 1))
+    bound = subs * (lines + 5)
+    assert bound == 374 * 36
+    calls = 0
+    original = Subspace.sum
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise AssertionError(f"verify_axioms made more than {bound} sum calls")
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "sum", counted)
+    assert M.verify_axioms()["ok"]

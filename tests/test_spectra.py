@@ -9,7 +9,6 @@ from rankspectra import (
     build_cycle_lattice,
     cross_checked_weights,
     gaussian_binomial,
-    generalized_weights,
     higher_spectra,
     matrix_count,
     mrd_closed_form,
@@ -23,6 +22,7 @@ from rankspectra import (
     weight_polys_betti,
     weights_from_polys,
 )
+from rankspectra.spectra import weights_betti, weights_conullity, weights_flats
 
 EXAMPLE_POLYS = [
     (1,),
@@ -137,9 +137,9 @@ def test_higher_spectra_triangular_consistency(example_table):
 def test_weights_example(example_matroid, example_table):
     polys = weight_polys_betti(example_table)
     assert cross_checked_weights(example_matroid, example_table, polys) == (1, 3, 4)
-    for method in ("conullity", "betti", "flats"):
-        assert generalized_weights(
-            example_matroid, method, table=example_table) == (1, 3, 4)
+    assert weights_conullity(example_matroid) == (1, 3, 4)
+    assert weights_flats(example_matroid) == (1, 3, 4)
+    assert weights_betti(example_table) == (1, 3, 4)
     assert weights_from_polys(polys) == (1, 3, 4)
 
 
@@ -147,8 +147,8 @@ def test_weights_uniform():
     for k in (1, 2, 3):
         M = uniform_qmatroid(k, 4, 2)
         expected = tuple(4 - k + r for r in range(1, k + 1))
-        assert generalized_weights(M, "conullity") == expected
-        assert generalized_weights(M, "flats") == expected
+        assert weights_conullity(M) == expected
+        assert weights_flats(M) == expected
 
 
 def test_weights_strictly_increasing(example_matroid, example_table):
