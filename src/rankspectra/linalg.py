@@ -4,17 +4,28 @@ Subspaces of F_q^n are kept in reduced row echelon form, which makes the
 representation canonical: two subspaces are equal iff their basis tuples
 are identical, so they can be used directly as dictionary keys.  All
 values are immutable after construction.
+
+Field arithmetic goes through :class:`GF`.  A field of at most
+``_TABLE_LIMIT`` (256) elements computes from dense tables built once per
+tower level and shared by every ``GF`` of that level: products and
+inverses from the exp/log tables of a primitive element, sums and
+negatives digit-wise mod p on the base-p encoding (XOR for p = 2).  A
+larger field calls the recursive :class:`FieldTower` arithmetic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb, isqrt
+from operator import xor
 
 from .errors import InputError, ResourceLimitError
 from .fields import MAX_FIELD_SIZE, FieldTower, prime_field
 
 DEFAULT_SUBSPACE_CAP = 10**7
+_TABLE_LIMIT = 256
 
 
 def _factor_prime_power(q: int):
@@ -34,15 +45,89 @@ def _factor_prime_power(q: int):
     return p, e
 
 
-class GF:
-    """Arithmetic view of one level of a :class:`FieldTower`."""
+@lru_cache(maxsize=32)
+def _table_ops(tower: FieldTower, level: int):
+    """(add, sub, neg, mul, inv) of one tower level, read from dense tables.
 
-    __slots__ = ("tower", "level", "size")
+    Products come from exp/log of a primitive element g, found by walking
+    the powers of g = 1, 2, ... with ``FieldTower.mul`` until one has order
+    size - 1; the size x size table is then filled by index arithmetic.
+    Sums are digit-wise mod p on the base-p encoding, so for p = 2 they are
+    XOR.
+    """
+    p, size = tower.p, tower.sizes[level]
+    for g in range(1, size):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = tower.mul(x, g, level)
+        if len(exp) == size - 1:
+            break
+    log = [0] * size
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp2 = exp + exp
+    logs = log[1:]
+    mul_t = [[0] * size]
+    for a in range(1, size):
+        # mul(a, b) = exp[log a + log b]
+        mul_t.append([0, *map(exp2[log[a]:].__getitem__, logs)])
+    inv_t = [0] + [exp[-log[a] % (size - 1)] for a in range(1, size)]
+
+    def mul(a, b):
+        return mul_t[a][b]
+
+    def inv(a):
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero field element")
+        return inv_t[a]
+
+    if p == 2:
+        return xor, xor, list(range(size)).__getitem__, mul, inv
+    # digit-wise sums: each pass appends the next base-p digit at the top
+    add_t = [[0]]
+    width = 1
+    while width < size:
+        add_t = [[x + off for off in [width * ((ah + bh) % p) for bh in range(p)] for x in row]
+                 for ah in range(p) for row in add_t]
+        width *= p
+    neg_t = [row.index(0) for row in add_t]
+    sub_t = [list(map(row.__getitem__, neg_t)) for row in add_t]
+
+    def add(a, b):
+        return add_t[a][b]
+
+    def sub(a, b):
+        return sub_t[a][b]
+
+    return add, sub, neg_t.__getitem__, mul, inv
+
+
+class GF:
+    """Arithmetic view of one level of a :class:`FieldTower`.
+
+    ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` are bound once here.  A
+    field of at most ``_TABLE_LIMIT`` elements reads them from tables built
+    on first use of its (tower, level) and cached; a larger one calls the
+    tower's recursive arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
+    either way.
+    """
+
+    __slots__ = ("tower", "level", "size", "add", "sub", "neg", "mul", "inv")
 
     def __init__(self, tower: FieldTower, level: int = -1):
         self.tower = tower
         self.level = tower._idx(level)
         self.size = tower.sizes[self.level]
+        if self.size <= _TABLE_LIMIT:
+            self.add, self.sub, self.neg, self.mul, self.inv = _table_ops(tower, self.level)
+        else:
+            self.add = partial(tower.add, level=self.level)
+            self.sub = partial(tower.sub, level=self.level)
+            self.neg = partial(tower.neg, level=self.level)
+            self.mul = partial(tower.mul, level=self.level)
+            self.inv = partial(tower.inv, level=self.level)
 
     @classmethod
     def of_order(cls, q: int) -> "GF":
@@ -52,21 +137,6 @@ class GF:
         if e > 1:
             tower = tower.extend(tower.find_irreducible(e))
         return cls(tower)
-
-    def add(self, a, b):
-        return self.tower.add(a, b, self.level)
-
-    def sub(self, a, b):
-        return self.tower.sub(a, b, self.level)
-
-    def neg(self, a):
-        return self.tower.neg(a, self.level)
-
-    def mul(self, a, b):
-        return self.tower.mul(a, b, self.level)
-
-    def inv(self, a):
-        return self.tower.inv(a, self.level)
 
     def elements(self):
         return range(self.size)
@@ -87,6 +157,7 @@ class GF:
 
 def rref(gf: GF, rows):
     """Reduced row echelon form; returns (rows, rank, pivots)."""
+    mul, sub = gf.mul, gf.sub
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
@@ -97,11 +168,11 @@ def rref(gf: GF, rows):
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = gf.inv(work[r][col])
-        work[r] = [gf.mul(inv, x) for x in work[r]]
+        work[r] = [mul(inv, x) for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][col] != 0:
                 c = work[i][col]
-                work[i] = [gf.sub(x, gf.mul(c, y)) for x, y in zip(work[i], work[r])]
+                work[i] = [sub(x, mul(c, y)) for x, y in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -115,6 +186,7 @@ def mat_rank(gf: GF, rows) -> int:
 
 def mat_mul(gf: GF, a, b):
     """Product of row-tuple matrices over gf."""
+    add, mul = gf.add, gf.mul
     bt = list(zip(*b)) if b else []
     out = []
     for row in a:
@@ -123,10 +195,21 @@ def mat_mul(gf: GF, a, b):
             acc = 0
             for x, y in zip(row, col):
                 if x and y:
-                    acc = gf.add(acc, gf.mul(x, y))
+                    acc = add(acc, mul(x, y))
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def _reduce(gf: GF, rows, pivots, vec):
+    """Reduce vec against RREF rows with the given pivots; zero iff vec is in their span."""
+    mul, sub = gf.mul, gf.sub
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+    return v
 
 
 class Subspace:
@@ -178,18 +261,8 @@ class Subspace:
 
     # -- membership and order -----------------------------------------
 
-    def reduce_vector(self, vec):
-        """Reduce a vector against the RREF basis; zero iff the vector lies inside."""
-        gf = self.gf
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
-
     def contains_vector(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce_vector(vec))
+        return not any(_reduce(self.gf, self.rows, self.pivots, vec))
 
     def contains(self, other: "Subspace") -> bool:
         if other.n != self.n:
@@ -199,9 +272,35 @@ class Subspace:
     # -- lattice operations -------------------------------------------
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """RREF of self + other, folding in the rows of other one at a time.
+
+        A row outside the current span is reduced, normalised at its first
+        nonzero column, cleared from the existing rows in that column and
+        inserted in pivot order; RREF is canonical, so the result equals
+        ``from_rows(self.rows + other.rows)``.
+        """
         if other.n != self.n or other.gf != self.gf:
             raise InputError("ambient mismatch")
-        return Subspace.from_rows(self.gf, self.n, self.rows + other.rows)
+        gf = self.gf
+        mul, sub = gf.mul, gf.sub
+        rows, pivots = list(self.rows), list(self.pivots)
+        for vec in other.rows:
+            v = _reduce(gf, rows, pivots, vec)
+            col = next((j for j, x in enumerate(v) if x), None)
+            if col is None:
+                continue
+            inv = gf.inv(v[col])
+            v = tuple([mul(inv, x) for x in v])
+            for i, row in enumerate(rows):
+                c = row[col]
+                if c:
+                    rows[i] = tuple([sub(x, mul(c, y)) for x, y in zip(row, v)])
+            at = bisect(pivots, col)
+            rows.insert(at, v)
+            pivots.insert(at, col)
+        if len(rows) == self.dim:
+            return self
+        return Subspace(gf, self.n, tuple(rows), tuple(pivots))
 
     def complement(self) -> "Subspace":
         """Orthogonal complement w.r.t. the standard dot product."""

@@ -11,7 +11,7 @@ q-flats are kept after their first scan.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
 from .linalg import (
     DEFAULT_SUBSPACE_CAP,
@@ -19,6 +19,7 @@ from .linalg import (
     Subspace,
     all_subspaces,
     enumerate_subspaces,
+    gaussian_binomial,
     mat_mul,
     mat_rank,
     rank_support,
@@ -156,9 +157,27 @@ class QMatroid:
         """Yield (L, X + L, rho(X + L) - rho(X)) for each line L outside X."""
         rX = self.rank(X)
         for L in self.lines():
-            if not X.contains(L):
-                XL = X.sum(L)
+            XL = X.sum(L)
+            if XL.dim > X.dim:
                 yield L, XL, self.rank(XL) - rX
+
+    def _check_step_count(self, cap: int | None) -> None:
+        """Raise ResourceLimitError when |subspaces| * |lines| exceeds cap.
+
+        A scan over every subspace X walks the steps X -> X + L over every
+        line L, so the subspace cap bounds those steps before any
+        enumeration starts.
+        """
+        if cap is None:
+            return
+        n, q = self.n, self.q
+        steps = gaussian_binomial(n, 1, q) * sum(
+            gaussian_binomial(n, s, q) for s in range(n + 1))
+        if steps > cap:
+            raise ResourceLimitError(
+                f"{steps} line steps over all subspaces exceed cap {cap}",
+                required=steps, cap=cap,
+            )
 
     def is_qflat(self, F: Subspace) -> bool:
         """True iff adjoining any outside line changes the rank."""
@@ -167,10 +186,12 @@ class QMatroid:
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
         """All q-flats by increasing (dimension, basis); scanned once, then kept.
 
-        The capped enumeration runs to its end before the first
+        The line steps of the scan are counted against ``cap`` first, and
+        the capped enumeration runs to its end before the first
         ``is_qflat``, whose line scan is uncapped.
         """
         if self._flats is None:
+            self._check_step_count(cap)
             subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
             self._flats = tuple(X for X in subspaces if self.is_qflat(X))
         return self._flats
@@ -249,8 +270,11 @@ class QMatroid:
         rho(A + y) <= rho(A + x + y) <= rho(A + x) + 1.  Summing steps
         along matched chains (A meet B -> A and B -> A + B) gives P3.
 
+        The line steps are counted against ``cap`` before any enumeration.
+
         Returns {"ok": bool, "violation": description-or-None}.
         """
+        self._check_step_count(cap)
         subs = list(all_subspaces(self.gf, self.n, cap=cap))
         for X in subs:
             r = self.rank(X)

@@ -205,6 +205,19 @@ def test_huge_field_fails_fast(tmp_path, doc, status):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "--level", "quick"]],
+                         ids=["analyze", "verify-quick"])
+def test_line_steps_over_cap_fail_fast(tmp_path, command):
+    # U(3,9) over F_2: 8283458 subspaces pass the subspace cap, but the q-flat
+    # scan and the axiom check walk 511 lines from each of them
+    spec = tmp_path / "n9.json"
+    spec.write_text(json.dumps({"uniform": {"q": 2, "k": 3, "n": 9}}))
+    proc = run_module(*command, str(spec), timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert str(8283458 * 511) in proc.stderr.decode()
+
+
 def test_missing_file(capsys):
     status = main(["analyze", str(DATA / "missing.json")])
     capsys.readouterr()

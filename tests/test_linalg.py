@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from rankspectra import (
     rank_support,
     rank_weight,
 )
-from rankspectra.linalg import mat_mul, mat_rank, rref
+from rankspectra.linalg import _TABLE_LIMIT, _table_ops, mat_mul, mat_rank, rref
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +145,79 @@ def test_rank_support_and_weight(tower16):
     assert support.dim == 2
     assert rank_weight(tower16, 1, 0, (0, 0, 0, 0)) == 0
     assert rank_weight(tower16, 1, 0, (1, 1, 1, 1)) == 1
+
+
+def _top_level(q, ext=1):
+    """F_q, then, for ext > 1, its extension of degree ext: (tower, top level)."""
+    tower = GF.of_order(q).tower
+    if ext > 1:
+        tower = tower.extend(tower.find_irreducible(ext))
+    return tower, tower.top_level
+
+
+@pytest.mark.parametrize("q,ext", [
+    (2, 1), (3, 1), (9, 1), (16, 1), (64, 1), (243, 1), (256, 1), (4, 2),
+], ids=["F2", "F3", "F9", "F16", "F64", "F243", "F256", "F16_over_F4"])
+def test_table_ops_match_tower(q, ext):
+    tower, level = _top_level(q, ext)
+    gf = GF(tower, level)
+    size = gf.size
+    assert size == q**ext <= _TABLE_LIMIT
+    for a in range(size):
+        for b in range(size):
+            assert gf.add(a, b) == tower.add(a, b, level)
+            assert gf.sub(a, b) == tower.sub(a, b, level)
+            assert gf.mul(a, b) == tower.mul(a, b, level)
+        assert gf.neg(a) == tower.neg(a, level)
+        if a:
+            assert gf.inv(a) == tower.inv(a, level)
+    with pytest.raises(ZeroDivisionError):
+        gf.inv(0)
+
+
+@pytest.mark.parametrize("q", [257, 512])
+def test_field_above_table_limit_uses_tower(q):
+    tower, level = _top_level(q)
+    misses = _table_ops.cache_info().misses
+    gf = GF(tower, level)
+    assert _table_ops.cache_info().misses == misses
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert gf.add(a, b) == tower.add(a, b, level)
+        assert gf.sub(a, b) == tower.sub(a, b, level)
+        assert gf.mul(a, b) == tower.mul(a, b, level)
+        assert gf.neg(a) == tower.neg(a, level)
+        if a:
+            assert gf.inv(a) == tower.inv(a, level)
+    with pytest.raises(ZeroDivisionError):
+        gf.inv(0)
+
+
+def test_huge_prime_field_builds_no_tables():
+    misses = _table_ops.cache_info().misses
+    start = time.perf_counter()
+    gf = GF.of_order(1000000007)
+    assert time.perf_counter() - start < 1.0
+    assert _table_ops.cache_info().misses == misses
+    assert gf.mul(2, 500000004) == 1
+
+
+_SUM_FIELDS = {"F_2^4": (2, 4), "F_3^3": (3, 3), "F_4^3": (4, 3)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data(), field=st.sampled_from(sorted(_SUM_FIELDS)))
+def test_incremental_sum_matches_rref(data, field):
+    q, n = _SUM_FIELDS[field]
+    gf = GF.of_order(q)
+    vectors = st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                       max_size=n)
+    A = Subspace.from_rows(gf, n, [tuple(v) for v in data.draw(vectors)])
+    B = Subspace.from_rows(gf, n, [tuple(v) for v in data.draw(vectors)])
+    joint = Subspace.from_rows(gf, n, A.rows + B.rows)
+    total = A.sum(B)
+    assert total == joint
+    assert total.pivots == joint.pivots
+    for L in enumerate_subspaces(gf, n, 1):
+        assert (A.sum(L).dim > A.dim) == (not A.contains(L))

@@ -8,12 +8,15 @@ from rankspectra import (
     GabidulinCode,
     InputError,
     QMatroid,
+    ResourceLimitError,
     Subspace,
     all_subspaces,
     enumerate_subspaces,
     prime_field,
+    qmatroid,
     uniform_qmatroid,
 )
+from rankspectra.linalg import DEFAULT_SUBSPACE_CAP
 
 
 def test_generator_must_be_full_rank(tower16):
@@ -210,7 +213,7 @@ def test_axiom_check_matches_pairwise_definition(tower16, kind, n, seed, changes
 
 
 def test_verify_axioms_sum_calls_bounded(monkeypatch):
-    # one ``sum`` per (subspace, outside line) and at most n per closure;
+    # one ``sum`` per (subspace, line) and at most n per closure;
     # checking P3 on every pair of the 374 subspaces needs about 70k
     M = uniform_qmatroid(2, 5, 2)
     subs = sum(1 for _ in all_subspaces(M.gf, 5))
@@ -229,3 +232,28 @@ def test_verify_axioms_sum_calls_bounded(monkeypatch):
 
     monkeypatch.setattr(Subspace, "sum", counted)
     assert M.verify_axioms()["ok"]
+
+
+class Enumerated(Exception):
+    """Raised by a stand-in for ``all_subspaces``: the scan got past its checks."""
+
+
+@pytest.mark.parametrize("scan", ["qflats", "verify_axioms"])
+def test_line_steps_capped_before_enumeration(monkeypatch, scan):
+    def enumerate_nothing(*args, **kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(qmatroid, "all_subspaces", enumerate_nothing)
+    # 67 subspaces of F_2^4 times 15 lines: the cap is exact
+    with pytest.raises(ResourceLimitError) as err:
+        getattr(uniform_qmatroid(2, 4, 2), scan)(cap=67 * 15 - 1)
+    assert (err.value.required, err.value.cap) == (67 * 15, 67 * 15 - 1)
+    with pytest.raises(Enumerated):
+        getattr(uniform_qmatroid(2, 4, 2), scan)(cap=67 * 15)
+    # n = 7 over F_2 stays under the default cap: 29212 subspaces x 127 lines
+    with pytest.raises(Enumerated):
+        getattr(uniform_qmatroid(3, 7, 2), scan)()
+    # n = 9: 8283458 subspaces pass the per-dimension cap, 511x as many steps do not
+    with pytest.raises(ResourceLimitError) as err:
+        getattr(uniform_qmatroid(3, 9, 2), scan)()
+    assert (err.value.required, err.value.cap) == (8283458 * 511, DEFAULT_SUBSPACE_CAP)
