@@ -1,9 +1,10 @@
 """Benchmark the q-flat scan and the cycle lattice built from it.
 
 Times a cold ``QMatroid.qflats()`` and ``build_cycle_lattice`` on U(3,6)
-over F_2 and on a random k=3, n=6 code over F_64 drawn from a fixed seed,
-prints seconds and flat counts, and exits non-zero if the U(3,6) Betti
-table differs from its closed form.  Run from the repository root:
+and U(3,7) over F_2 and on a random k=3, n=6 code over F_64 drawn from a
+fixed seed, prints seconds and flat counts, and exits non-zero if a
+uniform Betti table differs from its closed form.  Run from the
+repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
@@ -47,15 +48,19 @@ def bench(label, M):
     return lattice
 
 
-def main():
-    lattice = bench("U(3,6) over F_2", uniform_qmatroid(3, 6, 2))
-    table = virtual_betti_table(lattice)
-    expected = uniform_betti_table(6, 3, 2)
+def bench_uniform(k, n):
+    table = virtual_betti_table(bench(f"U({k},{n}) over F_2", uniform_qmatroid(k, n, 2)))
+    expected = uniform_betti_table(n, k, 2)
     if table != expected:
-        raise SystemExit(f"U(3,6) Betti table {table.to_records()} "
+        raise SystemExit(f"U({k},{n}) Betti table {table.to_records()} "
                          f"!= closed form {expected.to_records()}")
+
+
+def main():
+    bench_uniform(3, 6)
     code = random_code(SEED)
     bench(f"{code}, seed {SEED}", code.qmatroid())
+    bench_uniform(3, 7)
 
 
 if __name__ == "__main__":

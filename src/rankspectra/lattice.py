@@ -6,6 +6,8 @@ and Pellikaan, "Defining the q-analogue of a matroid", 2018): for a line
 L outside X^perp, the hyperplane (X^perp + L)^perp of X keeps the dual
 rank of X iff L raises the rank of X^perp by one.  The nullity of X in M*
 is k - rho(X^perp), so one scan of the q-flats of M gives every node.
+It is checked on its cover edges, and by the top node of each bitset of
+common lower bounds, which must be the whole set below that node.
 Moebius values on the lattice, and on its collapsed versions
 (all nodes of rank <= l identified with the bottom), stand in for the
 graded Betti numbers of the associated simplicial-complex resolutions:
@@ -36,14 +38,8 @@ class CycleLattice:
         # X contains Y iff every projective point of Y lies in X; points are
         # bits, indexed by their RREF vectors in the matroid's line tuple
         index = {P.rows[0]: t for t, P in enumerate(matroid.lines())}
-        masks = []
-        for X in self.nodes:
-            mask = 0
-            for v in X.vectors():
-                t = index.get(v)
-                if t is not None:
-                    mask |= 1 << t
-            masks.append(mask)
+        masks = [sum(1 << index[v] for v in X.vectors() if v in index)
+                 for X in self.nodes]
         # strictly-below relation as index sets (desk-scale lattices)
         self.below = [
             frozenset(j for j, mj in enumerate(masks) if mj & mi == mj and j != i)
@@ -55,32 +51,35 @@ class CycleLattice:
     # -- structure checks ----------------------------------------------
 
     def _validate(self):
+        """Zero bottom, Jordan-Dedekind on covers, unique meets, height.
+
+        j is covered by i iff j is in below[i] and in no below[t], t in
+        below[i].  If each cover adds one to the nullity, a chain of covers
+        gives nullity[j] < nullity[i] for every j below i: the index order
+        is a linear extension, and a node of nullity 1 covers the bottom
+        alone.  So the top bit m of the common lower bounds c = down[i] &
+        down[j] is maximal in c; a unique maximal element of a finite poset
+        is its maximum, so the meet is unique iff c == down[m], which holds
+        whenever i or j has nullity below 2.
+        """
         if not self.nodes or self.nodes[0].dim != 0 or self.nullity[0] != 0:
             raise StructuralError("lattice must have the zero subspace as unique bottom")
         if sum(1 for r in self.nullity if r == 0) != 1:
             raise StructuralError("more than one rank-0 node")
-        size = len(self.nodes)
-        # Jordan-Dedekind: every covering step raises the rank by exactly one
-        for i in range(size):
-            for j in self.below[i]:
-                is_cover = not any(
-                    t in self.below[i] and j in self.below[t] for t in range(size)
-                )
-                if is_cover and self.nullity[i] != self.nullity[j] + 1:
+        for i, below_i in enumerate(self.below):
+            deeper = set().union(*(self.below[t] for t in below_i))
+            for j in below_i:
+                if j not in deeper and self.nullity[i] != self.nullity[j] + 1:
                     raise StructuralError(
                         "Jordan-Dedekind violated between nodes of ranks "
                         f"{self.nullity[j]} and {self.nullity[i]}"
                     )
-        # meet well-defined: common lower bounds have a unique maximum
-        for i in range(size):
-            below_i = self.below[i] | {i}
-            for j in range(i + 1, size):
-                common = below_i & (self.below[j] | {j})
-                maximal = [
-                    t for t in common
-                    if not any(t in self.below[u] for u in common)
-                ]
-                if len(maximal) != 1:
+        down = [sum(1 << j for j in below_i) | 1 << i
+                for i, below_i in enumerate(self.below)]
+        for i in range(sum(1 for r in self.nullity if r < 2), len(down)):
+            for down_j in down[i + 1:]:
+                common = down[i] & down_j
+                if common != down[common.bit_length() - 1]:
                     raise StructuralError("lattice meet is not unique")
         if max(self.nullity) != self.k:
             raise StructuralError(

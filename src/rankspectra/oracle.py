@@ -30,7 +30,10 @@ from .qmatroid import GabidulinCode, QMatroid
 from .spectra import WeightPolynomial
 
 DEFAULT_CODEWORD_CAP = 1 << 24
-_BITMASK_GROUND_LIMIT = 31
+# ``ClassicalMatroid.dual_cycles`` walks all 2^points subsets, so the limit
+# bounds that work (2^20 subsets), not just the mask width: the 31 points
+# of a q = 2, n = 5 ground set would take 2^31 steps
+_BITMASK_GROUND_LIMIT = 20
 
 
 def _extension_setup(code: GabidulinCode, r: int):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import rankspectra
-from rankspectra import QMatroid, all_subspaces
+from rankspectra import (
+    QMatroid, ResourceLimitError, StructuralError, all_subspaces, cli,
+)
 from rankspectra.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -139,6 +141,21 @@ def test_verify_full_mrd_code(capsys):
     assert any(c["check"] == "brute-force spectrum" for c in report["checks"])
 
 
+@pytest.mark.parametrize("error,line,status", [
+    (ResourceLimitError, "SKIP  classical lattice isomorphism", 0),
+    (StructuralError, "FAIL  classical lattice isomorphism", 1),
+], ids=["limit-skipped", "mismatch-fails"])
+def test_check_status_in_text(monkeypatch, capsys, error, line, status):
+    def stopped(M, cap):
+        raise error("classical oracle stopped")
+
+    monkeypatch.setattr(cli, "verify_iso_summary", stopped)
+    code, out = run_cli(capsys, "verify", UNIFORM, "--level", "full",
+                        "--format", "text")
+    assert code == status
+    assert line in out.splitlines()
+
+
 def test_mrd_subcommand(capsys):
     status, report = run_json(capsys, "mrd", "--q", "2", "--m", "4",
                               "--n", "4", "--k", "2")
@@ -203,6 +220,19 @@ def test_huge_field_fails_fast(tmp_path, doc, status):
     proc = run_module("analyze", str(spec), timeout=30)
     assert proc.returncode == status
     assert proc.stdout == b""
+
+
+def test_classical_oracle_bounded(tmp_path):
+    # U(2,5) over F_2: the classical matroid would walk 2^31 point subsets
+    spec = tmp_path / "u25.json"
+    spec.write_text(json.dumps({"uniform": {"q": 2, "k": 2, "n": 5}}))
+    proc = run_module("verify", "--level", "full", str(spec), timeout=30)
+    assert proc.returncode == 0
+    checks = {c.pop("check"): c for c in json.loads(proc.stdout)["checks"]}
+    assert checks.pop("classical lattice isomorphism") == {
+        "status": "skipped",
+        "witness": "classical ground set of 31 points exceeds the bitmask limit"}
+    assert {c["status"] for c in checks.values()} == {"pass"}
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--level", "quick"]],

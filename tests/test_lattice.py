@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankspectra import (
     BettiTable,
@@ -9,6 +12,8 @@ from rankspectra import (
     InputError,
     QMatroid,
     StructuralError,
+    Subspace,
+    all_subspaces,
     build_cycle_lattice,
     cross_checked_weights,
     enumerate_subspaces,
@@ -189,3 +194,104 @@ def test_lattice_from_flats_matches_dual_qcycles(request, tower16, kind, params)
         frozenset(j for j, Y in enumerate(L.nodes) if j != i and X.contains(Y))
         for i, X in enumerate(L.nodes)
     ]
+
+
+def test_meet_check_rejects_bowtie(uniform24):
+    # 0 < <e1>, <e2> < <e1,e2,e3>, <e1,e2,e4>: every cover adds one, but the
+    # two 3-spaces have two maximal common lower bounds
+    e = [tuple(int(t == s) for t in range(4)) for s in range(4)]
+    nodes = [Subspace.from_rows(uniform24.gf, 4, rows) for rows in
+             ([], [e[0]], [e[1]], [e[0], e[1], e[2]], [e[0], e[1], e[3]])]
+    with pytest.raises(StructuralError, match="lattice meet is not unique"):
+        CycleLattice(uniform24, nodes, [0, 1, 1, 2, 2])
+
+
+# -- the cover and top-element check against the pairwise scans -----------
+
+
+class ReferenceLattice(CycleLattice):
+    """``CycleLattice`` checked by the O(N^3) pairwise scans it replaced."""
+
+    def _validate(self):
+        if not self.nodes or self.nodes[0].dim != 0 or self.nullity[0] != 0:
+            raise StructuralError("lattice must have the zero subspace as unique bottom")
+        if sum(1 for r in self.nullity if r == 0) != 1:
+            raise StructuralError("more than one rank-0 node")
+        size = len(self.nodes)
+        # Jordan-Dedekind: every covering step raises the rank by exactly one
+        for i in range(size):
+            for j in self.below[i]:
+                is_cover = not any(
+                    t in self.below[i] and j in self.below[t] for t in range(size)
+                )
+                if is_cover and self.nullity[i] != self.nullity[j] + 1:
+                    raise StructuralError(
+                        "Jordan-Dedekind violated between nodes of ranks "
+                        f"{self.nullity[j]} and {self.nullity[i]}"
+                    )
+        # meet well-defined: common lower bounds have a unique maximum
+        for i in range(size):
+            below_i = self.below[i] | {i}
+            for j in range(i + 1, size):
+                common = below_i & (self.below[j] | {j})
+                maximal = [
+                    t for t in common
+                    if not any(t in self.below[u] for u in common)
+                ]
+                if len(maximal) != 1:
+                    raise StructuralError("lattice meet is not unique")
+        if max(self.nullity) != self.k:
+            raise StructuralError(
+                f"lattice height {max(self.nullity)} differs from rank {self.k}"
+            )
+
+
+# free q-matroid U(4,4): every subspace of F_2^4 is a node, and its height 4
+# lets a dropped 2-space leave two 3-spaces without a unique meet
+_PERTURBED_BASES = {"U(2,4)": (2, 4, 2), "U(3,4)": (3, 4, 2),
+                    "U(2,3)/F_3": (2, 3, 3), "U(4,4)": (4, 4, 2)}
+
+
+@functools.cache
+def _perturbation_base(kind, example_matroid):
+    """The matroid, its lattice nodes and nullities, and its non-cycles (read only)."""
+    M = (example_matroid if kind == "example"
+         else uniform_qmatroid(*_PERTURBED_BASES[kind]))
+    L = build_cycle_lattice(M)
+    cycles = set(L.nodes)
+    return M, L.nodes, L.nullity, [X for X in all_subspaces(M.gf, M.n)
+                                   if X not in cycles]
+
+
+def _verdict(lattice_class, M, nodes, nullities):
+    try:
+        lattice_class(M, nodes, nullities)
+    except StructuralError as exc:
+        return str(exc)
+    return "accept"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kind=st.sampled_from([*_PERTURBED_BASES, "example"]),
+       dropped=st.lists(st.integers(0, 10**6), max_size=3),
+       shifted=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 1])),
+                        max_size=2),
+       extra=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=2))
+def test_lattice_check_matches_pairwise_reference(example_matroid, kind, dropped,
+                                                  shifted, extra):
+    # node sets with dropped nodes, shifted nullities and extra non-cycle
+    # subspaces get the same verdict, message included, from both checks
+    M, nodes, nullities, others = _perturbation_base(kind, example_matroid)
+    gone = {index % len(nodes) for index in dropped}
+    kept = [t for t in range(len(nodes)) if t not in gone]
+    nodes = [nodes[t] for t in kept]
+    nullities = [nullities[t] for t in kept]
+    for index, delta in shifted:
+        nullities[index % len(nodes)] += delta
+    for index, eta in extra if others else ():
+        X = others[index % len(others)]
+        if X not in nodes:
+            nodes.append(X)
+            nullities.append(eta)
+    assert (_verdict(CycleLattice, M, nodes, nullities)
+            == _verdict(ReferenceLattice, M, nodes, nullities))
