@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__, oracle
@@ -38,12 +39,16 @@ from .spectra import (
 class Model:
     """A parsed input: the q-matroid plus, when present, the code behind it."""
 
-    def __init__(self, kind, matroid, Q, code=None, params=None):
+    def __init__(self, kind, matroid, params, code=None):
         self.kind = kind
         self.matroid = matroid
-        self.Q = Q
         self.code = code
-        self.params = params or {}
+        self.params = params
+
+    @property
+    def Q(self) -> int:
+        """Size q^m of the field the spectra are evaluated over."""
+        return self.params["q"] ** self.params["m"]
 
 
 def _require(cond, message):
@@ -72,8 +77,7 @@ def parse_spec(doc: dict) -> Model:
         m = u.get("m", n)
         _require(isinstance(m, int) and m >= n, "uniform.m must be an integer >= n")
         M = uniform_qmatroid(k, n, q)
-        return Model("uniform", M, q**m,
-                     params={"q": q, "k": k, "n": n, "m": m})
+        return Model("uniform", M, params={"q": q, "k": k, "n": n, "m": m})
     fields = doc if form == "generator" else doc["mrd_gabidulin"]
     _require(isinstance(fields, dict), f"{form} description must be an object")
     _require(isinstance(fields.get("p"), int), "p must be an integer")
@@ -97,7 +101,7 @@ def parse_spec(doc: dict) -> Model:
         anchors = _as_int_list(fields.get("anchors"), "mrd_gabidulin.anchors")
         _require(len(anchors) == n, "mrd_gabidulin needs n anchors")
         code = GabidulinCode.mrd(tower, q_level, code_level, anchors, fields["k"])
-    return Model(form, code.qmatroid(), code.Q, code=code,
+    return Model(form, code.qmatroid(), code=code,
                  params={"q": code.q, "m": code.m, "n": code.n, "k": code.k})
 
 
@@ -105,9 +109,29 @@ def parse_spec_source(raw: bytes) -> tuple[Model, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int over the digit limit
         raise InputError(f"invalid JSON input: {exc}") from None
     return parse_spec(doc), digest
+
+
+def check_report_size(q: int, m: int, r: int, k: int) -> None:
+    """Raise ResourceLimitError if a report integer could exceed the int-to-str limit.
+
+    With Q = q^m, the spectrum at Q^r sums to Q^(r k), Q^r itself is printed,
+    and row i of the higher spectra counts at most [k, i]_Q < 4 Q^(i (k - i))
+    subcodes, so every integer a report holds has fewer than
+    e log2(Q) + 2 bits, e = max(r, r k, floor(k^2 / 4)).  log2 Q is read as
+    m log2 q, so no power of Q is formed before the check.
+    """
+    # the limit exists from Python 3.11 (and late 3.10 releases); 0 means none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # past 4 * limit every q >= 2 fails, so clamping keeps the float finite
+    exponent = min(m * max(r, r * k, k * k // 4), 4 * limit)
+    bits = exponent * math.log2(q) + 2
+    if limit and bits * math.log10(2) > limit:
+        raise ResourceLimitError(
+            f"report integers for q={q}, m={m}, r={r}, k={k} would exceed "
+            f"the {limit}-digit int-to-str limit", cap=limit)
 
 
 def analyze_model(model: Model, r: int, cap: int | None):
@@ -368,6 +392,8 @@ def run(args) -> tuple[str, int]:
     with open(args.file, "rb") as fh:
         raw = fh.read()
     model, digest = parse_spec_source(raw)
+    p = model.params  # verify ignores --r; it prints spectra only within the codeword cap
+    check_report_size(p["q"], p["m"], 1 if args.command == "verify" else args.r, p["k"])
     if args.command == "verify":
         checks = run_verification(model, args.level, args.cap_subspaces,
                                   args.cap_codewords, args.threads)
@@ -382,8 +408,9 @@ def run(args) -> tuple[str, int]:
 
 def run_mrd(args) -> tuple[str, int]:
     q, m, n, k = args.q, args.m, args.n, args.k
-    closed = mrd_closed_form(n, k, q, m)
     M = uniform_qmatroid(k, n, q)
+    check_report_size(q, m, args.r, k)
+    closed = mrd_closed_form(n, k, q, m)
     table = virtual_betti_table(build_cycle_lattice(M, cap=args.cap_subspaces))
     polys = weight_polys_betti(table)
     pipeline = weight_distribution(polys, (q**m) ** args.r)
@@ -391,7 +418,7 @@ def run_mrd(args) -> tuple[str, int]:
     params = {"q": q, "m": m, "n": n, "k": k}
     digest = hashlib.sha256(
         json.dumps(params, sort_keys=True).encode()).hexdigest()
-    report = build_report(Model("mrd", M, q**m, params=params), digest, {
+    report = build_report(Model("mrd", M, params=params), digest, {
         "closed_form": closed,
         "spectrum": {"r": args.r, "Qtilde": (q**m) ** args.r, "A": pipeline},
         "agreement": agree,

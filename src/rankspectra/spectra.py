@@ -2,9 +2,9 @@
 
 Two independent routes to the s-th weight polynomial are provided: the
 Betti-table route (elongation differences of alternating sums, polynomial
-in the lattice size) and the Moebius-inversion route (a signed sum over
-pairs of nested subspaces, exponential in n).  They must agree
-coefficientwise; the enumeration route doubles as a verification path.
+in the lattice size) and the Moebius-inversion route (a sum over the rank
+profile, the count of subspaces by dimension and rank, exponential in n).
+They must agree coefficientwise; the profile route doubles as a check.
 Evaluating the polynomials at powers of Q gives the rank-weight
 distribution of every extension code at once, and a triangular system
 turns those values into the higher weight spectra.
@@ -12,13 +12,14 @@ turns those values into the higher weight spectra.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import InputError, StructuralError
 from .lattice import BettiTable
 from .linalg import (
     DEFAULT_SUBSPACE_CAP,
     all_subspaces,
     binom2,
-    enumerate_subspaces,
     gaussian_binomial,
     matrix_count,
 )
@@ -80,18 +81,22 @@ def weight_polys_betti(table: BettiTable):
     return [weight_poly_betti(table, s) for s in range(table.n + 1)]
 
 
+def rank_profile(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
+    """c(d, r): the number of subspaces of dimension d and rank r."""
+    return Counter((X.dim, M.rank(X)) for X in all_subspaces(M.gf, M.n, cap=cap))
+
+
 def weight_poly_mobius(M: QMatroid, s: int,
                        cap: int | None = DEFAULT_SUBSPACE_CAP) -> WeightPolynomial:
-    """Signed sum over V <= U, dim U = s, of q^C(dimU-dimV,2) X^{conullity(V)}."""
-    k = M.full_rank
+    """Signed sum over V <= U, dim U = s, of q^C(dimU-dimV,2) X^{conullity(V)},
+    grouped by d = dim V^perp: V lies in [d, j]_q such U, j = dim U - dim V =
+    s - n + d, and conullity(V) = k - rho(V^perp).  Exact for any rank function."""
+    k, q = M.full_rank, M.q
     coeffs = [0] * (k + 1)
-    q = M.q
-    for U in enumerate_subspaces(M.gf, M.n, s, cap=cap):
-        for v_dim in range(s + 1):
-            sign = (-1) ** (s - v_dim)
-            factor = sign * q ** binom2(s - v_dim)
-            for V in enumerate_subspaces(M.gf, s, v_dim, ambient=U, cap=cap):
-                coeffs[M.conullity(V)] += factor
+    for (d, r), count in rank_profile(M, cap).items():
+        j = s - M.n + d
+        if j >= 0:
+            coeffs[k - r] += (-1) ** j * q ** binom2(j) * gaussian_binomial(d, j, q) * count
     return WeightPolynomial(coeffs)
 
 
@@ -136,17 +141,12 @@ def higher_spectra(polys, Q: int, k: int):
 
 
 def weights_conullity(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP):
-    """d_r = min dim X with conullity(X) >= r, r = 1..k, by direct scan."""
-    k = M.full_rank
-    best = [None] * (k + 1)
-    for X in all_subspaces(M.gf, M.n, cap=cap):
-        eta = M.conullity(X)
-        for r in range(1, min(eta, k) + 1):
-            if best[r] is None or X.dim < best[r]:
-                best[r] = X.dim
-    if any(b is None for b in best[1:]):
+    """d_r = min dim X with conullity(X) = k - rho(X^perp) >= r, r = 1..k, that is
+    n - max{d : c(d, rho) > 0 for some rho <= k - r} over the rank profile c."""
+    k, profile = M.full_rank, rank_profile(M, cap)
+    if k and min(rho for _, rho in profile) > 0:
         raise StructuralError("conullity never reaches the matroid rank")
-    return tuple(best[1:])
+    return tuple(M.n - max(d for d, rho in profile if rho <= k - r) for r in range(1, k + 1))
 
 
 def weights_betti(table: BettiTable):

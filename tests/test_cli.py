@@ -25,6 +25,12 @@ ANALYZE_SHA256 = {
     "mrd_2_4.json": "64203e0f29e9ea56902d1a795b6044a0572405b38a331eb380c3e46f84865624",
     "uniform_2_4.json": "29d03e901485261566a94573d6f5429b619c55eb558fd58c2b0ff183faaeeab1",
 }
+# sha256 of the `verify --level quick` stdout for every input in tests/data
+VERIFY_QUICK_SHA256 = {
+    "example_code.json": "dba9e5a71f051ab64d6427925d2481b70208c7f6d90b982cf90833ab9b279930",
+    "mrd_2_4.json": "1257f966d0b8c3b919960a11d34f13f0a2508594b06d380f4c72d210ce3a496d",
+    "uniform_2_4.json": "5f94e9a082df7274787e5bdb8793416482dcc13850ad6fbbb13eefc0212c0633",
+}
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +65,13 @@ def test_analyze_report_pinned(capsys, name):
     status, out = run_cli(capsys, "analyze", str(DATA / name))
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.json")))
+def test_verify_quick_report_pinned(capsys, name):
+    status, out = run_cli(capsys, "verify", "--level", "quick", str(DATA / name))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_QUICK_SHA256[name]
 
 
 @pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick")],
@@ -222,6 +235,26 @@ def test_huge_field_fails_fast(tmp_path, doc, status):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("argv,doc", [
+    (("analyze", EXAMPLE, "--r", "4000"), None),
+    (("analyze", EXAMPLE, "--r", str(10**12)), None),
+    (("analyze",), {"uniform": {"q": 2, "k": 1, "n": 2, "m": 15000}}),
+    (("analyze",), {"uniform": {"q": 2, "k": 1, "n": 2, "m": 10**12}}),
+    (("mrd", "--q", "2", "--m", str(10**12), "--n", "2", "--k", "1"), None),
+], ids=["r_4000", "r_1e12", "uniform_m_15000", "uniform_m_1e12", "mrd_m_1e12"])
+def test_report_integers_bounded(tmp_path, argv, doc):
+    # Q^r past Python's int-to-str digit limit: refused before any power of
+    # Q is formed, instead of a traceback at print time or a hang
+    if doc is not None:
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(doc))
+        argv = (*argv, str(spec))
+    proc = run_module(*argv, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"int-to-str limit" in proc.stderr
+
+
 def test_classical_oracle_bounded(tmp_path):
     # U(2,5) over F_2: the classical matroid would walk 2^31 point subsets
     spec = tmp_path / "u25.json"
@@ -260,6 +293,20 @@ def test_invalid_json(tmp_path, capsys):
     status = main(["analyze", str(bad)])
     capsys.readouterr()
     assert status == 2
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"uniform": {"q": 2, "k": 1, "n": 2, "m": ' + b"9" * 5000 + b"}}",
+    b'{"uniform": {"q": 2, "k": 1, "n": 2, "m": 3\xff}}',
+], ids=["int_over_digit_limit", "invalid_utf8"])
+def test_undecodable_input(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    status = main(["analyze", str(bad)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "invalid JSON input" in captured.err
 
 
 def test_non_full_rank_generator(tmp_path, capsys):

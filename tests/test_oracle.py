@@ -1,11 +1,16 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankspectra import (
     GabidulinCode,
+    InputError,
     ResourceLimitError,
     build_cycle_lattice,
+    cli,
     enumerate_subspaces,
     gaussian_binomial,
     higher_spectra,
@@ -18,6 +23,7 @@ from rankspectra import (
     weight_poly_mobius,
     weight_polys_betti,
 )
+from rankspectra.linalg import DEFAULT_SUBSPACE_CAP
 from rankspectra.oracle import (
     ClassicalMatroid,
     brute_higher,
@@ -181,3 +187,31 @@ def test_oracle_agreement_uniform_codes(tower16, mrd_code):
     M = mrd_code.qmatroid()
     polys = weight_polys_betti(virtual_betti_table(build_cycle_lattice(M)))
     assert brute_spectrum(mrd_code, 1) == weight_distribution(polys, 16)
+
+
+# code field -> (characteristic, modulus of F_Q over F_p, little-endian)
+CODE_FIELDS = {4: (2, [1, 1, 1]), 8: (2, [1, 1, 0, 1]), 9: (3, [1, 0, 1]),
+               16: (2, [1, 1, 0, 0, 1])}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(Q=st.sampled_from(sorted(CODE_FIELDS)), k=st.integers(1, 3), n=st.integers(1, 4),
+       seed=st.integers(0, 2**32))
+def test_pipeline_matches_brute_force(Q, k, n, seed):
+    # a random full-rank k x n generator over F_Q, k <= n <= 4: the analyze
+    # spectrum and higher spectra i <= 2 against codeword and subcode enumeration
+    p, modulus = CODE_FIELDS[Q]
+    n = max(n, k)
+    rng = random.Random(seed)
+    while True:
+        doc = {"p": p, "m_extension": modulus, "n": n,
+               "generator": [[rng.randrange(Q) for _ in range(n)] for _ in range(k)]}
+        try:
+            model = cli.parse_spec(doc)
+            break
+        except InputError:
+            continue
+    report = cli.analyze_model(model, 1, DEFAULT_SUBSPACE_CAP)
+    assert report["spectrum"]["A"] == brute_spectrum(model.code, 1)
+    for i in range(min(2, k) + 1):
+        assert report["higher"][i] == brute_higher(model.code, i)

@@ -1,13 +1,21 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankspectra import (
+    GF,
     GabidulinCode,
+    QMatroid,
     StructuralError,
     WeightPolynomial,
+    all_subspaces,
     build_cycle_lattice,
+    cli,
     cross_checked_weights,
+    enumerate_subspaces,
     gaussian_binomial,
     higher_spectra,
     matrix_count,
@@ -22,7 +30,10 @@ from rankspectra import (
     weight_polys_betti,
     weights_from_polys,
 )
+from rankspectra.linalg import binom2
 from rankspectra.spectra import weights_betti, weights_conullity, weights_flats
+
+DATA = Path(__file__).parent / "data"
 
 EXAMPLE_POLYS = [
     (1,),
@@ -86,6 +97,54 @@ def test_poly_identity_q3():
         table = virtual_betti_table(build_cycle_lattice(M))
         for s in range(4):
             assert weight_poly_mobius(M, s) == weight_poly_betti(table, s)
+
+
+def mobius_reference(M, s):
+    """The Moebius sum term by term: every V <= U with dim U = s, V through U's chart.
+
+    The reference that ``weight_poly_mobius`` regroups by rank profile.
+    """
+    k = M.full_rank
+    coeffs = [0] * (k + 1)
+    for U in enumerate_subspaces(M.gf, M.n, s):
+        for v_dim in range(s + 1):
+            factor = (-1) ** (s - v_dim) * M.q ** binom2(s - v_dim)
+            for V in enumerate_subspaces(M.gf, s, v_dim, ambient=U):
+                coeffs[M.conullity(V)] += factor
+    return WeightPolynomial(coeffs)
+
+
+def _assert_mobius_matches_reference(M):
+    for s in range(M.n + 1):
+        assert weight_poly_mobius(M, s) == mobius_reference(M, s), s
+
+
+@pytest.mark.parametrize("source", [*sorted(p.name for p in DATA.glob("*.json")),
+                                    *(f"U({k},4)" for k in range(5))])
+def test_mobius_regrouping_matches_reference(source):
+    if source.startswith("U("):
+        M = uniform_qmatroid(int(source[2]), 4, 2)
+    else:
+        M = cli.parse_spec_source((DATA / source).read_bytes())[0].matroid
+    _assert_mobius_matches_reference(M)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(space=st.sampled_from([(2, 3), (2, 4), (3, 2)]),
+       k=st.integers(0, 4),
+       changes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 4)), max_size=4))
+def test_mobius_regrouping_on_perturbed_ranks(space, k, changes):
+    # U(k, n) over F_2^3, F_2^4, F_3^2 with some proper subspaces moved to an
+    # arbitrary rank in [0, k]: often not q-matroids, yet the regrouping
+    # is exact for every rank function
+    q, n = space
+    k = min(k, n)
+    subs = list(all_subspaces(GF.of_order(q), n))
+    ranks = {X: min(X.dim, k) for X in subs}
+    for index, value in changes:
+        X = subs[index % (len(subs) - 1)]  # the full space keeps rank k
+        ranks[X] = value % (k + 1)
+    _assert_mobius_matches_reference(QMatroid(GF.of_order(q), n, ranks.__getitem__))
 
 
 def test_spectrum_example(example_table):
