@@ -2,8 +2,8 @@
 
 Enumerates the extension codes of a 3-dimensional code over F_16 (4096
 words at r=1, 16.7M at r=2) in one thread, reports wall time and
-codewords per second, and checks the r=1 spectrum against the golden
-value.  Run from the repository root:
+codewords per second, and checks both spectra against the golden
+values, exiting non-zero on a mismatch.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -13,7 +13,7 @@ import time
 from rankspectra import GabidulinCode, prime_field
 from rankspectra.oracle import brute_spectrum
 
-GOLDEN_R1 = [1, 15, 420, 2460, 1200]
+GOLDEN = {1: [1, 15, 420, 2460, 1200], 2: [1, 255, 7140, 959820, 15810000]}
 
 
 def main():
@@ -27,8 +27,8 @@ def main():
         elapsed = time.perf_counter() - start
         print(f"r={r}: {total} codewords in {elapsed:.3f} s "
               f"({total / elapsed:,.0f} codewords/s)  {counts}")
-        if r == 1 and counts != GOLDEN_R1:
-            raise SystemExit(f"r=1 spectrum {counts} != golden {GOLDEN_R1}")
+        if counts != GOLDEN[r]:
+            raise SystemExit(f"r={r} spectrum {counts} != golden {GOLDEN[r]}")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,23 @@
 """Bit-packed GF(2) rank-spectrum kernel.
 
 The enumeration oracle's hot loop walks every message of the extension
-code, forms the codeword (addition in characteristic 2 is XOR on the
-canonical encodings), packs the bit-planes of the entries into machine
-words and computes the GF(2) rank by elimination on packed rows.  The
-kernel is vectorized over chunks of messages and accepts a subrange of
-the message space so callers can partition the work across threads.
+code.  Encoding is F_2-linear on the canonical encodings (addition in
+characteristic 2 is XOR), so the kernel takes the codewords of the unit
+messages and forms every other codeword as an XOR of them: one table
+spans the low bits of the message index, and each chunk of messages is
+that table XOR the codeword of its high bits.  The n entries of a
+codeword are the columns of its expansion over F_2, and a matrix has the
+rank of its transpose, so the GF(2) rank is taken by elimination on the
+entries themselves.  The kernel is vectorized over chunks of messages and
+accepts a subrange of the message space so callers can partition the
+work across threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CHUNK = 1 << 16
+_CHUNK_BITS = 16
 
 
 def _spectrum_odometer(contrib, mtilde, start, stop, counts):
@@ -71,21 +76,23 @@ def _spectrum_odometer(contrib, mtilde, start, stop, counts):
     return counts
 
 
-def _ranks(rows, n):
-    """GF(2) rank of each column of packed rows, shape (mtilde, size).
+def _ranks(rows, width):
+    """GF(2) rank of each column of packed rows, shape (n, size).
 
-    Pivots on the highest set bit.  basis[h] holds, per message, the
-    basis row whose leading bit is h, or 0; every step is a word
-    operation under an all-ones/all-zeros mask, so no message branches.
+    Each row is a vector of ``width``-bit words, one per message.  Pivots
+    on the highest set bit: basis[h] holds, per message, the basis row
+    whose leading bit is h, or 0; every step is a word operation under an
+    all-ones/all-zeros mask, so no message branches.  ``rows`` is
+    overwritten.
     """
     size = rows.shape[1]
-    basis = np.zeros((n, size), dtype=np.uint64)
+    basis = np.zeros((width, size), dtype=np.uint64)
     rank = np.zeros(size, dtype=np.int64)
     bit = np.empty(size, dtype=np.uint64)
     mask = np.empty(size, dtype=np.uint64)
     one = np.uint64(1)
     for row in rows:
-        for h in range(n - 1, -1, -1):
+        for h in range(width - 1, -1, -1):
             sh = np.uint64(h)
             # reduce by the pivot row for h, if there is one
             np.right_shift(row, sh, out=bit)
@@ -104,34 +111,32 @@ def _ranks(rows, n):
     return rank
 
 
-def spectrum_counts(contrib, mtilde: int, start: int = 0,
+def spectrum_counts(basis, width: int, start: int = 0,
                     stop: int | None = None) -> np.ndarray:
     """Rank-weight histogram over a range of message indices.
 
-    Returns an int64 vector of length n + 1; entry s counts messages whose
-    codeword has GF(2) rank weight s.
+    Row b of ``basis``, shape (K, n), is the codeword of message 1 << b, its
+    entries ``width``-bit words; message i is the XOR of the rows of its set
+    bits.  Returns an int64 vector of length n + 1; entry s counts messages
+    whose codeword has GF(2) rank weight s.
     """
-    contrib = np.ascontiguousarray(contrib, dtype=np.uint64)
-    k, S, n = contrib.shape
-    total = S**k
+    basis = np.asarray(basis, dtype=np.uint64)
+    K, n = basis.shape
     if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
+        stop = 1 << K
+    if not (0 <= start <= stop <= 1 << K):
         raise ValueError("message index range out of bounds")
+    c = min(K, _CHUNK_BITS)
+    # column i: the codeword of message i < 2^c, as an (n, 2^c) table
+    low = np.zeros((n, 1), dtype=np.uint64)
+    for row in basis[:c]:
+        low = np.hstack([low, low ^ row[:, None]])
     counts = np.zeros(n + 1, dtype=np.int64)
-    one = np.uint64(1)
-    for lo in range(start, stop, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
-        words = np.zeros((idx.size, n), dtype=np.uint64)
-        for t in range(k):
-            d = (idx // S ** (k - 1 - t)) % S
-            words ^= contrib[t, d, :]
-        rows = np.empty((mtilde, idx.size), dtype=np.uint64)
-        for i in range(mtilde):
-            r = np.zeros(idx.size, dtype=np.uint64)
-            sh = np.uint64(i)
-            for j in range(n):
-                r |= ((words[:, j] >> sh) & one) << np.uint64(j)
-            rows[i] = r
-        counts += np.bincount(_ranks(rows, n), minlength=n + 1)
+    for lo in range(start >> c << c, stop, 1 << c):
+        high = np.zeros(n, dtype=np.uint64)
+        for b in range(c, K):
+            if lo >> b & 1:
+                high ^= basis[b]
+        words = low[:, max(start - lo, 0):stop - lo] ^ high[:, None]
+        counts += np.bincount(_ranks(words, width), minlength=n + 1)
     return counts

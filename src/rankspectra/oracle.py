@@ -54,9 +54,13 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
     """Rank-weight distribution of the r-th extension code by full enumeration.
 
     Every message of F_{Q^r}^k is encoded and the GF(q) rank of its
-    codeword expansion tallied.  Binary base fields go through the packed
-    bit kernel, split across at most ``os.cpu_count()`` threads; other
-    characteristics take a scalar path.
+    codeword expansion tallied.  For binary base fields, message digit t
+    bit b is message bit (k-1-t)*m + b (m the degree of F_{Q^r} over
+    F_2); encoding is F_2-linear, so the packed bit kernel receives only
+    the K = k*m codewords of the unit messages and spans the rest by XOR,
+    split across at most ``os.cpu_count()`` threads.  Other
+    characteristics take a scalar path on the field tables of F_{Q^r}
+    and F_q.
     """
     tower, ext_level = _extension_setup(code, r)
     Qt = tower.sizes[ext_level]
@@ -69,25 +73,25 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
     n = code.n
     if code.k == 0:
         return [1] + [0] * n
-    if code.q == 2 and n <= 64:
+    if code.q == 2:
         mtilde = tower.ext_degree(ext_level, code.q_level)
-        contrib = np.zeros((code.k, Qt, n), dtype=np.uint64)
-        for t in range(code.k):
-            for v in range(Qt):
-                for j in range(n):
-                    contrib[t, v, j] = tower.mul(v, code.G[t][j], ext_level)
+        basis = np.array([[tower.mul(1 << b, g, ext_level) for g in code.G[t]]
+                          for t in reversed(range(code.k)) for b in range(mtilde)],
+                         dtype=np.uint64)
         threads = min(threads, os.cpu_count() or 1)
         if threads <= 1:
-            counts = _kernels.spectrum_counts(contrib, mtilde)
+            counts = _kernels.spectrum_counts(basis, mtilde)
         else:
             bounds = [total * t // threads for t in range(threads + 1)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = pool.map(
-                    lambda se: _kernels.spectrum_counts(contrib, mtilde, se[0], se[1]),
+                    lambda se: _kernels.spectrum_counts(basis, mtilde, se[0], se[1]),
                     zip(bounds, bounds[1:]),
                 )
                 counts = sum(parts)
         return [int(c) for c in counts]
+    gf_ext = GF(tower, ext_level)
+    gf_base = GF(tower, code.q_level)
     counts = [0] * (n + 1)
     G = code.G
     for message in product(range(Qt), repeat=code.k):
@@ -96,8 +100,8 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
             if u == 0:
                 continue
             for j in range(n):
-                word[j] = tower.add(word[j], tower.mul(u, G[t][j], ext_level), ext_level)
-        counts[rank_support(tower, ext_level, code.q_level, word).dim] += 1
+                word[j] = gf_ext.add(word[j], gf_ext.mul(u, G[t][j]))
+        counts[rank_support(tower, ext_level, code.q_level, word, gf_base).dim] += 1
     return counts
 
 

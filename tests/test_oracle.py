@@ -38,22 +38,25 @@ def test_brute_spectrum_example_r1(example_code):
 
 
 def test_brute_spectrum_binary_path_matches_scalar():
-    # m=2 < n=3, so no codeword reaches rank n; compare the packed kernel
-    # (and its contrib table) with rank_weight applied to every codeword
+    # compare the packed kernel (and the unit-message codewords it spans)
+    # with rank_weight applied to every codeword; m=2 < n, so no codeword
+    # reaches rank n, and n=65 entries do not fit in one 64-bit word
     tower = prime_field(2).extend([1, 1, 1])
-    code = GabidulinCode(tower, 0, 1, [[1, 2, 3], [0, 1, 1]])
-    for r in (1, 2):
-        ext = tower if r == 1 else tower.extend(tower.find_irreducible(r, 1))
-        level = ext.top_level
-        counts = [0] * (code.n + 1)
-        for message in product(range(ext.size(level)), repeat=code.k):
-            word = [0] * code.n
-            for u, row in zip(message, code.G):
-                for j in range(code.n):
-                    word[j] = ext.add(word[j], ext.mul(u, row[j], level), level)
-            counts[rank_weight(ext, level, 0, word)] += 1
-        assert counts[1] and counts[2] and not counts[3]
-        assert brute_spectrum(code, r) == counts
+    small = GabidulinCode(tower, 0, 1, [[1, 2, 3], [0, 1, 1]])
+    wide = GabidulinCode(tower, 0, 1, [[j % 4 for j in range(65)]])
+    for code, weights in ((small, [0, 1, 2]), (wide, [0, 2])):
+        for r in (1, 2):
+            ext = tower if r == 1 else tower.extend(tower.find_irreducible(r, 1))
+            level = ext.top_level
+            counts = [0] * (code.n + 1)
+            for message in product(range(ext.size(level)), repeat=code.k):
+                word = [0] * code.n
+                for u, row in zip(message, code.G):
+                    for j in range(code.n):
+                        word[j] = ext.add(word[j], ext.mul(u, row[j], level), level)
+                counts[rank_weight(ext, level, 0, word)] += 1
+            assert [w for w, c in enumerate(counts) if c] == weights
+            assert brute_spectrum(code, r) == counts
 
 
 def test_brute_spectrum_threads(example_code):
