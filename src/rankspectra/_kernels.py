@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) rank-spectrum kernel.
+"""GF(2) rank-spectrum kernel on whole words.
 
 The enumeration oracle's hot loop walks every message of the extension
 code.  Encoding is F_2-linear on the canonical encodings (addition in
@@ -7,10 +7,12 @@ messages and forms every other codeword as an XOR of them: one table
 spans the low bits of the message index, and each chunk of messages is
 that table XOR the codeword of its high bits.  The n entries of a
 codeword are the columns of its expansion over F_2, and a matrix has the
-rank of its transpose, so the GF(2) rank is taken by elimination on the
-entries themselves.  The kernel is vectorized over chunks of messages and
-accepts a subrange of the message space so callers can partition the
-work across threads.
+rank of its transpose, so the GF(2) rank is taken on the entries
+themselves, by inserting each into an XOR basis of the entries before
+it with an unsigned minimum (see ``_ranks``): n(n-1) word passes per
+chunk, whatever the bit width.  The kernel is vectorized over chunks of
+messages and accepts a subrange of the message space so callers can
+partition the work across threads.
 """
 
 from __future__ import annotations
@@ -76,48 +78,38 @@ def _spectrum_odometer(contrib, mtilde, start, stop, counts):
     return counts
 
 
-def _ranks(rows, width):
-    """GF(2) rank of each column of packed rows, shape (n, size).
+def _ranks(rows):
+    """GF(2) rank of each column of word rows, shape (n, size).
 
-    Each row is a vector of ``width``-bit words, one per message.  Pivots
-    on the highest set bit: basis[h] holds, per message, the basis row
-    whose leading bit is h, or 0; every step is a word operation under an
-    all-ones/all-zeros mask, so no message branches.  ``rows`` is
-    overwritten.
+    Row j holds entry j of every message's codeword as a uint64 word, and
+    is reduced by each earlier (already reduced) row s with
+    ``v = min(v, v ^ s)``.  ``v ^ s`` differs from ``v`` exactly on the
+    bits of s, the highest of them lead(s), so the unsigned minimum
+    clears lead(s) in v and leaves every bit outside s alone.  Each row
+    stored after s had lead(s) cleared by its own step with s, so the
+    later steps XOR only rows without lead(s) and never set it again.  A
+    nonzero combination of stored rows therefore has the lead of its
+    lowest-index member set: a reduced row is zero iff the row lies in
+    the span of the rows before it, and the rank is the number of
+    nonzero reduced rows; their leads are distinct, so at most 64 of
+    them and the count fits a uint8.  ``rows`` is overwritten.
     """
-    size = rows.shape[1]
-    basis = np.zeros((width, size), dtype=np.uint64)
-    rank = np.zeros(size, dtype=np.int64)
-    bit = np.empty(size, dtype=np.uint64)
-    mask = np.empty(size, dtype=np.uint64)
-    one = np.uint64(1)
-    for row in rows:
-        for h in range(width - 1, -1, -1):
-            sh = np.uint64(h)
-            # reduce by the pivot row for h, if there is one
-            np.right_shift(row, sh, out=bit)
-            bit &= one
-            np.negative(bit, out=mask)
-            mask &= basis[h]
-            row ^= mask
-            # bit h still set: no pivot yet, so the row becomes it
-            np.right_shift(row, sh, out=bit)
-            bit &= one
-            np.negative(bit, out=mask)
-            rank -= mask.view(np.int64)
-            mask &= row
-            basis[h] |= mask
-            row ^= mask
-    return rank
+    tmp = np.empty(rows.shape[1], dtype=np.uint64)
+    for j in range(1, len(rows)):
+        v = rows[j]
+        for s in rows[:j]:
+            np.bitwise_xor(v, s, out=tmp)
+            np.minimum(v, tmp, out=v)
+    return (rows != 0).sum(axis=0, dtype=np.uint8)
 
 
-def spectrum_counts(basis, width: int, start: int = 0,
+def spectrum_counts(basis, start: int = 0,
                     stop: int | None = None) -> np.ndarray:
     """Rank-weight histogram over a range of message indices.
 
     Row b of ``basis``, shape (K, n), is the codeword of message 1 << b, its
-    entries ``width``-bit words; message i is the XOR of the rows of its set
-    bits.  Returns an int64 vector of length n + 1; entry s counts messages
+    entries uint64 words; message i is the XOR of the rows of its set bits.
+    Returns an int64 vector of length n + 1; entry s counts messages
     whose codeword has GF(2) rank weight s.
     """
     basis = np.asarray(basis, dtype=np.uint64)
@@ -138,5 +130,5 @@ def spectrum_counts(basis, width: int, start: int = 0,
             if lo >> b & 1:
                 high ^= basis[b]
         words = low[:, max(start - lo, 0):stop - lo] ^ high[:, None]
-        counts += np.bincount(_ranks(words, width), minlength=n + 1)
+        counts += np.bincount(_ranks(words), minlength=n + 1)
     return counts

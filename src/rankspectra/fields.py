@@ -228,31 +228,28 @@ class FieldTower:
         """Coordinates of ``x`` over ``sublevel`` in the tower's polynomial basis.
 
         Returns a tuple of ``ext_degree(level, sublevel)`` sublevel encodings,
-        little-endian; round-trips with :meth:`from_coords`.
+        little-endian; round-trips with :meth:`from_coords`.  The digits of
+        each level are themselves digits of the level below, so these are
+        just the base-``sizes[sublevel]`` digits of the encoding.
         """
-        level, sublevel = self._idx(level), self._idx(sublevel)
-        if sublevel > level:
-            raise InputError("sublevel must not be above level")
-        if level == sublevel:
-            return (x,)
+        degree = self.ext_degree(level, sublevel)
+        base = self.sizes[self._idx(sublevel)]
         out = []
-        for digit in self._split(x, level):
-            out.extend(self.coords(digit, level - 1, sublevel))
+        for _ in range(degree):
+            x, digit = divmod(x, base)
+            out.append(digit)
         return tuple(out)
 
     def from_coords(self, coeffs, level: int = -1, sublevel: int = 0) -> int:
-        level, sublevel = self._idx(level), self._idx(sublevel)
+        degree = self.ext_degree(level, sublevel)
+        base = self.sizes[self._idx(sublevel)]
         coeffs = list(coeffs)
-        if len(coeffs) != self.ext_degree(level, sublevel):
+        if len(coeffs) != degree:
             raise InputError("coordinate vector has the wrong length")
-        if level == sublevel:
-            return coeffs[0]
-        step = self.ext_degree(level - 1, sublevel)
-        digits = [
-            self.from_coords(coeffs[i * step : (i + 1) * step], level - 1, sublevel)
-            for i in range(self.degrees[level - 1])
-        ]
-        return self._join(digits, level)
+        x = 0
+        for c in reversed(coeffs):
+            x = x * base + c
+        return x
 
     # -- polynomials over a level (for irreducibility work) ------------
 

@@ -56,9 +56,10 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
     Every message of F_{Q^r}^k is encoded and the GF(q) rank of its
     codeword expansion tallied.  For binary base fields, message digit t
     bit b is message bit (k-1-t)*m + b (m the degree of F_{Q^r} over
-    F_2); encoding is F_2-linear, so the packed bit kernel receives only
-    the K = k*m codewords of the unit messages and spans the rest by XOR,
-    split across at most ``os.cpu_count()`` threads.  Other
+    F_2); encoding is F_2-linear, so the word kernel receives only the
+    K = k*m codewords of the unit messages, spans the rest by XOR and
+    ranks the codeword entries as uint64 words by min-reduction, split
+    across at most ``os.cpu_count()`` threads.  Other
     characteristics take a scalar path on the field tables of F_{Q^r}
     and F_q.
     """
@@ -80,12 +81,12 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
                          dtype=np.uint64)
         threads = min(threads, os.cpu_count() or 1)
         if threads <= 1:
-            counts = _kernels.spectrum_counts(basis, mtilde)
+            counts = _kernels.spectrum_counts(basis)
         else:
             bounds = [total * t // threads for t in range(threads + 1)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = pool.map(
-                    lambda se: _kernels.spectrum_counts(basis, mtilde, se[0], se[1]),
+                    lambda se: _kernels.spectrum_counts(basis, se[0], se[1]),
                     zip(bounds, bounds[1:]),
                 )
                 counts = sum(parts)

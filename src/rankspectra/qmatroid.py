@@ -5,11 +5,13 @@ monotone and submodular.  The two sources used here are Gabidulin
 rank-metric codes (rho(U) = rank of G Y^T over the extension field) and
 the uniform q-matroid rho(X) = min(dim X, k).  Duality, conullity,
 q-flats, q-cycles and restriction are all derived from the rank oracle,
-which is memoized per canonical subspace; the lines of F_q^n and the
-q-flats are kept after their first scan.
+which is memoized per canonical subspace; the lines of F_q^n, the
+q-flats and the rank profile are kept after their first scan.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
@@ -112,6 +114,7 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
+        self._profile: Counter | None = None
         self._lines: tuple[Subspace, ...] | None = None
         self.name = name
 
@@ -195,6 +198,14 @@ class QMatroid:
             subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
             self._flats = tuple(X for X in subspaces if self.is_qflat(X))
         return self._flats
+
+    def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
+        """c(d, r): the number of subspaces of dimension d and rank r; counted
+        once, then kept."""
+        if self._profile is None:
+            self._profile = Counter((X.dim, self.rank(X))
+                                    for X in all_subspaces(self.gf, self.n, cap=cap))
+        return self._profile
 
     def is_qcycle(self, X: Subspace) -> bool:
         """Minimal among subspaces of its nullity.

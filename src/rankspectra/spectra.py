@@ -12,13 +12,10 @@ turns those values into the higher weight spectra.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .errors import InputError, StructuralError
 from .lattice import BettiTable
 from .linalg import (
     DEFAULT_SUBSPACE_CAP,
-    all_subspaces,
     binom2,
     gaussian_binomial,
     matrix_count,
@@ -81,11 +78,6 @@ def weight_polys_betti(table: BettiTable):
     return [weight_poly_betti(table, s) for s in range(table.n + 1)]
 
 
-def rank_profile(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
-    """c(d, r): the number of subspaces of dimension d and rank r."""
-    return Counter((X.dim, M.rank(X)) for X in all_subspaces(M.gf, M.n, cap=cap))
-
-
 def weight_poly_mobius(M: QMatroid, s: int,
                        cap: int | None = DEFAULT_SUBSPACE_CAP) -> WeightPolynomial:
     """Signed sum over V <= U, dim U = s, of q^C(dimU-dimV,2) X^{conullity(V)},
@@ -93,7 +85,7 @@ def weight_poly_mobius(M: QMatroid, s: int,
     s - n + d, and conullity(V) = k - rho(V^perp).  Exact for any rank function."""
     k, q = M.full_rank, M.q
     coeffs = [0] * (k + 1)
-    for (d, r), count in rank_profile(M, cap).items():
+    for (d, r), count in M.rank_profile(cap).items():
         j = s - M.n + d
         if j >= 0:
             coeffs[k - r] += (-1) ** j * q ** binom2(j) * gaussian_binomial(d, j, q) * count
@@ -143,7 +135,7 @@ def higher_spectra(polys, Q: int, k: int):
 def weights_conullity(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP):
     """d_r = min dim X with conullity(X) = k - rho(X^perp) >= r, r = 1..k, that is
     n - max{d : c(d, rho) > 0 for some rho <= k - r} over the rank profile c."""
-    k, profile = M.full_rank, rank_profile(M, cap)
+    k, profile = M.full_rank, M.rank_profile(cap)
     if k and min(rho for _, rho in profile) > 0:
         raise StructuralError("conullity never reaches the matroid rank")
     return tuple(M.n - max(d for d, rho in profile if rho <= k - r) for r in range(1, k + 1))

@@ -10,7 +10,7 @@ import pytest
 
 import rankspectra
 from rankspectra import (
-    QMatroid, ResourceLimitError, StructuralError, all_subspaces, cli,
+    QMatroid, ResourceLimitError, StructuralError, all_subspaces, cli, qmatroid,
 )
 from rankspectra.cli import main
 
@@ -91,6 +91,24 @@ def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
     assert calls["dual"] == calls["qcycles"] == 0
     # one is_qflat test per subspace of F_2^4: a single scan
     assert calls["is_qflat"] == sum(1 for _ in all_subspaces(rankspectra.GF.of_order(2), 4))
+
+
+def test_rank_profile_built_once(monkeypatch, capsys):
+    calls = Counter()
+    for owner, name in ((QMatroid, "rank_profile"), (qmatroid, "all_subspaces")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    status, _ = run_cli(capsys, "verify", EXAMPLE, "--level", "quick")
+    assert status == 0
+    # read by the Betti/Moebius identity for s = 0..4, then by the weights
+    assert calls["rank_profile"] == 5 + 1
+    # one subspace scan each for the axioms, the q-flats and the profile
+    assert calls["all_subspaces"] == 3
 
 
 def test_deterministic_output(capsys):

@@ -82,6 +82,42 @@ def test_coords_roundtrip(f16):
     assert f16.coords(2, 1, 0) == (0, 1, 0, 0)
 
 
+def coords_reference(tower, x, level, sublevel):
+    """The recursive definition: split into level-1 digits, expand each."""
+    if level == sublevel:
+        return (x,)
+    out = []
+    for digit in tower._split(x, level):
+        out.extend(coords_reference(tower, digit, level - 1, sublevel))
+    return tuple(out)
+
+
+def _three_level(p, modulus):
+    tower = prime_field(p).extend(modulus)
+    return tower.extend(tower.find_irreducible(2, 1))
+
+
+@pytest.mark.parametrize("tower", [
+    pytest.param(_three_level(2, [1, 1, 1]), id="F2_F4_F16"),
+    pytest.param(_three_level(3, [1, 0, 1]), id="F3_F9_F81"),
+])
+def test_coords_match_recursive_definition(tower):
+    assert tower.top_level == 2
+    for level in range(3):
+        for sublevel in range(level + 1):
+            for x in range(tower.sizes[level]):
+                coords = tower.coords(x, level, sublevel)
+                assert coords == coords_reference(tower, x, level, sublevel)
+                assert tower.from_coords(coords, level, sublevel) == x
+        for sublevel in range(level + 1, 3):
+            with pytest.raises(InputError):
+                tower.coords(0, level, sublevel)
+            with pytest.raises(InputError):
+                tower.from_coords((0,), level, sublevel)
+    with pytest.raises(InputError):
+        tower.from_coords((0,) * 3, 2, 0)
+
+
 def test_embedding_preserves_encoding(f16):
     tower = f16.extend(f16.find_irreducible(2, 1))
     assert tower.sizes[-1] == 256

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankspectra import _kernels
 
@@ -33,16 +35,16 @@ def _reference(basis, mtilde, start=0, stop=None):
 ])
 def test_numpy_matches_reference(k, mtilde, n):
     basis = _toy_basis(k, mtilde, n)
-    out = _kernels.spectrum_counts(basis, mtilde)
+    out = _kernels.spectrum_counts(basis)
     assert out.dtype == np.int64
     assert list(out) == list(_reference(basis, mtilde))
 
 
 def test_range_partition_merges():
     basis = _toy_basis()
-    whole = _kernels.spectrum_counts(basis, 2)
+    whole = _kernels.spectrum_counts(basis)
     parts = sum(
-        _kernels.spectrum_counts(basis, 2, start, stop)
+        _kernels.spectrum_counts(basis, start, stop)
         for start, stop in [(0, 5), (5, 11), (11, 16)]
     )
     assert list(parts) == list(whole)
@@ -51,29 +53,73 @@ def test_range_partition_merges():
 def test_range_partition_across_chunk_boundary():
     # K = 18, so 2^18 messages: the cuts fall off the 2^16-message chunk grid
     basis = _toy_basis(k=2, mtilde=9, n=4)
-    whole = _kernels.spectrum_counts(basis, 9)
+    whole = _kernels.spectrum_counts(basis)
     cuts = [0, 65530, 65542, 200001, 512**2]
-    parts = [_kernels.spectrum_counts(basis, 9, start, stop)
+    parts = [_kernels.spectrum_counts(basis, start, stop)
              for start, stop in zip(cuts, cuts[1:])]
     assert list(sum(parts)) == list(whole)
     window = _reference(basis, 9, 65530, 65542)
     assert list(parts[1]) == list(window)
-    head = _kernels.spectrum_counts(basis, 9, 0, 65542)  # two chunks
+    head = _kernels.spectrum_counts(basis, 0, 65542)  # two chunks
     assert list(head - parts[0]) == list(window)
 
 
 def test_empty_range():
     basis = _toy_basis()
-    assert list(_kernels.spectrum_counts(basis, 2, 3, 3)) == [0, 0, 0, 0]
+    assert list(_kernels.spectrum_counts(basis, 3, 3)) == [0, 0, 0, 0]
 
 
 def test_out_of_bounds_range():
     basis = _toy_basis()
     with pytest.raises(ValueError):
-        _kernels.spectrum_counts(basis, 2, 0, 17)
+        _kernels.spectrum_counts(basis, 0, 17)
 
 
 def test_total_count_conserved():
     basis = _toy_basis()
-    out = _kernels.spectrum_counts(basis, 2)
+    out = _kernels.spectrum_counts(basis)
     assert int(out.sum()) == 16
+
+
+def scalar_rank(words):
+    """GF(2) rank of Python ints by an XOR basis keyed on the leading bit."""
+    basis = {}
+    for v in words:
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+    return len(basis)
+
+
+_WORDS = st.one_of(st.just(0), st.integers(0, 15), st.integers(1 << 63, (1 << 64) - 1),
+                   st.integers(0, (1 << 64) - 1))
+
+
+@st.composite
+def word_rows(draw):
+    """(n, size) rows mixing zero rows, copies of earlier rows and fresh words."""
+    n = draw(st.integers(1, 70))
+    size = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "copy", "fresh"]))
+        if kind == "zero":
+            rows.append([0] * size)
+        elif kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(_WORDS, min_size=size, max_size=size)))
+    return rows
+
+
+@example(rows=[[(1 << 64) - 1, 1 << 63]] * 3 + [[0, 0]] + [[1 << 63, 1]])
+@example(rows=[[1 << b % 64 | 1 << (b + 1) % 64] for b in range(66)])  # rank 63
+@given(rows=word_rows())
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_ranks_match_scalar_xor_basis(rows):
+    words = np.array(rows, dtype=np.uint64)
+    expected = [scalar_rank(column) for column in zip(*rows)]
+    assert list(_kernels._ranks(words)) == expected
