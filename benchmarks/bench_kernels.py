@@ -12,27 +12,14 @@ from the repository root:
 """
 
 import json
-import os
-import subprocess
 import time
-from pathlib import Path
 
-import rankspectra
 from rankspectra import GabidulinCode, prime_field
 from rankspectra.oracle import brute_spectrum
+from run_meta import HERE, run_metadata
 
 GOLDEN = {1: [1, 15, 420, 2460, 1200], 2: [1, 255, 7140, 959820, 15810000]}
-HERE = Path(__file__).resolve().parent
 OUT = HERE / "BENCH_kernels.json"
-
-
-def git(*args):
-    try:
-        done = subprocess.run(["git", *args], cwd=HERE, capture_output=True,
-                              text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def main():
@@ -52,12 +39,9 @@ def main():
                      "codewords_per_s": round(total / elapsed), "golden": golden})
         if not golden:
             mismatches.append(f"r={r} spectrum {counts} != golden {GOLDEN[r]}")
-    sha = git("rev-parse", "HEAD")
-    status = git("status", "--porcelain")
     OUT.write_text(json.dumps({
         "benchmark": "kernels", "code": repr(code), "threads": 1, "runs": runs,
-        "git_sha": sha, "git_dirty": None if status is None else bool(status),
-        "rankspectra": rankspectra.__version__, "nproc": os.cpu_count(),
+        **run_metadata(),
     }, indent=2) + "\n")
     print(f"wrote {OUT.relative_to(HERE.parent)}")
     if mismatches:

@@ -1,40 +1,40 @@
 """Benchmark the q-flat scan and the cycle lattice built from it.
 
 Times a cold ``QMatroid.qflats()`` and ``build_cycle_lattice`` on U(3,6)
-and U(3,7) over F_2 and on a random k=3, n=6 code over F_64 drawn from a
-fixed seed, prints seconds and flat counts, and exits non-zero if a
-uniform Betti table differs from its closed form.  Run from the
-repository root:
+and U(3,7) over F_2 and on the seed-1 random k=3 codes of length 6 over
+F_64 and length 7 over F_128 (``random_code`` of ``perfbench/workloads.py``,
+the ``code_q2_n6`` benchmark input and its n=7 sibling), prints seconds and
+flat counts, and writes them to ``benchmarks/BENCH_qflats.json`` with the
+run metadata.  Exits non-zero if a uniform Betti table differs from its
+closed form.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
 
-import random
+import json
+import sys
 import time
 
 from rankspectra import (
-    GabidulinCode,
-    InputError,
     build_cycle_lattice,
-    prime_field,
+    cli,
     uniform_betti_table,
     uniform_qmatroid,
     virtual_betti_table,
 )
+from run_meta import HERE, run_metadata
+
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+from workloads import random_code  # noqa: E402
 
 SEED = 1
+OUT = HERE / "BENCH_qflats.json"
 
 
-def random_code(seed):
-    """Full-rank k=3, n=6 code over F_64 = F_2[x]/(x^6 + x + 1)."""
-    rng = random.Random(seed)
-    tower = prime_field(2).extend([1, 1, 0, 0, 0, 0, 1])
-    while True:
-        gen = [[rng.randrange(64) for _ in range(6)] for _ in range(3)]
-        try:
-            return GabidulinCode(tower, 0, 1, gen)
-        except InputError:
-            continue
+def code_matroid(label, m_extension, n):
+    """q-matroid of the seeded k=3 code over F_{2^m}, parsed as the CLI parses it."""
+    spec = random_code(SEED, label, 2, m_extension, 3, n)
+    return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
 
 
 def bench(label, M):
@@ -45,22 +45,35 @@ def bench(label, M):
     built = time.perf_counter()
     print(f"{label}: {len(flats)} q-flats in {scanned - start:.3f} s, "
           f"lattice in {built - scanned:.3f} s, total {built - start:.3f} s")
-    return lattice
+    rung = {"rung": label, "flats": len(flats), "qflats_s": round(scanned - start, 4),
+            "lattice_s": round(built - scanned, 4)}
+    return rung, lattice
 
 
-def bench_uniform(k, n):
-    table = virtual_betti_table(bench(f"U({k},{n}) over F_2", uniform_qmatroid(k, n, 2)))
+def bench_uniform(k, n, mismatches):
+    rung, lattice = bench(f"U({k},{n}) over F_2", uniform_qmatroid(k, n, 2))
+    table = virtual_betti_table(lattice)
     expected = uniform_betti_table(n, k, 2)
     if table != expected:
-        raise SystemExit(f"U({k},{n}) Betti table {table.to_records()} "
-                         f"!= closed form {expected.to_records()}")
+        mismatches.append(f"U({k},{n}) Betti table {table.to_records()} "
+                          f"!= closed form {expected.to_records()}")
+    return rung
 
 
 def main():
-    bench_uniform(3, 6)
-    code = random_code(SEED)
-    bench(f"{code}, seed {SEED}", code.qmatroid())
-    bench_uniform(3, 7)
+    mismatches = []
+    rungs = [
+        bench_uniform(3, 6, mismatches),
+        bench(f"code_q2_n6 seed {SEED}", code_matroid("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6))[0],
+        bench_uniform(3, 7, mismatches),
+        bench(f"code_q2_n7 seed {SEED}",
+              code_matroid("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7))[0],
+    ]
+    OUT.write_text(json.dumps({"benchmark": "qflats", "rungs": rungs, **run_metadata()},
+                              indent=2) + "\n")
+    print(f"wrote {OUT.relative_to(HERE.parent)}")
+    if mismatches:
+        raise SystemExit("; ".join(mismatches))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,21 @@ from .linalg import DEFAULT_SUBSPACE_CAP
 from .qmatroid import QMatroid
 
 
+def _point_mask(X, index) -> int:
+    """The projective points of X as bits of ``index`` (RREF line row -> bit).
+
+    Over F_2 every nonzero vector of the XOR-span of X's int rows is the
+    row of its own line; over larger fields only the vectors scaled to a
+    leading 1 are.
+    """
+    if X.gf.size == 2:
+        span = [0]
+        for row in X.rows:
+            span += [v ^ row for v in span]
+        return sum(1 << index[v] for v in span[1:])
+    return sum(1 << index[v] for v in X.vectors() if v in index)
+
+
 class CycleLattice:
     """q-cycles of M* ordered by inclusion; rank of a node = its nullity."""
 
@@ -30,21 +45,27 @@ class CycleLattice:
         self.n = matroid.n
         self.q = matroid.q
         self.k = matroid.full_rank
-        order = sorted(range(len(nodes)),
-                       key=lambda i: (nullities[i], nodes[i].dim, nodes[i].rows))
+        order = sorted(range(len(nodes)), key=lambda i: (
+            nullities[i], nodes[i].dim, nodes[i].coordinate_rows()))
         self.nodes = [nodes[i] for i in order]
         self.nullity = [nullities[i] for i in order]
         self.dims = [X.dim for X in self.nodes]
         # X contains Y iff every projective point of Y lies in X; points are
-        # bits, indexed by their RREF vectors in the matroid's line tuple
+        # bits, indexed by their RREF rows in the matroid's line tuple
         index = {P.rows[0]: t for t, P in enumerate(matroid.lines())}
-        masks = [sum(1 << index[v] for v in X.vectors() if v in index)
-                 for X in self.nodes]
-        # strictly-below relation as index sets (desk-scale lattices)
-        self.below = [
-            frozenset(j for j, mj in enumerate(masks) if mj & mi == mj and j != i)
-            for i, mi in enumerate(masks)
-        ]
+        masks = [_point_mask(X, index) for X in self.nodes]
+        # strictly below i: a smaller node whose points lie in i's, or an
+        # equal copy of i, which Jordan-Dedekind then rejects
+        copies: dict[int, list[int]] = {}
+        by_dim: dict[int, list[int]] = {}
+        for j, (mj, dj) in enumerate(zip(masks, self.dims)):
+            copies.setdefault(mj, []).append(j)
+            by_dim.setdefault(dj, []).append(j)
+        self.below = []
+        for i, (mi, di) in enumerate(zip(masks, self.dims)):
+            lower = [j for d in range(di) for j in by_dim.get(d, ())
+                     if masks[j] & mi == masks[j]]
+            self.below.append(frozenset(lower + [j for j in copies[mi] if j != i]))
         self._mobius = {}
         self._validate()
 

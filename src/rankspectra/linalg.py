@@ -5,6 +5,17 @@ representation canonical: two subspaces are equal iff their basis tuples
 are identical, so they can be used directly as dictionary keys.  All
 values are immutable after construction.
 
+A basis row is stored in the form its field's row primitives read, bound
+once per :class:`GF` next to the arithmetic.  Over F_2 a row is one int
+with bit j = coordinate j, the little-endian encoding ``serialize``
+returns: the pivot is the lowest set bit, reducing a row by another whose
+pivot bit it holds is one XOR, and no row needs scaling, so a line step
+X -> X + L costs a few int operations instead of a tuple comprehension
+per basis row.  Every other field keeps rows as tuples of encodings, since
+there a row operation multiplies entry by entry through the field tables.
+The choice follows the field size alone, so one field never mixes the two
+forms, and ``coordinate_rows`` gives the tuples in either case.
+
 Field arithmetic goes through :class:`GF`.  A field of at most
 ``_TABLE_LIMIT`` (256) elements computes from dense tables built once per
 tower level and shared by every ``GF`` of that level: products and
@@ -104,6 +115,93 @@ def _table_ops(tower: FieldTower, level: int):
     return add, sub, neg_t.__getitem__, mul, inv
 
 
+# -- row primitives ------------------------------------------------------
+#
+# One family per row form, bound into GF slots:
+#   pack_row(vec), unpack_row(row, n): coordinate sequence <-> row;
+#   reduce_row(rows, pivots, v): v minus its components along the RREF rows,
+#     zero at every pivot, and zero iff v lies in their span;
+#   row_nonzero(row): whether the row is not zero;
+#   lead_row(v): (pivot column, v scaled to 1 there), column -1 for v = 0;
+#   clear_column(rows, col, v): the rows with column col cleared by v, the
+#     lead row of that column;
+#   combine_rows(coeffs, rows, n): sum of coeffs[i] * rows[i], the
+#     coefficients a coordinate sequence.
+
+
+def _pack2(vec):
+    return sum(1 << j for j, x in enumerate(vec) if x)
+
+
+def _unpack2(row, n):
+    return tuple(row >> j & 1 for j in range(n))
+
+
+def _reduce2(rows, pivots, v):
+    for row, p in zip(rows, pivots):
+        if v >> p & 1:
+            v ^= row
+    return v
+
+
+def _lead2(v):
+    return (v & -v).bit_length() - 1, v
+
+
+def _clear2(rows, col, v):
+    bit = 1 << col
+    return [row ^ v if row & bit else row for row in rows]
+
+
+def _combine2(coeffs, rows, n):
+    v = 0
+    for c, row in zip(coeffs, rows):
+        if c:
+            v ^= row
+    return v
+
+
+_BINARY_ROWS = (_pack2, _unpack2, _reduce2, bool, _lead2, _clear2, _combine2)
+
+
+def _tuple_rows(add, sub, mul, inv):
+    """Row primitives on tuples of field encodings, from the field's arithmetic."""
+
+    def unpack(row, n):
+        return row
+
+    def reduce(rows, pivots, vec):
+        v = list(vec)
+        for row, p in zip(rows, pivots):
+            c = v[p]
+            if c:
+                v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+        return v
+
+    def lead(v):
+        col = next((j for j, x in enumerate(v) if x), -1)
+        if col >= 0:
+            c = inv(v[col])
+            v = tuple([mul(c, x) for x in v])
+        return col, v
+
+    def clear(rows, col, v):
+        out = []
+        for row in rows:
+            c = row[col]
+            out.append(tuple([sub(x, mul(c, y)) for x, y in zip(row, v)]) if c else row)
+        return out
+
+    def combine(coeffs, rows, n):
+        vec = [0] * n
+        for c, row in zip(coeffs, rows):
+            if c:
+                vec = [add(x, mul(c, y)) for x, y in zip(vec, row)]
+        return tuple(vec)
+
+    return tuple, unpack, reduce, any, lead, clear, combine
+
+
 class GF:
     """Arithmetic view of one level of a :class:`FieldTower`.
 
@@ -111,10 +209,13 @@ class GF:
     field of at most ``_TABLE_LIMIT`` elements reads them from tables built
     on first use of its (tower, level) and cached; a larger one calls the
     tower's recursive arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
-    either way.
+    either way.  The row primitives of :class:`Subspace` are bound here
+    too: int rows for F_2, tuple rows for every other field.
     """
 
-    __slots__ = ("tower", "level", "size", "add", "sub", "neg", "mul", "inv")
+    __slots__ = ("tower", "level", "size", "add", "sub", "neg", "mul", "inv",
+                 "pack_row", "unpack_row", "reduce_row", "row_nonzero", "lead_row",
+                 "clear_column", "combine_rows")
 
     def __init__(self, tower: FieldTower, level: int = -1):
         self.tower = tower
@@ -128,6 +229,10 @@ class GF:
             self.neg = partial(tower.neg, level=self.level)
             self.mul = partial(tower.mul, level=self.level)
             self.inv = partial(tower.inv, level=self.level)
+        (self.pack_row, self.unpack_row, self.reduce_row, self.row_nonzero,
+         self.lead_row, self.clear_column, self.combine_rows) = (
+            _BINARY_ROWS if self.size == 2
+            else _tuple_rows(self.add, self.sub, self.mul, self.inv))
 
     @classmethod
     def of_order(cls, q: int) -> "GF":
@@ -201,19 +306,34 @@ def mat_mul(gf: GF, a, b):
     return tuple(out)
 
 
-def _reduce(gf: GF, rows, pivots, vec):
-    """Reduce vec against RREF rows with the given pivots; zero iff vec is in their span."""
-    mul, sub = gf.mul, gf.sub
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
-    return v
+def _insert(gf: GF, rows, pivots: list, vecs):
+    """Fold rows ``vecs`` into the RREF rows and pivots of a span.
+
+    A row outside the current span is reduced, scaled at its first nonzero
+    column, cleared from the existing rows in that column and inserted in
+    pivot order; RREF is canonical, so the result does not depend on the
+    order of ``vecs``.  ``pivots`` is updated in place; returns the rows,
+    the ``rows`` argument itself if no row was inserted.
+    """
+    reduce, lead, clear = gf.reduce_row, gf.lead_row, gf.clear_column
+    for vec in vecs:
+        col, v = lead(reduce(rows, pivots, vec))
+        if col < 0:
+            continue
+        rows = clear(rows, col, v)
+        at = bisect(pivots, col)
+        rows.insert(at, v)
+        pivots.insert(at, col)
+    return rows
 
 
 class Subspace:
-    """Canonical subspace of F_q^n: RREF basis with no zero rows."""
+    """Canonical subspace of F_q^n: RREF basis with no zero rows.
+
+    ``rows`` holds the basis in the row form of ``gf`` (ints over F_2,
+    tuples otherwise; see the module docstring), ``pivots`` the pivot
+    column of each row.
+    """
 
     __slots__ = ("gf", "n", "rows", "pivots", "_hash")
 
@@ -225,12 +345,19 @@ class Subspace:
         self._hash = hash((gf.size, n, rows))
 
     @classmethod
+    def _spanned(cls, gf: GF, n: int, vecs) -> "Subspace":
+        """Span of rows already in the row form of gf."""
+        pivots = []
+        rows = _insert(gf, [], pivots, vecs)
+        return cls(gf, n, tuple(rows), tuple(pivots))
+
+    @classmethod
     def from_rows(cls, gf: GF, n: int, rows) -> "Subspace":
+        """Span of coordinate rows, each a sequence of n field encodings."""
         for row in rows:
             if len(row) != n:
                 raise InputError("row length does not match ambient dimension")
-        canon, _, pivots = rref(gf, rows)
-        return cls(gf, n, canon, pivots)
+        return cls._spanned(gf, n, map(gf.pack_row, rows))
 
     @classmethod
     def zero(cls, gf: GF, n: int) -> "Subspace":
@@ -238,69 +365,60 @@ class Subspace:
 
     @classmethod
     def full(cls, gf: GF, n: int) -> "Subspace":
-        rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        rows = tuple(gf.pack_row([1 if j == i else 0 for j in range(n)]) for i in range(n))
         return cls(gf, n, rows, tuple(range(n)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def coordinate_rows(self):
+        """The RREF basis as tuples of field encodings, whatever the row form."""
+        unpack, n = self.gf.unpack_row, self.n
+        return tuple(unpack(row, n) for row in self.rows)
+
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.n == other.n
             and self.rows == other.rows
-            and self.gf == other.gf
+            and (self.gf is other.gf or self.gf == other.gf)
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Subspace(n={self.n}, dim={self.dim}, rows={list(map(list, self.rows))})"
+        return (f"Subspace(n={self.n}, dim={self.dim}, "
+                f"rows={list(map(list, self.coordinate_rows()))})")
 
     # -- membership and order -----------------------------------------
 
     def contains_vector(self, vec) -> bool:
-        return not any(_reduce(self.gf, self.rows, self.pivots, vec))
+        gf = self.gf
+        return not gf.row_nonzero(gf.reduce_row(self.rows, self.pivots, gf.pack_row(vec)))
 
     def contains(self, other: "Subspace") -> bool:
         if other.n != self.n:
             raise InputError("ambient dimension mismatch")
-        return all(self.contains_vector(r) for r in other.rows)
+        reduce, nonzero = self.gf.reduce_row, self.gf.row_nonzero
+        rows, pivots = self.rows, self.pivots
+        return not any(nonzero(reduce(rows, pivots, row)) for row in other.rows)
 
     # -- lattice operations -------------------------------------------
 
     def sum(self, other: "Subspace") -> "Subspace":
         """RREF of self + other, folding in the rows of other one at a time.
 
-        A row outside the current span is reduced, normalised at its first
-        nonzero column, cleared from the existing rows in that column and
-        inserted in pivot order; RREF is canonical, so the result equals
-        ``from_rows(self.rows + other.rows)``.
+        Returns self itself when other lies in self.
         """
-        if other.n != self.n or other.gf != self.gf:
+        if other.n != self.n or (other.gf is not self.gf and other.gf != self.gf):
             raise InputError("ambient mismatch")
-        gf = self.gf
-        mul, sub = gf.mul, gf.sub
-        rows, pivots = list(self.rows), list(self.pivots)
-        for vec in other.rows:
-            v = _reduce(gf, rows, pivots, vec)
-            col = next((j for j, x in enumerate(v) if x), None)
-            if col is None:
-                continue
-            inv = gf.inv(v[col])
-            v = tuple([mul(inv, x) for x in v])
-            for i, row in enumerate(rows):
-                c = row[col]
-                if c:
-                    rows[i] = tuple([sub(x, mul(c, y)) for x, y in zip(row, v)])
-            at = bisect(pivots, col)
-            rows.insert(at, v)
-            pivots.insert(at, col)
-        if len(rows) == self.dim:
+        pivots = list(self.pivots)
+        rows = _insert(self.gf, self.rows, pivots, other.rows)
+        if rows is self.rows:
             return self
-        return Subspace(gf, self.n, tuple(rows), tuple(pivots))
+        return Subspace(self.gf, self.n, tuple(rows), tuple(pivots))
 
     def complement(self) -> "Subspace":
         """Orthogonal complement w.r.t. the standard dot product."""
@@ -308,11 +426,12 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(gf, n)
         free = [j for j in range(n) if j not in self.pivots]
+        rows = self.coordinate_rows()
         kernel_rows = []
         for f in free:
             vec = [0] * n
             vec[f] = 1
-            for row, p in zip(self.rows, self.pivots):
+            for row, p in zip(rows, self.pivots):
                 vec[p] = gf.neg(row[f])
             kernel_rows.append(tuple(vec))
         return Subspace.from_rows(gf, n, kernel_rows)
@@ -321,18 +440,15 @@ class Subspace:
 
     def embed_vector(self, coords):
         gf = self.gf
-        vec = [0] * self.n
-        for c, row in zip(coords, self.rows):
-            if c:
-                vec = [gf.add(x, gf.mul(c, y)) for x, y in zip(vec, row)]
-        return tuple(vec)
+        return gf.unpack_row(gf.combine_rows(coords, self.rows, self.n), self.n)
 
     def embed_subspace(self, sub: "Subspace") -> "Subspace":
         """Map a subspace of the chart F_q^dim into the ambient space."""
         if sub.n != self.dim:
             raise InputError("chart dimension mismatch")
-        rows = [self.embed_vector(r) for r in sub.rows]
-        return Subspace.from_rows(self.gf, self.n, rows)
+        combine, rows, n = self.gf.combine_rows, self.rows, self.n
+        return Subspace._spanned(self.gf, n, [combine(coeffs, rows, n)
+                                              for coeffs in sub.coordinate_rows()])
 
     def vectors(self):
         """All vectors of the subspace, deterministic order (desk scale only)."""
@@ -343,7 +459,7 @@ class Subspace:
         """Basis rows as little-endian base-q integer encodings."""
         q = self.gf.size
         out = []
-        for row in self.rows:
+        for row in self.coordinate_rows():
             val = 0
             for x in reversed(row):
                 val = val * q + x
@@ -377,21 +493,21 @@ def enumerate_subspaces(gf: GF, n: int, s: int, ambient: Subspace | None = None,
         yield Subspace.zero(gf, n)
         return
     for pivots in combinations(range(n), s):
-        free_positions = [
-            (i, j)
-            for i in range(s)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        for values in product(gf.elements(), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(s)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            yield Subspace(
-                gf, n, tuple(tuple(r) for r in rows), tuple(pivots)
-            )
+        # the free entries are ordered row by row, so the basis matrices
+        # are the product of the choices for each row
+        choices = []
+        for p in pivots:
+            free = [j for j in range(p + 1, n) if j not in pivots]
+            row_choices = []
+            for values in product(gf.elements(), repeat=len(free)):
+                vec = [0] * n
+                vec[p] = 1
+                for j, v in zip(free, values):
+                    vec[j] = v
+                row_choices.append(gf.pack_row(vec))
+            choices.append(row_choices)
+        for rows in product(*choices):
+            yield Subspace(gf, n, rows, pivots)
 
 
 def all_subspaces(gf: GF, n: int, cap: int | None = DEFAULT_SUBSPACE_CAP):

@@ -12,6 +12,7 @@ q-flats and the rank profile are kept after their first scan.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
@@ -92,6 +93,17 @@ class GabidulinCode:
             )
         return cls(tower, q_level, code_level, rows)
 
+    @cached_property
+    def _packed_columns(self) -> tuple[int, ...]:
+        """Column j of G as one int, entry i in bits i*w .. i*w + w - 1, Q = 2^w.
+
+        Read by the F_2 rank oracle, where F_Q addition is XOR on these
+        bit fields; built on first use.
+        """
+        width = self.Q.bit_length() - 1
+        return tuple(sum(row[j] << width * i for i, row in enumerate(self.G))
+                     for j in range(self.n))
+
     def codeword(self, message):
         """Word u . G for a message over the code field (or an extension of it)."""
         gf = self.gf_code
@@ -157,12 +169,26 @@ class QMatroid:
         return self._lines
 
     def _steps(self, X: Subspace):
-        """Yield (L, X + L, rho(X + L) - rho(X)) for each line L outside X."""
+        """Yield (L, X + L, rho(X + L) - rho(X)) for each line L outside X.
+
+        X + L depends only on the line spanned by L reduced modulo X (the
+        reduction is linear and zero at the pivots of X), so each
+        cover X + L is built and ranked once, keyed by that reduced row
+        scaled to a leading 1.
+        """
         rX = self.rank(X)
+        reduce, lead = X.gf.reduce_row, X.gf.lead_row
+        rows, pivots = X.rows, X.pivots
+        covers = {}
         for L in self.lines():
-            XL = X.sum(L)
-            if XL.dim > X.dim:
-                yield L, XL, self.rank(XL) - rX
+            col, v = lead(reduce(rows, pivots, L.rows[0]))
+            if col < 0:
+                continue
+            cover = covers.get(v)
+            if cover is None:
+                XL = X.sum(L)
+                covers[v] = cover = (XL, self.rank(XL) - rX)
+            yield L, *cover
 
     def _check_step_count(self, cap: int | None) -> None:
         """Raise ResourceLimitError when |subspaces| * |lines| exceeds cap.
@@ -322,7 +348,14 @@ class QMatroid:
 
 
 def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
-    """rho(U) = rank over F_{q^m} of G Y^T, Y the RREF basis of U."""
+    """rho(U) = rank over F_{q^m} of G Y^T, Y the RREF basis of U.
+
+    Over F_2 the rows of Y are ints and addition in F_{2^m} is XOR on the
+    encodings, so column r of G Y^T is the XOR of the generator columns
+    at the set bits of row r, each column packed into one int (see
+    ``GabidulinCode._packed_columns``); those columns are ranked as rows,
+    a matrix having the rank of its transpose.
+    """
     gf_q = GF(code.tower, code.q_level)
     gf_code = code.gf_code
     G = code.G
@@ -330,11 +363,28 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
     def rho(U: Subspace) -> int:
         if U.dim == 0:
             return 0
-        # base-field encodings embed into the code field unchanged
+        # tuple rows (q > 2); base-field encodings embed into the code field unchanged
         Yt = tuple(zip(*U.rows))
         return mat_rank(gf_code, mat_mul(gf_code, G, Yt))
 
-    return QMatroid(gf_q, code.n, rho, name="code")
+    width = gf_code.size.bit_length() - 1
+    digit, shifts = gf_code.size - 1, range(0, width * code.k, width)
+
+    def rho_binary(U: Subspace) -> int:
+        if U.dim == 0:
+            return 0
+        columns = code._packed_columns
+        cols = []
+        for row in U.rows:
+            col = 0
+            while row:
+                low = row & -row
+                col ^= columns[low.bit_length() - 1]
+                row ^= low
+            cols.append(tuple([col >> t & digit for t in shifts]))
+        return mat_rank(gf_code, cols)
+
+    return QMatroid(gf_q, code.n, rho_binary if gf_q.size == 2 else rho, name="code")
 
 
 def uniform_qmatroid(k: int, n: int, q: int) -> QMatroid:

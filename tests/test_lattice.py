@@ -295,3 +295,12 @@ def test_lattice_check_matches_pairwise_reference(example_matroid, kind, dropped
             nullities.append(eta)
     assert (_verdict(CycleLattice, M, nodes, nullities)
             == _verdict(ReferenceLattice, M, nodes, nullities))
+
+
+def test_duplicate_node_rejected(uniform24):
+    # a node passed twice lies below its copy, and that cover keeps the nullity
+    L = build_cycle_lattice(uniform24)
+    nodes, nullities = L.nodes + [L.nodes[1]], L.nullity + [L.nullity[1]]
+    verdict = _verdict(CycleLattice, uniform24, nodes, nullities)
+    assert verdict == _verdict(ReferenceLattice, uniform24, nodes, nullities)
+    assert verdict == "Jordan-Dedekind violated between nodes of ranks 1 and 1"
