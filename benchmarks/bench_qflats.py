@@ -1,21 +1,28 @@
-"""Benchmark the q-flat scan and the cycle lattice built from it.
+"""Benchmark the q-flat scan, the rank profile and the cycle lattice.
 
-Times a cold ``QMatroid.qflats()`` and ``build_cycle_lattice`` on U(3,6)
-and U(3,7) over F_2 and on the seed-1 random k=3 codes of length 6 over
-F_64 and length 7 over F_128 (``random_code`` of ``perfbench/workloads.py``,
-the ``code_q2_n6`` benchmark input and its n=7 sibling), prints seconds and
-flat counts, and writes them to ``benchmarks/BENCH_qflats.json`` with the
-run metadata.  Exits non-zero if a uniform Betti table differs from its
-closed form.  Run from the repository root:
+Times a cold ``QMatroid.qflats()``, then a cold ``rank_profile()`` on a
+fresh copy of the matroid, and ``build_cycle_lattice``, on U(3,6), U(3,7)
+and U(3,8) over F_2 and on the seed-1 random k=3 codes of length 6 over
+F_64, 7 over F_128 and 8 over F_256 (``random_code`` of
+``perfbench/workloads.py``; the n=6 code is the ``code_q2_n6`` benchmark
+input).  The n = 8 rungs run with a subspace cap of 2*10^8, since their
+line steps pass the default cap.  Prints seconds, flat counts and the peak
+RSS of the process, and writes them to ``benchmarks/BENCH_qflats.json``
+with the run metadata.  Exits non-zero if a uniform Betti table differs
+from its closed form, or if the q-flats of an n <= 7 rung differ from the
+scalar ``is_qflat`` scan over all subspaces.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
 
 import json
+import resource
 import sys
 import time
 
 from rankspectra import (
+    QMatroid,
+    all_subspaces,
     build_cycle_lattice,
     cli,
     uniform_betti_table,
@@ -29,6 +36,7 @@ from workloads import random_code  # noqa: E402
 
 SEED = 1
 OUT = HERE / "BENCH_qflats.json"
+N8_CAP = 2 * 10**8
 
 
 def code_matroid(label, m_extension, n):
@@ -37,21 +45,34 @@ def code_matroid(label, m_extension, n):
     return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
 
 
-def bench(label, M):
+def bench(label, make, mismatches, cap=None):
+    """Time the scans on fresh matroids from ``make``; n <= 7 is checked
+    against the scalar scan."""
+    kwargs = {} if cap is None else {"cap": cap}
+    M = make()
     start = time.perf_counter()
-    flats = M.qflats()
+    flats = M.qflats(**kwargs)
     scanned = time.perf_counter()
-    lattice = build_cycle_lattice(M)
+    lattice = build_cycle_lattice(M, **kwargs)
     built = time.perf_counter()
+    make().rank_profile(**kwargs)
+    profiled = time.perf_counter()
     print(f"{label}: {len(flats)} q-flats in {scanned - start:.3f} s, "
-          f"lattice in {built - scanned:.3f} s, total {built - start:.3f} s")
+          f"lattice in {built - scanned:.3f} s, cold rank profile in "
+          f"{profiled - built:.3f} s")
+    if M.n <= 7:
+        R = QMatroid(M.gf, M.n, M._rank_fn)
+        if flats != tuple(X for X in all_subspaces(R.gf, R.n) if R.is_qflat(X)):
+            mismatches.append(f"{label}: q-flats differ from the is_qflat scan")
     rung = {"rung": label, "flats": len(flats), "qflats_s": round(scanned - start, 4),
-            "lattice_s": round(built - scanned, 4)}
+            "lattice_s": round(built - scanned, 4),
+            "rank_profile_s": round(profiled - built, 4)}
     return rung, lattice
 
 
-def bench_uniform(k, n, mismatches):
-    rung, lattice = bench(f"U({k},{n}) over F_2", uniform_qmatroid(k, n, 2))
+def bench_uniform(k, n, mismatches, cap=None):
+    rung, lattice = bench(f"U({k},{n}) over F_2", lambda: uniform_qmatroid(k, n, 2),
+                          mismatches, cap)
     table = virtual_betti_table(lattice)
     expected = uniform_betti_table(n, k, 2)
     if table != expected:
@@ -60,16 +81,25 @@ def bench_uniform(k, n, mismatches):
     return rung
 
 
+def bench_code(label, m_extension, n, mismatches, cap=None):
+    return bench(f"{label} seed {SEED}", lambda: code_matroid(label, m_extension, n),
+                 mismatches, cap)[0]
+
+
 def main():
     mismatches = []
     rungs = [
         bench_uniform(3, 6, mismatches),
-        bench(f"code_q2_n6 seed {SEED}", code_matroid("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6))[0],
+        bench_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6, mismatches),
         bench_uniform(3, 7, mismatches),
-        bench(f"code_q2_n7 seed {SEED}",
-              code_matroid("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7))[0],
+        bench_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7, mismatches),
+        bench_uniform(3, 8, mismatches, N8_CAP),
+        bench_code("code_q2_n8", [1, 0, 1, 1, 1, 0, 0, 0, 1], 8, mismatches, N8_CAP),
     ]
-    OUT.write_text(json.dumps({"benchmark": "qflats", "rungs": rungs, **run_metadata()},
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak:.1f} MiB")
+    OUT.write_text(json.dumps({"benchmark": "qflats", "rungs": rungs,
+                               "peak_rss_mib": round(peak, 1), **run_metadata()},
                               indent=2) + "\n")
     print(f"wrote {OUT.relative_to(HERE.parent)}")
     if mismatches:

@@ -325,13 +325,6 @@ class FieldTower:
                 return i
         return None
 
-    def is_irreducible(self, f, level: int = -1) -> bool:
-        level = self._idx(level)
-        f = tuple(f)
-        if not f or f[-1] != 1:
-            raise InputError("irreducibility test expects a monic polynomial")
-        return self._reducible_factor_degree(f, level) is None
-
     def find_irreducible(self, degree: int, level: int = -1):
         """Encoding-minimal monic irreducible polynomial of ``degree`` over ``level``.
 

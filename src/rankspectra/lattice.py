@@ -17,6 +17,8 @@ l + i and dimension j, which is nonnegative for geometric lattices.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import StructuralError
 from .linalg import DEFAULT_SUBSPACE_CAP
 from .qmatroid import QMatroid
@@ -26,15 +28,20 @@ def _point_mask(X, index) -> int:
     """The projective points of X as bits of ``index`` (RREF line row -> bit).
 
     Over F_2 every nonzero vector of the XOR-span of X's int rows is the
-    row of its own line; over larger fields only the vectors scaled to a
-    leading 1 are.
+    row of its own line.  Over larger fields the line rows are the vectors
+    with a leading 1: the leading entry of a combination of RREF rows is
+    its first nonzero coefficient, at that row's pivot, so these are the
+    combinations whose first nonzero coefficient is 1.
     """
     if X.gf.size == 2:
         span = [0]
         for row in X.rows:
             span += [v ^ row for v in span]
         return sum(1 << index[v] for v in span[1:])
-    return sum(1 << index[v] for v in X.vectors() if v in index)
+    elements = X.gf.elements()
+    return sum(1 << index[X.embed_vector((0,) * lead + (1,) + tail)]
+               for lead in range(X.dim)
+               for tail in product(elements, repeat=X.dim - lead - 1))
 
 
 class CycleLattice:

@@ -57,16 +57,14 @@ def _factor_prime_power(q: int):
 
 
 @lru_cache(maxsize=32)
-def _table_ops(tower: FieldTower, level: int):
-    """(add, sub, neg, mul, inv) of one tower level, read from dense tables.
+def exp_log(tower: FieldTower, level: int):
+    """(exp, log) of a primitive element g of one tower level, as lists.
 
-    Products come from exp/log of a primitive element g, found by walking
-    the powers of g = 1, 2, ... with ``FieldTower.mul`` until one has order
-    size - 1; the size x size table is then filled by index arithmetic.
-    Sums are digit-wise mod p on the base-p encoding, so for p = 2 they are
-    XOR.
+    g is the first of 1, 2, ... whose powers, walked with ``FieldTower.mul``,
+    reach order size - 1; exp[i] = g^i for i < size - 1, log inverts it on
+    the nonzero elements and log[0] = 0.
     """
-    p, size = tower.p, tower.sizes[level]
+    size = tower.sizes[level]
     for g in range(1, size):
         exp = [1]
         x = g
@@ -78,6 +76,19 @@ def _table_ops(tower: FieldTower, level: int):
     log = [0] * size
     for i, x in enumerate(exp):
         log[x] = i
+    return exp, log
+
+
+@lru_cache(maxsize=32)
+def _table_ops(tower: FieldTower, level: int):
+    """(add, sub, neg, mul, inv) of one tower level, read from dense tables.
+
+    Products come from ``exp_log``: the size x size table is filled by
+    index arithmetic.  Sums are digit-wise mod p on the base-p encoding, so
+    for p = 2 they are XOR.
+    """
+    p, size = tower.p, tower.sizes[level]
+    exp, log = exp_log(tower, level)
     exp2 = exp + exp
     logs = log[1:]
     mul_t = [[0] * size]
@@ -394,10 +405,6 @@ class Subspace:
 
     # -- membership and order -----------------------------------------
 
-    def contains_vector(self, vec) -> bool:
-        gf = self.gf
-        return not gf.row_nonzero(gf.reduce_row(self.rows, self.pivots, gf.pack_row(vec)))
-
     def contains(self, other: "Subspace") -> bool:
         if other.n != self.n:
             raise InputError("ambient dimension mismatch")
@@ -483,12 +490,7 @@ def enumerate_subspaces(gf: GF, n: int, s: int, ambient: Subspace | None = None,
         return
     if not (0 <= s <= n):
         raise InputError(f"subspace dimension {s} out of range for n={n}")
-    total = gaussian_binomial(n, s, gf.size)
-    if cap is not None and total > cap:
-        raise ResourceLimitError(
-            f"enumeration of {total} subspaces exceeds cap {cap}",
-            required=int(total), cap=cap,
-        )
+    check_subspace_count(n, s, gf.size, cap)
     if s == 0:
         yield Subspace.zero(gf, n)
         return
@@ -508,6 +510,16 @@ def enumerate_subspaces(gf: GF, n: int, s: int, ambient: Subspace | None = None,
             choices.append(row_choices)
         for rows in product(*choices):
             yield Subspace(gf, n, rows, pivots)
+
+
+def check_subspace_count(n: int, s: int, q: int, cap: int | None) -> None:
+    """Raise ResourceLimitError when F_q^n has more than cap s-dimensional subspaces."""
+    total = gaussian_binomial(n, s, q)
+    if cap is not None and total > cap:
+        raise ResourceLimitError(
+            f"enumeration of {total} subspaces exceeds cap {cap}",
+            required=int(total), cap=cap,
+        )
 
 
 def all_subspaces(gf: GF, n: int, cap: int | None = DEFAULT_SUBSPACE_CAP):

@@ -7,26 +7,42 @@ the uniform q-matroid rho(X) = min(dim X, k).  Duality, conullity,
 q-flats, q-cycles and restriction are all derived from the rank oracle,
 which is memoized per canonical subspace; the lines of F_q^n, the
 q-flats and the rank profile are kept after their first scan.
+
+Over F_2 the q-flats and the rank profile are read off one
+``SubspaceTable`` per matroid: the int RREF rows of every subspace as
+arrays, with a rank array per dimension.  Two sources rank a whole
+dimension at once: a code over F_Q with Q <= 256 eliminates the images
+G y^T of all its row sets together over F_Q, and U(k, n) fills in
+min(d, k).  Every other rank function (``dual``, ``restrict``, a plain
+function) fills the arrays through ``rank``, one subspace at a time.
+Over larger fields both scans walk the subspaces one ``Subspace`` at a
+time, the flats through the line steps of ``is_qflat``; that walk, and
+the scalar ``rho_binary``, stay the reference for F_2.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
+
+import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
 from .linalg import (
+    _TABLE_LIMIT,
     DEFAULT_SUBSPACE_CAP,
     GF,
     Subspace,
     all_subspaces,
     enumerate_subspaces,
+    exp_log,
     gaussian_binomial,
     mat_mul,
     mat_rank,
     rank_support,
 )
+from .subspace_table import SubspaceTable
 
 
 class GabidulinCode:
@@ -104,6 +120,27 @@ class GabidulinCode:
         return tuple(sum(row[j] << width * i for i, row in enumerate(self.G))
                      for j in range(self.n))
 
+    @cached_property
+    def _image_tables(self):
+        """(phi, mul, inv) for the batched F_2 rank oracle; built on first use.
+
+        phi[y] = G y^T over F_Q for each of the 2^n vectors y of F_2^n, as
+        a (2^n, k) uint8 array: phi[y + 2^j] = phi[y] XOR column j, one XOR
+        per entry.  mul and inv are the product and inverse tables of F_Q
+        (inv[0] = 0), read off the exp/log of its primitive element.
+        """
+        gf = self.gf_code
+        exp, log = exp_log(gf.tower, gf.level)
+        exp2, log = np.array(exp + exp, np.uint8), np.array(log)
+        mul = exp2[log[:, None] + log]
+        mul[0] = mul[:, 0] = 0
+        inv = np.zeros(gf.size, np.uint8)
+        inv[1:] = exp2[-log[1:] % (gf.size - 1)]
+        phi = np.zeros((1, self.k), np.uint8)
+        for column in np.array(self.G, np.uint8).T:
+            phi = np.concatenate([phi, phi ^ column])
+        return phi, mul, inv
+
     def codeword(self, message):
         """Word u . G for a message over the code field (or an extension of it)."""
         gf = self.gf_code
@@ -128,6 +165,10 @@ class QMatroid:
         self._flats: tuple[Subspace, ...] | None = None
         self._profile: Counter | None = None
         self._lines: tuple[Subspace, ...] | None = None
+        # over F_2: ranks of an (N, d) array of int RREF rows, when the
+        # source has a batched form; and the ranked subspace table
+        self._rank_rows = None
+        self._table = None
         self.name = name
 
     # -- rank and derived functions ------------------------------------
@@ -212,25 +253,60 @@ class QMatroid:
         """True iff adjoining any outside line changes the rank."""
         return all(step for _, _, step in self._steps(F))
 
+    def _ranked_table(self, cap: int | None):
+        """The F_2 subspace table and a rank array per dimension; built once.
+
+        The ranks come from ``_rank_rows`` when the source has it, else
+        from ``rank`` one subspace at a time.  The caps are checked on
+        every call, as an enumeration would check them.
+        """
+        SubspaceTable.check(self.n, cap)
+        if self._table is None:
+            table = SubspaceTable(self.n)
+            if self._rank_rows is not None:
+                ranks = [self._rank_rows(rows) for rows in table.rows]
+            else:
+                ranks = [np.array([self.rank(X) for X in table.subspaces(self.gf, s)],
+                                  np.int64) for s in range(self.n + 1)]
+            self._table = table, ranks
+        return self._table
+
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
         """All q-flats by increasing (dimension, basis); scanned once, then kept.
 
-        The line steps of the scan are counted against ``cap`` first, and
-        the capped enumeration runs to its end before the first
-        ``is_qflat``, whose line scan is uncapped.
+        The line steps of the scan are counted against ``cap`` first.  Over
+        F_2 the flats are read off the ranked subspace table: X is a flat
+        iff each cover of X has a rank other than rho(X), which is
+        ``is_qflat``; only the flats become ``Subspace`` objects, and their
+        ranks go into the memo.  Over larger fields the capped enumeration
+        runs to its end before the first ``is_qflat``, whose line scan is
+        uncapped.
         """
         if self._flats is None:
             self._check_step_count(cap)
-            subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
-            self._flats = tuple(X for X in subspaces if self.is_qflat(X))
+            if self.q == 2:
+                table, ranks = self._ranked_table(cap)
+                flats = []
+                for s, index in enumerate(table.flats(ranks)):
+                    for X, r in zip(table.subspaces(self.gf, s, index), ranks[s][index].tolist()):
+                        self._memo[X] = r
+                        flats.append(X)
+                self._flats = tuple(flats)
+            else:
+                subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
+                self._flats = tuple(X for X in subspaces if self.is_qflat(X))
         return self._flats
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
         """c(d, r): the number of subspaces of dimension d and rank r; counted
-        once, then kept."""
+        once, then kept.  Over F_2 it is counted over the rank arrays of the
+        subspace table."""
         if self._profile is None:
-            self._profile = Counter((X.dim, self.rank(X))
-                                    for X in all_subspaces(self.gf, self.n, cap=cap))
+            if self.q == 2:
+                self._profile = SubspaceTable.profile(self._ranked_table(cap)[1])
+            else:
+                self._profile = Counter((X.dim, self.rank(X))
+                                        for X in all_subspaces(self.gf, self.n, cap=cap))
         return self._profile
 
     def is_qcycle(self, X: Subspace) -> bool:
@@ -384,7 +460,41 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
             cols.append(tuple([col >> t & digit for t in shifts]))
         return mat_rank(gf_code, cols)
 
-    return QMatroid(gf_q, code.n, rho_binary if gf_q.size == 2 else rho, name="code")
+    if gf_q.size != 2:
+        return QMatroid(gf_q, code.n, rho, name="code")
+    M = QMatroid(gf_q, code.n, rho_binary, name="code")
+    if gf_code.size <= _TABLE_LIMIT:
+        M._rank_rows = partial(_code_rank_rows, code)
+    return M
+
+
+def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
+    """rho over F_2 for an (N, d) array of int RREF rows, as int8.
+
+    The d images phi[y] of each row set form a d x k matrix over F_Q with
+    the rank of G Y^T; all N are eliminated at once, one pass per column:
+    the first unused row with a nonzero entry there is the pivot, and every
+    row drops its multiple of it.  That zeroes the pivot row, which, like
+    the earlier pivots, is never read again.
+    """
+    phi, mul, inv = code._image_tables
+    images = phi[rows]
+    count, d, k = images.shape
+    rank = np.zeros(count, np.int8)
+    if d == 0:
+        return rank
+    unused = np.ones((count, d), bool)
+    at = np.arange(count)
+    for c in range(k):
+        column = images[:, :, c]
+        pivot = (unused & (column != 0)).argmax(axis=1)
+        found = unused[at, pivot] & (column[at, pivot] != 0)
+        unused[at[found], pivot[found]] = False
+        prow = images[at, pivot, c:]
+        factor = mul[column, inv[prow[:, :1]]] * found[:, None]
+        images[:, :, c:] ^= mul[factor[:, :, None], prow[:, None, :]]
+        rank += found
+    return rank
 
 
 def uniform_qmatroid(k: int, n: int, q: int) -> QMatroid:
@@ -392,4 +502,6 @@ def uniform_qmatroid(k: int, n: int, q: int) -> QMatroid:
     if not (0 <= k <= n):
         raise InputError(f"uniform q-matroid needs 0 <= k <= n, got k={k}, n={n}")
     gf = GF.of_order(q)
-    return QMatroid(gf, n, lambda X: min(X.dim, k), name=f"U({k},{n})")
+    M = QMatroid(gf, n, lambda X: min(X.dim, k), name=f"U({k},{n})")
+    M._rank_rows = lambda rows: np.full(len(rows), min(rows.shape[1], k), np.int8)
+    return M

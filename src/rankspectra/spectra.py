@@ -45,9 +45,6 @@ class WeightPolynomial:
             acc = acc * x + c
         return acc
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         return isinstance(other, WeightPolynomial) and self.coeffs == other.coeffs
 

@@ -10,9 +10,10 @@ import pytest
 
 import rankspectra
 from rankspectra import (
-    QMatroid, ResourceLimitError, StructuralError, all_subspaces, cli, qmatroid,
+    QMatroid, ResourceLimitError, StructuralError, cli, qmatroid, subspace_table,
 )
 from rankspectra.cli import main
+from rankspectra.subspace_table import SubspaceTable
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "example_code.json")
@@ -78,24 +79,28 @@ def test_verify_quick_report_pinned(capsys, name):
                          ids=["analyze", "verify-quick"])
 def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
     calls = Counter()
-    for name in ("dual", "qcycles", "is_qflat"):
-        original = getattr(QMatroid, name)
+    for owner, name in ((QMatroid, "dual"), (QMatroid, "qcycles"), (QMatroid, "is_qflat"),
+                        (SubspaceTable, "flats")):
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(QMatroid, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     status, _ = run_cli(capsys, *argv[:1], EXAMPLE, *argv[1:])
     assert status == 0
     assert calls["dual"] == calls["qcycles"] == 0
-    # one is_qflat test per subspace of F_2^4: a single scan
-    assert calls["is_qflat"] == sum(1 for _ in all_subspaces(rankspectra.GF.of_order(2), 4))
+    # over F_2 one pass over the subspace table decides every q-flat: a
+    # single scan, with no line walk per subspace
+    assert calls["flats"] == 1
+    assert calls["is_qflat"] == 0
 
 
 def test_rank_profile_built_once(monkeypatch, capsys):
     calls = Counter()
-    for owner, name in ((QMatroid, "rank_profile"), (qmatroid, "all_subspaces")):
+    for owner, name in ((QMatroid, "rank_profile"), (qmatroid, "all_subspaces"),
+                        (subspace_table, "binary_subspace_rows")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -107,8 +112,10 @@ def test_rank_profile_built_once(monkeypatch, capsys):
     assert status == 0
     # read by the Betti/Moebius identity for s = 0..4, then by the weights
     assert calls["rank_profile"] == 5 + 1
-    # one subspace scan each for the axioms, the q-flats and the profile
-    assert calls["all_subspaces"] == 3
+    # one subspace scan for the axioms, and one table, enumerated once per
+    # dimension of F_2^4, for the q-flats and the profile
+    assert calls["all_subspaces"] == 1
+    assert calls["binary_subspace_rows"] == 5
 
 
 def test_deterministic_output(capsys):

@@ -141,4 +141,3 @@ def test_find_irreducible_deterministic():
     t = prime_field(2)
     f = t.find_irreducible(4)
     assert f == (1, 1, 0, 0, 1)
-    assert t.is_irreducible(f)

@@ -22,6 +22,7 @@ from rankspectra import (
     virtual_betti_table,
     weight_polys_betti,
 )
+from rankspectra.lattice import _point_mask
 
 # Betti table of the session example code: (l, i, dim) -> value
 EXAMPLE_BETTI = {
@@ -304,3 +305,13 @@ def test_duplicate_node_rejected(uniform24):
     verdict = _verdict(CycleLattice, uniform24, nodes, nullities)
     assert verdict == _verdict(ReferenceLattice, uniform24, nodes, nullities)
     assert verdict == "Jordan-Dedekind violated between nodes of ranks 1 and 1"
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (3, 4)])
+def test_point_mask_matches_all_vectors(q, n):
+    # the leading-1 coefficient vectors give the same points as all q^dim vectors
+    M = uniform_qmatroid(1, n, q)
+    index = {P.rows[0]: t for t, P in enumerate(M.lines())}
+    for X in all_subspaces(M.gf, n):
+        expected = sum(1 << index[v] for v in X.vectors() if v in index)
+        assert _point_mask(X, index) == expected

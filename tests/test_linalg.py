@@ -259,8 +259,6 @@ def test_binary_rows_match_rref(gf2, data, n):
     total = A.sum(B)
     assert (total.coordinate_rows(), total.pivots) == (joint[0], joint[2])
     assert A.contains(B) == (joint[1] == rank_a)
-    for v in rows_b:
-        assert A.contains_vector(v) == (rref(gf2, rows_a + [v])[1] == rank_a)
     span = _f2_span(rows_a, n)
     vectors = list(A.vectors())
     assert len(vectors) == len(span) and set(vectors) == span

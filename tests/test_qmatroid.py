@@ -14,6 +14,7 @@ from rankspectra import (
     enumerate_subspaces,
     prime_field,
     qmatroid,
+    subspace_table,
     uniform_qmatroid,
 )
 from rankspectra.linalg import DEFAULT_SUBSPACE_CAP
@@ -235,7 +236,8 @@ def test_verify_axioms_sum_calls_bounded(monkeypatch):
 
 
 class Enumerated(Exception):
-    """Raised by a stand-in for ``all_subspaces``: the scan got past its checks."""
+    """Raised by a stand-in for the subspace enumerations: the scan got past
+    its checks."""
 
 
 @pytest.mark.parametrize("scan", ["qflats", "verify_axioms"])
@@ -244,6 +246,7 @@ def test_line_steps_capped_before_enumeration(monkeypatch, scan):
         raise Enumerated
 
     monkeypatch.setattr(qmatroid, "all_subspaces", enumerate_nothing)
+    monkeypatch.setattr(subspace_table, "binary_subspace_rows", enumerate_nothing)
     # 67 subspaces of F_2^4 times 15 lines: the cap is exact
     with pytest.raises(ResourceLimitError) as err:
         getattr(uniform_qmatroid(2, 4, 2), scan)(cap=67 * 15 - 1)

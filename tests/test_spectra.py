@@ -59,7 +59,7 @@ def test_polynomial_basics():
     assert P.degree == 2
     assert P(16) == 2460
     zero = WeightPolynomial([0, 0])
-    assert zero.is_zero() and zero.degree is None
+    assert zero.degree is None
 
 
 def test_example_weight_polys(example_table):

@@ -1,0 +1,138 @@
+"""The indexed F_2 subspace table against the scalar subspace walk."""
+
+import random
+from collections import Counter
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankspectra import (
+    GF,
+    GabidulinCode,
+    InputError,
+    QMatroid,
+    ResourceLimitError,
+    all_subspaces,
+    enumerate_subspaces,
+    prime_field,
+    subspace_table,
+    uniform_qmatroid,
+)
+from rankspectra.subspace_table import SubspaceTable
+
+
+@cache
+def binary_tower(m):
+    t = prime_field(2)
+    return t.extend(t.find_irreducible(m))
+
+
+@cache
+def table(n):
+    return SubspaceTable(n)
+
+
+def scalar_reference(M):
+    """q-flats by ``is_qflat`` and the profile by ``rank``, on a fresh memo."""
+    R = QMatroid(M.gf, M.n, M._rank_fn)
+    subs = list(all_subspaces(R.gf, R.n))
+    return (tuple(X for X in subs if R.is_qflat(X)),
+            Counter((X.dim, R.rank(X)) for X in subs))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_rows_follow_enumeration_order(n):
+    gf = GF.of_order(2)
+    T = table(n)
+    for s in range(n + 1):
+        expected = [(X.rows, X.pivots) for X in enumerate_subspaces(gf, n, s)]
+        assert [(X.rows, X.pivots) for X in T.subspaces(gf, s)] == expected
+        # keys are injective, and each looks up its own index
+        assert len(set(T.keys[s].tolist())) == len(expected)
+        assert T.index(s, T.keys[s]).tolist() == list(range(len(expected)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_covers_are_the_sums_with_lines(n):
+    gf = GF.of_order(2)
+    T = table(n)
+    lines = list(enumerate_subspaces(gf, n, 1))
+    for s in range(n):
+        above = list(T.subspaces(gf, s + 1))
+        covers = [row for pivots, lo, hi in T.blocks[s] for row in T.cover_index(
+            s, pivots, np.arange(lo, hi), T.cover_vectors(pivots)).tolist()]
+        for X, cover in zip(T.subspaces(gf, s), covers, strict=True):
+            expected = {X.sum(L) for L in lines} - {X}
+            assert len(cover) == len(expected) and {above[i] for i in cover} == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(m=st.integers(2, 8), n=st.integers(1, 5), data=st.data())
+def test_batched_code_ranks_match_scalar(m, n, data):
+    tower = binary_tower(m)
+    k = data.draw(st.integers(1, n))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    while True:
+        gen = [[rng.randrange(2**m) for _ in range(n)] for _ in range(k)]
+        try:
+            M = GabidulinCode(tower, 0, 1, gen).qmatroid()
+            break
+        except InputError:
+            continue
+    assert M._rank_rows is not None
+    for s, rows in enumerate(table(n).rows):
+        scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, n, s)]
+        assert M._rank_rows(rows).tolist() == scalar
+
+
+def _corrupted(dim, rank):
+    base = uniform_qmatroid(2, 4, 2)
+    target = next(enumerate_subspaces(base.gf, 4, dim))
+    return QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_qmatroid(0, 3, 2),
+    lambda: uniform_qmatroid(2, 4, 2),
+    lambda: uniform_qmatroid(3, 5, 2),
+    lambda: uniform_qmatroid(5, 5, 2),
+    lambda: uniform_qmatroid(2, 4, 2).dual(),
+    lambda: uniform_qmatroid(3, 5, 2).dual(),
+    lambda: uniform_qmatroid(2, 5, 2).restrict(next(enumerate_subspaces(GF.of_order(2), 5, 3))),
+    lambda: _corrupted(1, 0),
+    lambda: _corrupted(3, 1),
+    # every cover changes the rank, half of them downwards
+    lambda: QMatroid(GF.of_order(2), 4, lambda X: X.dim % 2),
+], ids=["U(0,3)", "U(2,4)", "U(3,5)", "U(5,5)", "U(2,4)*", "U(3,5)*", "U(2,5)|U",
+        "line-rank-0", "3-space-rank-1", "parity"])
+def test_indexed_flats_and_profile_match_scalar_scan(make):
+    M = make()
+    flats, profile = scalar_reference(M)
+    assert M.qflats() == flats
+    assert all(M.rank(F) == M._rank_fn(F) for F in flats)
+    assert M.rank_profile() == profile
+
+
+def test_key_width_refused_before_enumeration(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated past the key width")
+
+    monkeypatch.setattr(subspace_table, "binary_subspace_rows", enumerate_nothing)
+    # n = 10 needs 10 + 45 = 55 key bits, n = 11 needs 11 + 55 = 66
+    assert subspace_table.key_offsets(10)[-1] == 10 + 45
+    for scan in ("qflats", "rank_profile"):
+        with pytest.raises(ResourceLimitError) as err:
+            getattr(uniform_qmatroid(3, 11, 2), scan)(cap=None)
+        assert (err.value.required, err.value.cap) == (66, 63)
+
+
+def test_profile_cap_checked_after_table_built():
+    # the table is kept, but a smaller cap still refuses, as an enumeration would
+    M = uniform_qmatroid(2, 4, 2)
+    M.qflats()
+    with pytest.raises(ResourceLimitError) as err:
+        M.rank_profile(cap=5)
+    assert (err.value.required, err.value.cap) == (15, 5)
