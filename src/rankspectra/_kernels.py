@@ -1,18 +1,22 @@
 """GF(2) rank-spectrum kernel on whole words.
 
-The enumeration oracle's hot loop walks every message of the extension
-code.  Encoding is F_2-linear on the canonical encodings (addition in
-characteristic 2 is XOR), so the kernel takes the codewords of the unit
-messages and forms every other codeword as an XOR of them: one table
-spans the low bits of the message index, and each chunk of messages is
-that table XOR the codeword of its high bits.  The n entries of a
-codeword are the columns of its expansion over F_2, and a matrix has the
-rank of its transpose, so the GF(2) rank is taken on the entries
-themselves, by inserting each into an XOR basis of the entries before
-it with an unsigned minimum (see ``_ranks``): n(n-1) word passes per
-chunk, whatever the bit width.  The kernel is vectorized over chunks of
-messages and accepts a subrange of the message space so callers can
-partition the work across threads.
+The enumeration oracle's hot loop walks one message per projective class
+of the extension code: callers pass the index ranges of those
+representatives (``oracle.brute_spectrum`` passes k ranges, one per
+position of the leading digit 1), and any other range, the whole message
+space included, is ranked the same way.  Encoding is F_2-linear on the
+canonical encodings (addition in characteristic 2 is XOR), so the kernel
+takes the codewords of the unit messages and forms every other codeword
+as an XOR of them: one table spans the low bits of the message index,
+and each chunk of messages is that table XOR the codeword of its high
+bits.  The n entries of a codeword are the columns of its expansion over
+F_2, and a matrix has the rank of its transpose, so the GF(2) rank is
+taken on the entries themselves, by inserting each into an XOR basis of
+the entries before it with an unsigned minimum (see ``_ranks``): n(n-1)
+word passes per chunk, whatever the bit width.  The kernel is vectorized
+over chunks of messages and takes one subrange of the message space per
+call, so callers can rank several ranges and partition them across
+threads.
 """
 
 from __future__ import annotations

@@ -48,20 +48,69 @@ def _extension_setup(code: GabidulinCode, r: int):
     return tower, tower.top_level
 
 
+def _binary_basis(code: GabidulinCode, tower, ext_level: int) -> np.ndarray:
+    """Codewords of the unit messages of the extension code, for the kernel.
+
+    A (k*m, n) uint64 array, m the degree of F_{Q^r} over F_2: row
+    (k-1-t)*m + b is the codeword of the message whose digit t is 1 << b
+    and whose other digits are 0, so message digit t bit b is index bit
+    (k-1-t)*m + b and digits are big-endian in the message index.
+    """
+    mtilde = tower.ext_degree(ext_level, code.q_level)
+    return np.array([[tower.mul(1 << b, g, ext_level) for g in code.G[t]]
+                     for t in reversed(range(code.k)) for b in range(mtilde)],
+                    dtype=np.uint64)
+
+
+def _split_ranges(ranges, parts: int):
+    """Cut the concatenation of index ranges into ``parts`` runs of equal length.
+
+    Each run is a list of (start, stop) subranges; empty runs are dropped.
+    """
+    cuts = [0]
+    for start, stop in ranges:
+        cuts.append(cuts[-1] + stop - start)
+    bounds = [cuts[-1] * i // parts for i in range(parts + 1)]
+    runs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = [(start + max(lo - off, 0), start + min(hi - off, stop - start))
+               for (start, stop), off in zip(ranges, cuts)
+               if max(lo, off) < min(hi, off + stop - start)]
+        if run:
+            runs.append(run)
+    return runs
+
+
 def brute_spectrum(code: GabidulinCode, r: int = 1,
                    cap: int = DEFAULT_CODEWORD_CAP,
                    threads: int = 1):
-    """Rank-weight distribution of the r-th extension code by full enumeration.
+    """Rank-weight distribution of the r-th extension code by enumeration.
 
-    Every message of F_{Q^r}^k is encoded and the GF(q) rank of its
-    codeword expansion tallied.  For binary base fields, message digit t
-    bit b is message bit (k-1-t)*m + b (m the degree of F_{Q^r} over
-    F_2); encoding is F_2-linear, so the word kernel receives only the
-    K = k*m codewords of the unit messages, spans the rest by XOR and
-    ranks the codeword entries as uint64 words by min-reduction, split
-    across at most ``os.cpu_count()`` threads.  Other
-    characteristics take a scalar path on the field tables of F_{Q^r}
-    and F_q.
+    One codeword per projective class is ranked.  Write Q_r = Q^r.  The
+    rank weight of c in F_{Q_r}^n is the F_q-dimension of the span of its
+    entries.  For lam in F_{Q_r}^*, x -> lam*x is an F_q-linear bijection
+    of F_{Q_r}, so it maps the span of the c_j onto the span of the
+    lam*c_j: lam*c has the weight of c.  Encoding is F_{Q_r}-linear, so
+    the message lam*u encodes to lam*c.  The nonzero messages therefore
+    fall into classes {lam*u : lam != 0} of Q_r - 1 messages each (lam*u
+    = u forces lam = 1 at a nonzero digit of u), all of one weight, and
+    each class has exactly one member whose first nonzero digit is 1:
+    divide u by that digit.  The histogram is the tally over these
+    (Q_r^k - 1)/(Q_r - 1) representatives times Q_r - 1, plus the zero
+    word at weight 0.  The ``cap`` still bounds all Q_r^k codewords.
+
+    For binary base fields the kernel numbers messages big-endian in
+    their digits (see ``_binary_basis``), the encoding 1 being the field's
+    one: message index i = sum_t u_t Q_r^(k-1-t).  The representatives
+    whose first nonzero digit is digit k-1-s are 0..0 1 followed by any
+    s digits, the indices Q_r^s + x for 0 <= x < Q_r^s: they are exactly
+    the k ranges [Q_r^s, 2 Q_r^s), s = 0..k-1.  The kernel spans the
+    codewords of these ranges by XOR from the unit-message codewords and
+    ranks their entries as uint64 words by min-reduction; the ranges are
+    cut into runs of equal length over at most ``os.cpu_count()``
+    threads.  Other characteristics walk the representatives on the field
+    tables of F_{Q_r} and F_q and rank each codeword with
+    ``rank_support``.
     """
     tower, ext_level = _extension_setup(code, r)
     Qt = tower.sizes[ext_level]
@@ -71,38 +120,40 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
             f"enumeration of {total} codewords exceeds cap {cap}",
             required=total, cap=cap,
         )
-    n = code.n
-    if code.k == 0:
+    n, k = code.n, code.k
+    if k == 0:
         return [1] + [0] * n
     if code.q == 2:
-        mtilde = tower.ext_degree(ext_level, code.q_level)
-        basis = np.array([[tower.mul(1 << b, g, ext_level) for g in code.G[t]]
-                          for t in reversed(range(code.k)) for b in range(mtilde)],
-                         dtype=np.uint64)
+        basis = _binary_basis(code, tower, ext_level)
+
+        def tally(run):
+            return sum(_kernels.spectrum_counts(basis, start, stop)
+                       for start, stop in run)
+
+        ranges = [(Qt**s, 2 * Qt**s) for s in range(k)]
         threads = min(threads, os.cpu_count() or 1)
         if threads <= 1:
-            counts = _kernels.spectrum_counts(basis)
+            classes = tally(ranges)
         else:
-            bounds = [total * t // threads for t in range(threads + 1)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = pool.map(
-                    lambda se: _kernels.spectrum_counts(basis, se[0], se[1]),
-                    zip(bounds, bounds[1:]),
-                )
-                counts = sum(parts)
-        return [int(c) for c in counts]
-    gf_ext = GF(tower, ext_level)
-    gf_base = GF(tower, code.q_level)
-    counts = [0] * (n + 1)
-    G = code.G
-    for message in product(range(Qt), repeat=code.k):
-        word = [0] * n
-        for t, u in enumerate(message):
-            if u == 0:
-                continue
-            for j in range(n):
-                word[j] = gf_ext.add(word[j], gf_ext.mul(u, G[t][j]))
-        counts[rank_support(tower, ext_level, code.q_level, word, gf_base).dim] += 1
+                classes = sum(pool.map(tally, _split_ranges(ranges, threads)))
+    else:
+        gf_ext = GF(tower, ext_level)
+        gf_base = GF(tower, code.q_level)
+        classes = [0] * (n + 1)
+        G = code.G
+        for lead in range(k):
+            for tail in product(range(Qt), repeat=k - 1 - lead):
+                word = list(G[lead])
+                for u, row in zip(tail, G[lead + 1:]):
+                    if u == 0:
+                        continue
+                    for j in range(n):
+                        word[j] = gf_ext.add(word[j], gf_ext.mul(u, row[j]))
+                classes[rank_support(tower, ext_level, code.q_level, word,
+                                     gf_base).dim] += 1
+    counts = [int(c) * (Qt - 1) for c in classes]
+    counts[0] += 1
     return counts
 
 

@@ -9,6 +9,7 @@ from rankspectra import (
     GabidulinCode,
     InputError,
     ResourceLimitError,
+    _kernels,
     build_cycle_lattice,
     cli,
     enumerate_subspaces,
@@ -37,6 +38,31 @@ def test_brute_spectrum_example_r1(example_code):
     assert brute_spectrum(example_code, 1) == [1, 15, 420, 2460, 1200]
 
 
+def _random_code(tower, k, n, rng):
+    # a random full-rank k x n generator over the top field of the tower
+    while True:
+        try:
+            return GabidulinCode(tower, 0, 1, [[rng.randrange(tower.size()) for _ in range(n)]
+                                               for _ in range(k)])
+        except InputError:
+            continue
+
+
+def _enumerated_spectrum(code, r):
+    # rank_weight of the codeword of every message of F_{Q^r}^k, zero included
+    tower = code.tower
+    ext = tower if r == 1 else tower.extend(tower.find_irreducible(r, 1))
+    level = ext.top_level
+    counts = [0] * (code.n + 1)
+    for message in product(range(ext.size(level)), repeat=code.k):
+        word = [0] * code.n
+        for u, row in zip(message, code.G):
+            for j in range(code.n):
+                word[j] = ext.add(word[j], ext.mul(u, row[j], level), level)
+        counts[rank_weight(ext, level, 0, word)] += 1
+    return counts
+
+
 def test_brute_spectrum_binary_path_matches_scalar():
     # compare the packed kernel (and the unit-message codewords it spans)
     # with rank_weight applied to every codeword; m=2 < n, so no codeword
@@ -46,23 +72,50 @@ def test_brute_spectrum_binary_path_matches_scalar():
     wide = GabidulinCode(tower, 0, 1, [[j % 4 for j in range(65)]])
     for code, weights in ((small, [0, 1, 2]), (wide, [0, 2])):
         for r in (1, 2):
-            ext = tower if r == 1 else tower.extend(tower.find_irreducible(r, 1))
-            level = ext.top_level
-            counts = [0] * (code.n + 1)
-            for message in product(range(ext.size(level)), repeat=code.k):
-                word = [0] * code.n
-                for u, row in zip(message, code.G):
-                    for j in range(code.n):
-                        word[j] = ext.add(word[j], ext.mul(u, row[j], level), level)
-                counts[rank_weight(ext, level, 0, word)] += 1
+            counts = _enumerated_spectrum(code, r)
             assert [w for w, c in enumerate(counts) if c] == weights
             assert brute_spectrum(code, r) == counts
 
 
+@pytest.mark.parametrize("modulus, k, n, r", [
+    pytest.param([1, 0, 1], 2, 3, 1, id="F9_k2_r1"),
+    pytest.param([1, 0, 1], 3, 3, 1, id="F9_k3_r1"),
+    pytest.param([1, 0, 1], 2, 3, 2, id="F9_k2_r2"),
+    pytest.param([1, 2, 0, 1], 2, 3, 1, id="F27_k2_r1"),
+    pytest.param([1, 2, 0, 1], 1, 4, 2, id="F27_k1_r2"),
+])
+def test_brute_spectrum_odd_q_matches_enumeration(modulus, k, n, r):
+    # the odd-q path ranks one message per projective class; the reference
+    # ranks every message of F_{Q^r}^k
+    code = _random_code(prime_field(3).extend(modulus), k, n,
+                        random.Random(f"{modulus}/{k}/{n}/{r}"))
+    assert brute_spectrum(code, r) == _enumerated_spectrum(code, r)
+
+
+# binary code field -> modulus of F_Q over F_2, little-endian
+BINARY_FIELDS = {4: [1, 1, 1], 8: [1, 1, 0, 1], 16: [1, 1, 0, 0, 1]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(Q=st.sampled_from(sorted(BINARY_FIELDS)), r=st.integers(1, 3),
+       k=st.integers(1, 3), n=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_brute_spectrum_classes_match_whole_range(Q, r, k, n, seed):
+    # one message per projective class, weighted by Q^r - 1, against the
+    # kernel over every message index of the same extension basis;
+    # Q^(rk) <= 2^16
+    k = min(k, 16 // (r * (Q.bit_length() - 1)))
+    n = max(n, k)
+    code = _random_code(prime_field(2).extend(BINARY_FIELDS[Q]), k, n, random.Random(seed))
+    ext, level = oracle._extension_setup(code, r)
+    whole = _kernels.spectrum_counts(oracle._binary_basis(code, ext, level))
+    assert brute_spectrum(code, r) == [int(c) for c in whole]
+
+
 def test_brute_spectrum_threads(example_code):
-    single = brute_spectrum(example_code, 1, threads=1)
-    multi = brute_spectrum(example_code, 1, threads=3)
-    assert single == multi
+    for r in (1, 2):
+        single = brute_spectrum(example_code, r, threads=1)
+        multi = brute_spectrum(example_code, r, threads=3)
+        assert single == multi
 
 
 def test_brute_spectrum_threads_clamped(example_code, monkeypatch):
