@@ -1,7 +1,7 @@
 """Benchmark the enumeration oracle on the GF(2) spectrum kernel.
 
 Enumerates the extension codes of a 3-dimensional code over F_16 (4096
-codewords at r=1, 16.7M at r=2) in one thread.  ``brute_spectrum`` ranks
+codewords at r=1, 16.7M at r=2).  ``brute_spectrum`` ranks
 one codeword per projective class (273 words at r=1, 65793 at r=2); the
 reference runs the kernel over every message index of the same extension
 basis.  Per rung it reports the codewords accounted for, the words
@@ -55,7 +55,7 @@ def main():
         if counts != whole:
             mismatches.append(f"r={r} spectrum {counts} != whole range {whole}")
     OUT.write_text(json.dumps({
-        "benchmark": "kernels", "code": repr(code), "threads": 1, "runs": runs,
+        "benchmark": "kernels", "code": repr(code), "runs": runs,
         **run_metadata(),
     }, indent=2) + "\n")
     print(f"wrote {OUT.relative_to(HERE.parent)}")

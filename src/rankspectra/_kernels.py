@@ -15,8 +15,8 @@ taken on the entries themselves, by inserting each into an XOR basis of
 the entries before it with an unsigned minimum (see ``_ranks``): n(n-1)
 word passes per chunk, whatever the bit width.  The kernel is vectorized
 over chunks of messages and takes one subrange of the message space per
-call, so callers can rank several ranges and partition them across
-threads.
+call; the low table is only as wide as the range's indices reach, so a
+short range near 0 builds a short table.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def spectrum_counts(basis, start: int = 0,
         stop = 1 << K
     if not (0 <= start <= stop <= 1 << K):
         raise ValueError("message index range out of bounds")
-    c = min(K, _CHUNK_BITS)
-    # column i: the codeword of message i < 2^c, as an (n, 2^c) table
+    c = min(K, _CHUNK_BITS, max(stop - 1, 0).bit_length())
+    # column i: the codeword of message i < 2^c, as an (n, 2^c) table;
+    # 2^c reaches every index below stop, up to one chunk of 2^16
     low = np.zeros((n, 1), dtype=np.uint64)
     for row in basis[:c]:
         low = np.hstack([low, low ^ row[:, None]])

@@ -241,7 +241,7 @@ def render(report: dict, fmt: str) -> str:
 
 
 def run_verification(model: Model, level: str, cap: int | None,
-                     cap_codewords: int, threads: int):
+                     cap_codewords: int):
     M = model.matroid
     checks = []
 
@@ -291,7 +291,7 @@ def run_verification(model: Model, level: str, cap: int | None,
                lambda: check_inclusion_exclusion(M, polys, cap))
         if model.code is not None:
             record("brute-force spectrum",
-                   lambda: check_brute_spectrum(model, polys, cap_codewords, threads))
+                   lambda: check_brute_spectrum(model, polys, cap_codewords))
             higher = higher_spectra(polys, model.Q, table.k)
             record("brute-force higher spectra (i <= 2)",
                    lambda: check_brute_higher(model, higher, cap))
@@ -316,13 +316,12 @@ def check_inclusion_exclusion(M, polys, cap):
                 f"inclusion-exclusion sum {total} != polynomial at s={s}")
 
 
-def check_brute_spectrum(model, polys, cap_codewords, threads):
+def check_brute_spectrum(model, polys, cap_codewords):
     out = {}
     for r in (1, 2):
         if model.Q ** (r * model.code.k) > cap_codewords:
             continue
-        brute = oracle.brute_spectrum(model.code, r, cap=cap_codewords,
-                                      threads=threads)
+        brute = oracle.brute_spectrum(model.code, r, cap=cap_codewords)
         expected = weight_distribution(polys, model.Q**r)
         if brute != expected:
             raise StructuralError(
@@ -346,7 +345,8 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("json", "text", "csv"), default="json")
     parser.add_argument("--r", type=int, default=1,
                         help="extension degree for the evaluation point Q^r")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--cap-codewords", type=int,
                         default=oracle.DEFAULT_CODEWORD_CAP)
     parser.add_argument("--cap-subspaces", "--max-subspaces", type=int,
@@ -396,7 +396,7 @@ def run(args) -> tuple[str, int]:
     check_report_size(p["q"], p["m"], 1 if args.command == "verify" else args.r, p["k"])
     if args.command == "verify":
         checks = run_verification(model, args.level, args.cap_subspaces,
-                                  args.cap_codewords, args.threads)
+                                  args.cap_codewords)
         report = build_report(model, digest, {"level": args.level, "checks": checks})
         failed = any(c["status"] == "fail" for c in checks)
         return render(report, args.format), 1 if failed else 0

@@ -9,9 +9,7 @@ linear-algebra layers with the fast pipeline, on purpose.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -62,28 +60,8 @@ def _binary_basis(code: GabidulinCode, tower, ext_level: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _split_ranges(ranges, parts: int):
-    """Cut the concatenation of index ranges into ``parts`` runs of equal length.
-
-    Each run is a list of (start, stop) subranges; empty runs are dropped.
-    """
-    cuts = [0]
-    for start, stop in ranges:
-        cuts.append(cuts[-1] + stop - start)
-    bounds = [cuts[-1] * i // parts for i in range(parts + 1)]
-    runs = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        run = [(start + max(lo - off, 0), start + min(hi - off, stop - start))
-               for (start, stop), off in zip(ranges, cuts)
-               if max(lo, off) < min(hi, off + stop - start)]
-        if run:
-            runs.append(run)
-    return runs
-
-
 def brute_spectrum(code: GabidulinCode, r: int = 1,
-                   cap: int = DEFAULT_CODEWORD_CAP,
-                   threads: int = 1):
+                   cap: int = DEFAULT_CODEWORD_CAP):
     """Rank-weight distribution of the r-th extension code by enumeration.
 
     One codeword per projective class is ranked.  Write Q_r = Q^r.  The
@@ -106,9 +84,8 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
     s digits, the indices Q_r^s + x for 0 <= x < Q_r^s: they are exactly
     the k ranges [Q_r^s, 2 Q_r^s), s = 0..k-1.  The kernel spans the
     codewords of these ranges by XOR from the unit-message codewords and
-    ranks their entries as uint64 words by min-reduction; the ranges are
-    cut into runs of equal length over at most ``os.cpu_count()``
-    threads.  Other characteristics walk the representatives on the field
+    ranks their entries as uint64 words by min-reduction, one call per
+    range.  Other characteristics walk the representatives on the field
     tables of F_{Q_r} and F_q and rank each codeword with
     ``rank_support``.
     """
@@ -125,18 +102,8 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
         return [1] + [0] * n
     if code.q == 2:
         basis = _binary_basis(code, tower, ext_level)
-
-        def tally(run):
-            return sum(_kernels.spectrum_counts(basis, start, stop)
-                       for start, stop in run)
-
-        ranges = [(Qt**s, 2 * Qt**s) for s in range(k)]
-        threads = min(threads, os.cpu_count() or 1)
-        if threads <= 1:
-            classes = tally(ranges)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                classes = sum(pool.map(tally, _split_ranges(ranges, threads)))
+        classes = sum(_kernels.spectrum_counts(basis, Qt**s, 2 * Qt**s)
+                      for s in range(k))
     else:
         gf_ext = GF(tower, ext_level)
         gf_base = GF(tower, code.q_level)

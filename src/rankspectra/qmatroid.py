@@ -411,9 +411,9 @@ class QMatroid:
                     zero_steps.append((L, XL))
             S = X
             for L, XL in zero_steps:
-                if S.contains(L):
-                    continue
                 T = S.sum(L)
+                if T is S:  # L already lies in S
+                    continue
                 rT = self.rank(T)
                 if rT < rX:
                     return violation("P2", S, T)

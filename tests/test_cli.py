@@ -227,22 +227,35 @@ def test_nonpositive_r_rejected(capsys, r):
     assert status == 2
 
 
-def run_module(*argv, timeout=120):
-    """``python -m rankspectra.cli ARGV`` in a subprocess; a hang fails the test."""
+def run_python(*argv, timeout=120):
+    """``python ARGV`` in a subprocess that imports this checkout's package;
+    a hang fails the test."""
     package_root = str(Path(rankspectra.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
-    return subprocess.run(
-        [sys.executable, "-m", "rankspectra.cli", *argv],
-        capture_output=True, env=env, timeout=timeout,
-    )
+    return subprocess.run([sys.executable, *argv],
+                          capture_output=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout=120):
+    """``python -m rankspectra.cli ARGV`` in a subprocess."""
+    return run_python("-m", "rankspectra.cli", *argv, timeout=timeout)
 
 
 def test_module_entry_point():
     proc = run_module("analyze", EXAMPLE)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spectrum"]["A"] == [1, 15, 420, 2460, 1200]
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the CLI runs in one thread, so its start-up does not pay for the
+    # executor machinery
+    proc = run_python("-c", "import sys, rankspectra.cli; "
+                      "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
 
 
 @pytest.mark.parametrize("doc,status", [

@@ -64,9 +64,38 @@ def test_range_partition_across_chunk_boundary():
     assert list(head - parts[0]) == list(window)
 
 
+def test_class_ranges_sum_to_whole():
+    # [0, 1) and the doubling ranges [2^a, 2^(a+1)) partition all 2^18
+    # indices; each range sizes its own low table, and from a = 16 on the
+    # ranges span several 2^16-message chunks
+    basis = _toy_basis(k=2, mtilde=9, n=4)
+    parts = [_kernels.spectrum_counts(basis, 0, 1)]
+    parts += [_kernels.spectrum_counts(basis, 1 << a, 2 << a) for a in range(18)]
+    assert list(sum(parts)) == list(_kernels.spectrum_counts(basis))
+    assert list(parts[0]) == [1, 0, 0, 0, 0]
+
+
+def test_low_table_sized_to_range(monkeypatch):
+    # the one-word range [1, 2) reads columns 0 and 1 only: one doubling of
+    # the table, not 16
+    widths = []
+    hstack = np.hstack
+
+    def recording(arrays):
+        out = hstack(arrays)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(_kernels.np, "hstack", recording)
+    basis = _toy_basis(k=2, mtilde=9, n=4)
+    assert list(_kernels.spectrum_counts(basis, 1, 2)) == list(_reference(basis, 9, 1, 2))
+    assert widths == [2]
+
+
 def test_empty_range():
     basis = _toy_basis()
     assert list(_kernels.spectrum_counts(basis, 3, 3)) == [0, 0, 0, 0]
+    assert list(_kernels.spectrum_counts(basis, 0, 0)) == [0, 0, 0, 0]
 
 
 def test_out_of_bounds_range():

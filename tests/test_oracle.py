@@ -111,36 +111,6 @@ def test_brute_spectrum_classes_match_whole_range(Q, r, k, n, seed):
     assert brute_spectrum(code, r) == [int(c) for c in whole]
 
 
-def test_brute_spectrum_threads(example_code):
-    for r in (1, 2):
-        single = brute_spectrum(example_code, r, threads=1)
-        multi = brute_spectrum(example_code, r, threads=3)
-        assert single == multi
-
-
-def test_brute_spectrum_threads_clamped(example_code, monkeypatch):
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    single = brute_spectrum(example_code, 1, threads=1)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
-    assert brute_spectrum(example_code, 1, threads=10**6) == single
-    assert workers == [2]
-
-
 def test_brute_spectrum_cap(example_code):
     with pytest.raises(ResourceLimitError) as err:
         brute_spectrum(example_code, 2, cap=1000)
