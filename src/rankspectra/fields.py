@@ -325,11 +325,27 @@ class FieldTower:
                 return i
         return None
 
+    def _has_root(self, f, level):
+        """Whether the polynomial f (little-endian) vanishes at some element."""
+        if f[0] == 0:
+            return True
+        add, mul = self.add, self.mul
+        for x in range(1, self.sizes[level]):
+            value = 0
+            for c in reversed(f):
+                value = add(mul(value, x, level), c, level)
+            if value == 0:
+                return True
+        return False
+
     def find_irreducible(self, degree: int, level: int = -1):
         """Encoding-minimal monic irreducible polynomial of ``degree`` over ``level``.
 
         Candidates are scanned by increasing integer encoding of the
         non-leading coefficient vector, so the result is deterministic.
+        A candidate of degree >= 2 with a root in the field has a linear
+        factor, so it is skipped by Horner evaluation at every element;
+        the gcd test still decides every candidate that survives.
         """
         level = self._idx(level)
         if degree < 1:
@@ -338,6 +354,8 @@ class FieldTower:
         for enc in range(size**degree):
             coeffs = [(enc // size**i) % size for i in range(degree)]
             f = tuple(coeffs) + (1,)
+            if degree >= 2 and self._has_root(f, level):
+                continue
             if self._reducible_factor_degree(f, level) is None:
                 return f
         raise StructuralError("no irreducible polynomial found")  # pragma: no cover

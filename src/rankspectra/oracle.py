@@ -149,43 +149,84 @@ def brute_higher(code: GabidulinCode, i: int,
     return counts
 
 
+def _halves(values: np.ndarray, t: int):
+    """Views of a per-mask array at the masks without and with bit t, aligned
+    so that entry i of the second is mask (entry i of the first) | 1 << t."""
+    blocks = values.reshape(-1, 2, 1 << t)
+    return blocks[:, 0, :], blocks[:, 1, :]
+
+
+def _check_ground_size(size: int) -> None:
+    if size > _BITMASK_GROUND_LIMIT:
+        raise ResourceLimitError(
+            f"classical ground set of {size} points exceeds the bitmask limit",
+            required=size, cap=_BITMASK_GROUND_LIMIT,
+        )
+
+
 class ClassicalMatroid:
     """Matroid on the projective points of the ambient space of a q-matroid.
 
     Ground set: the one-dimensional subspaces in enumeration order, as
     bitmask positions; rank of a point set = q-matroid rank of its span.
+
+    The rank of every point set is built once, as an int8 array over all
+    2^N masks, by giving each distinct span an id.  Mask 0 has the zero
+    span, id 0.  A mask below 2^(t+1) with bit t set is m + 2^t for some
+    m < 2^t, and its span is span(m) + P_t, so
+
+        ids[2^t : 2^(t+1)] = lut_t[ids[:2^t]],  lut_t[u] = id(spans[u] + P_t).
+
+    The spans known before step t are exactly the spans of the subsets of
+    points 0..t-1, the masks below 2^t, so lut_t ranges over them alone.
+    This costs at most (#subspaces x N) ``Subspace.sum`` calls and one
+    ``M.rank`` per distinct nonzero span, instead of one sum per mask.
+    Popcounts come from the same doubling.  Every read below (rank, dual
+    rank, closure, flats, dual cycles) is an array operation or a lookup
+    on these two arrays.
+
+    The oracle stays independent of the q-flat scan and of the subspace
+    table: it reads only the points of ``enumerate_subspaces(..., 1)``,
+    ``Subspace.sum`` and ``M.rank``, and builds flats and cycles from the
+    classical definitions.
     """
 
     def __init__(self, M: QMatroid, seed: int = 0):
+        size = gaussian_binomial(M.n, 1, M.q)
+        _check_ground_size(size)
         self.M = M
         self.points = list(enumerate_subspaces(M.gf, M.n, 1, cap=None))
-        size = len(self.points)
-        if size > _BITMASK_GROUND_LIMIT:
-            raise ResourceLimitError(
-                f"classical ground set of {size} points exceeds the bitmask limit",
-                required=size, cap=_BITMASK_GROUND_LIMIT,
-            )
         self.size = size
         self.full_mask = (1 << size) - 1
-        self._span_memo = {0: Subspace.zero(M.gf, M.n)}
-        self._rank_memo = {0: 0}
-        self.full_rank = self.rank(self.full_mask)
+        spans = [Subspace.zero(M.gf, M.n)]
+        index = {spans[0]: 0}
+        span_ranks = [0]
+        ids = np.zeros(1 << size, dtype=np.int32)
+        pop = np.zeros(1 << size, dtype=np.int8)
+        for t, P in enumerate(self.points):
+            lut = np.empty(len(spans), dtype=np.int32)
+            for u in range(len(spans)):
+                S = spans[u]
+                T = S.sum(P)
+                if T is S:
+                    lut[u] = u
+                    continue
+                v = index.get(T)
+                if v is None:
+                    v = index[T] = len(spans)
+                    spans.append(T)
+                    span_ranks.append(M.rank(T))
+                lut[u] = v
+            low = 1 << t
+            ids[low:2 * low] = lut[ids[:low]]
+            pop[low:2 * low] = pop[:low] + 1
+        self._ranks = np.array(span_ranks, dtype=np.int8)[ids]
+        self._pop = pop
+        self.full_rank = int(self._ranks[-1])
         self._spot_check_axioms(seed)
 
-    def _span(self, mask: int) -> Subspace:
-        span = self._span_memo.get(mask)
-        if span is None:
-            t = (mask & -mask).bit_length() - 1
-            span = self._span(mask ^ 1 << t).sum(self.points[t])
-            self._span_memo[mask] = span
-        return span
-
     def rank(self, mask: int) -> int:
-        value = self._rank_memo.get(mask)
-        if value is None:
-            value = self.M.rank(self._span(mask))
-            self._rank_memo[mask] = value
-        return value
+        return int(self._ranks[mask])
 
     def dual_rank(self, mask: int) -> int:
         return bin(mask).count("1") + self.rank(self.full_mask ^ mask) - self.full_rank
@@ -193,65 +234,58 @@ class ClassicalMatroid:
     def dual_nullity(self, mask: int) -> int:
         return bin(mask).count("1") - self.dual_rank(mask)
 
+    def _dual_nullities(self) -> np.ndarray:
+        """Dual nullity of every mask: |m| - rho*(m) = rho(E) - rho(E - m)."""
+        return self.full_rank - self._ranks[::-1]
+
     def closure(self, mask: int) -> int:
-        r = self.rank(mask)
+        ranks = self._ranks
+        r = ranks[mask]
         out = mask
         for t in range(self.size):
-            if not (mask >> t & 1) and self.rank(mask | 1 << t) == r:
+            if not (mask >> t & 1) and ranks[mask | 1 << t] == r:
                 out |= 1 << t
         return out
 
     def flats(self):
-        """All flats, found as closures grown point by point from the bottom."""
-        found = {self.closure(0)}
-        frontier = list(found)
-        while frontier:
-            nxt = []
-            for F in frontier:
-                for t in range(self.size):
-                    if F >> t & 1:
-                        continue
-                    G = self.closure(F | 1 << t)
-                    if G not in found:
-                        found.add(G)
-                        nxt.append(G)
-            frontier = nxt
-        return sorted(found)
+        """All flats: the masks to which no point can be added at equal rank."""
+        closed = np.ones(self.full_mask + 1, dtype=bool)
+        for t in range(self.size):
+            without, with_t = _halves(self._ranks, t)
+            open_t, _ = _halves(closed, t)
+            open_t &= without != with_t
+        return np.flatnonzero(closed).tolist()
 
     def dual_cycles(self):
         """Sets minimal among subsets of their dual nullity, with that nullity.
 
         Equivalent single-deletion test: every one-element deletion keeps
-        the dual rank (so the nullity drops).  Full subset scan.
+        the dual rank (so the nullity drops).  One vector test per point
+        over all masks; ascending mask order, the empty set first.
         """
-        out = []
-        for mask in range(self.full_mask + 1):
-            if mask == 0:
-                out.append((0, 0))
-                continue
-            r = self.dual_rank(mask)
-            if bin(mask).count("1") == r:
-                continue
-            ok = True
-            for t in range(self.size):
-                if mask >> t & 1 and self.dual_rank(mask ^ 1 << t) != r:
-                    ok = False
-                    break
-            if ok:
-                out.append((mask, self.dual_nullity(mask)))
-        return out
+        nullity = self._dual_nullities()
+        dual = self._pop - nullity
+        ok = nullity != 0
+        for t in range(self.size):
+            without, with_t = _halves(dual, t)
+            _, ok_t = _halves(ok, t)
+            ok_t &= with_t == without
+        ok[0] = True
+        masks = np.flatnonzero(ok)
+        return list(zip(masks.tolist(), nullity[masks].tolist()))
 
     def _spot_check_axioms(self, seed: int, pairs: int = 200):
         rng = random.Random(seed)
+        ranks = self._ranks.tolist()
         for _ in range(pairs):
             A = rng.randrange(self.full_mask + 1)
             B = rng.randrange(self.full_mask + 1)
-            rA, rB = self.rank(A), self.rank(B)
+            rA, rB = ranks[A], ranks[B]
             if not (0 <= rA <= bin(A).count("1")):
                 raise StructuralError(f"classical rank bound fails on {A:b}")
-            if self.rank(A | B) < max(rA, rB):
+            if ranks[A | B] < max(rA, rB):
                 raise StructuralError("classical rank not monotone")
-            if self.rank(A | B) + self.rank(A & B) > rA + rB:
+            if ranks[A | B] + ranks[A & B] > rA + rB:
                 raise StructuralError(
                     f"classical submodularity fails on {A:b}, {B:b}")
 
@@ -339,16 +373,20 @@ def inclusion_exclusion_poly(M: QMatroid, U: Subspace,
     s = U.dim
     if s == 0:
         return WeightPolynomial([1])
-    restricted = M.restrict(U)
-    cl = ClassicalMatroid(restricted)
-    if cl.size > max_points:
+    size = gaussian_binomial(s, 1, M.q)
+    _check_ground_size(size)
+    if size > max_points:
         raise ResourceLimitError(
-            f"{cl.size} points exceed the inclusion-exclusion limit",
-            required=cl.size, cap=max_points,
+            f"{size} points exceed the inclusion-exclusion limit",
+            required=size, cap=max_points,
         )
-    coeffs = [0] * (restricted.full_rank + 1)
+    cl = ClassicalMatroid(M.restrict(U))
+    nullity = cl._dual_nullities()
+    length = cl.full_rank + 1
+    if nullity.min() < 0 or nullity.max() >= length:
+        raise StructuralError("classical rank outside [0, full rank]")
+    parity = (cl._pop & 1).astype(bool)
+    even = np.bincount(nullity[~parity], minlength=length).tolist()
+    odd = np.bincount(nullity[parity], minlength=length).tolist()
     global_sign = (-1) ** cl.size
-    for mask in range(cl.full_mask + 1):
-        sign = global_sign * (-1) ** bin(mask).count("1")
-        coeffs[cl.dual_nullity(mask)] += sign
-    return WeightPolynomial(coeffs)
+    return WeightPolynomial([global_sign * (e - o) for e, o in zip(even, odd)])

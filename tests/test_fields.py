@@ -141,3 +141,25 @@ def test_find_irreducible_deterministic():
     t = prime_field(2)
     f = t.find_irreducible(4)
     assert f == (1, 1, 0, 0, 1)
+
+
+def gcd_only_irreducible(tower, degree, level):
+    # the candidate scan with the gcd test alone, no root filter
+    size = tower.sizes[level]
+    for enc in range(size**degree):
+        f = tuple((enc // size**i) % size for i in range(degree)) + (1,)
+        if tower._reducible_factor_degree(f, level) is None:
+            return f
+    return None
+
+
+@pytest.mark.parametrize("tower", [
+    pytest.param(prime_field(2), id="F2"),
+    pytest.param(prime_field(3), id="F3"),
+    pytest.param(prime_field(2).extend([1, 1, 1]), id="F4"),
+    pytest.param(prime_field(2).extend([1, 1, 0, 0, 1]), id="F16"),
+])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_find_irreducible_matches_gcd_scan(tower, degree):
+    level = tower.top_level
+    assert tower.find_irreducible(degree, level) == gcd_only_irreducible(tower, degree, level)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankspectra import (
+    GF,
     GabidulinCode,
+    Subspace,
     InputError,
     ResourceLimitError,
     _kernels,
@@ -17,6 +19,7 @@ from rankspectra import (
     higher_spectra,
     oracle,
     prime_field,
+    qmatroid_from_code,
     rank_weight,
     uniform_qmatroid,
     virtual_betti_table,
@@ -171,6 +174,175 @@ def test_classical_dual_cycles_uniform(uniform24):
     cycles = cl.dual_cycles()
     sizes = sorted(bin(mask).count("1") for mask, _ in cycles)
     assert sizes == [0] + [14] * 15 + [15]
+
+
+class ScalarClassical:
+    """Reference classical matroid: one span per mask by a memoized walk,
+    flats grown by closures from the bottom, dual cycles by a full scan."""
+
+    def __init__(self, M):
+        self.M = M
+        self.points = list(enumerate_subspaces(M.gf, M.n, 1, cap=None))
+        self.size = len(self.points)
+        self.full_mask = (1 << self.size) - 1
+        self._span_memo = {0: Subspace.zero(M.gf, M.n)}
+        self._rank_memo = {0: 0}
+        self.full_rank = self.rank(self.full_mask)
+
+    def _span(self, mask):
+        span = self._span_memo.get(mask)
+        if span is None:
+            t = (mask & -mask).bit_length() - 1
+            span = self._span(mask ^ 1 << t).sum(self.points[t])
+            self._span_memo[mask] = span
+        return span
+
+    def rank(self, mask):
+        value = self._rank_memo.get(mask)
+        if value is None:
+            value = self.M.rank(self._span(mask))
+            self._rank_memo[mask] = value
+        return value
+
+    def dual_rank(self, mask):
+        return bin(mask).count("1") + self.rank(self.full_mask ^ mask) - self.full_rank
+
+    def dual_nullity(self, mask):
+        return bin(mask).count("1") - self.dual_rank(mask)
+
+    def closure(self, mask):
+        r = self.rank(mask)
+        out = mask
+        for t in range(self.size):
+            if not (mask >> t & 1) and self.rank(mask | 1 << t) == r:
+                out |= 1 << t
+        return out
+
+    def flats(self):
+        found = {self.closure(0)}
+        frontier = list(found)
+        while frontier:
+            nxt = []
+            for F in frontier:
+                for t in range(self.size):
+                    if not F >> t & 1:
+                        G = self.closure(F | 1 << t)
+                        if G not in found:
+                            found.add(G)
+                            nxt.append(G)
+            frontier = nxt
+        return sorted(found)
+
+    def dual_cycles(self):
+        out = [(0, 0)]
+        for mask in range(1, self.full_mask + 1):
+            r = self.dual_rank(mask)
+            if bin(mask).count("1") == r:
+                continue
+            if all(self.dual_rank(mask ^ 1 << t) == r
+                   for t in range(self.size) if mask >> t & 1):
+                out.append((mask, self.dual_nullity(mask)))
+        return out
+
+
+def scalar_inclusion_exclusion(M, U):
+    # the subset alternation one mask at a time, on the reference matroid
+    if U.dim == 0:
+        return (1,)
+    restricted = M.restrict(U)
+    cl = ScalarClassical(restricted)
+    coeffs = [0] * (restricted.full_rank + 1)
+    for mask in range(cl.full_mask + 1):
+        sign = (-1) ** (cl.size + bin(mask).count("1"))
+        coeffs[cl.dual_nullity(mask)] += sign
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.fixture(params=["uniform24", "example", "mrd", "U13_F3"])
+def classical_case(request, uniform24, example_code, mrd_code):
+    # fresh matroids, so both walks start from a cold rank memo
+    return {"uniform24": lambda: uniform24,
+            "example": lambda: qmatroid_from_code(example_code),
+            "mrd": lambda: qmatroid_from_code(mrd_code),
+            "U13_F3": lambda: uniform_qmatroid(1, 3, 3)}[request.param]()
+
+
+def test_classical_matroid_matches_scalar_walk(classical_case):
+    M = classical_case
+    cl, ref = ClassicalMatroid(M), ScalarClassical(M)
+    assert cl.points == ref.points
+    assert cl.full_rank == ref.full_rank
+    assert [cl.rank(m) for m in range(cl.full_mask + 1)] == \
+        [ref.rank(m) for m in range(ref.full_mask + 1)]
+    assert cl.dual_cycles() == ref.dual_cycles()
+    assert cl.flats() == ref.flats()
+    assert all(cl.closure(m) == ref.closure(m) for m in range(0, cl.full_mask + 1, 97))
+    for s in range(min(2, M.n) + 1):
+        for U in enumerate_subspaces(M.gf, M.n, s):
+            assert inclusion_exclusion_poly(M, U).coeffs == scalar_inclusion_exclusion(M, U)
+
+
+def test_classical_matroid_work_bounded(monkeypatch, example_code):
+    # one sum per (known span, point) and one rank per distinct span: the
+    # 67 subspaces of F_2^4 times 15 points; one sum per mask would be 32767
+    M = qmatroid_from_code(example_code)
+    sums = ranks = 0
+    original_sum, original_rank = Subspace.sum, M._rank_fn
+
+    def counted_sum(self, other):
+        nonlocal sums
+        sums += 1
+        return original_sum(self, other)
+
+    def counted_rank(X):
+        nonlocal ranks
+        ranks += 1
+        return original_rank(X)
+
+    monkeypatch.setattr(Subspace, "sum", counted_sum)
+    M._rank_fn = counted_rank
+    cl = ClassicalMatroid(M)
+    assert cl.size == 15
+    assert 0 < sums <= 67 * 15
+    assert 0 < ranks <= 67
+
+
+class Enumerated(Exception):
+    """Raised by a stand-in for the enumerations: the oracle got past its
+    size checks."""
+
+
+def test_classical_ground_set_capped_before_enumeration(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(oracle, "enumerate_subspaces", enumerate_nothing)
+    # 2^30 - 1 points of F_2^30 are counted, not listed
+    with pytest.raises(ResourceLimitError) as err:
+        ClassicalMatroid(uniform_qmatroid(1, 30, 2))
+    assert (err.value.required, err.value.cap) == (2**30 - 1, oracle._BITMASK_GROUND_LIMIT)
+    with pytest.raises(Enumerated):
+        ClassicalMatroid(uniform_qmatroid(2, 4, 2))
+
+
+def test_inclusion_exclusion_capped_before_build(monkeypatch):
+    # a plane over F_q has q + 1 points: refused before the restriction's
+    # classical matroid walks its 2^(q+1) masks
+    def build_nothing(*args, **kwargs):
+        raise Enumerated
+
+    planes = {q: (uniform_qmatroid(1, 2, q), Subspace.full(GF.of_order(q), 2))
+              for q in (16, 32)}
+    monkeypatch.setattr(oracle, "enumerate_subspaces", build_nothing)
+    monkeypatch.setattr(oracle, "ClassicalMatroid", build_nothing)
+    for q, limits in ((16, (17, 15)), (32, (33, oracle._BITMASK_GROUND_LIMIT))):
+        with pytest.raises(ResourceLimitError) as err:
+            inclusion_exclusion_poly(*planes[q])
+        assert (err.value.required, err.value.cap) == limits
+    with pytest.raises(Enumerated):
+        inclusion_exclusion_poly(*planes[16], max_points=17)
 
 
 def test_lattice_isomorphism_uniform(uniform24):
