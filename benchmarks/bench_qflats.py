@@ -3,14 +3,16 @@
 Times a cold ``QMatroid.qflats()``, then a cold ``rank_profile()`` on a
 fresh copy of the matroid, and ``build_cycle_lattice``, on U(3,6), U(3,7)
 and U(3,8) over F_2 and on the seed-1 random k=3 codes of length 6 over
-F_64, 7 over F_128 and 8 over F_256 (``random_code`` of
-``perfbench/workloads.py``; the n=6 code is the ``code_q2_n6`` benchmark
-input).  The n = 8 rungs run with a subspace cap of 2*10^8, since their
-line steps pass the default cap.  Prints seconds, flat counts and the peak
-RSS of the process, and writes them to ``benchmarks/BENCH_qflats.json``
-with the run metadata.  Exits non-zero if a uniform Betti table differs
-from its closed form, or if the q-flats of an n <= 7 rung differ from the
-scalar ``is_qflat`` scan over all subspaces.  Run from the repository root:
+F_64 and F_512, 7 over F_128 and 8 over F_256 (``random_code`` of
+``perfbench/workloads.py``; the n=6 code over F_64 is the ``code_q2_n6``
+benchmark input, and F_512 is the smallest field past the Q x Q product
+tables of ``linalg``).  The n = 8 rungs run with a subspace cap of 2*10^8,
+since their line steps pass the default cap.  Prints seconds, flat counts
+and the peak RSS of the process, and writes them to
+``benchmarks/BENCH_qflats.json`` with the run metadata.  Exits non-zero if
+a uniform Betti table differs from its closed form, or if the q-flats of
+an n <= 7 rung differ from the scalar ``is_qflat`` scan over all
+subspaces.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
@@ -91,6 +93,7 @@ def main():
     rungs = [
         bench_uniform(3, 6, mismatches),
         bench_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6, mismatches),
+        bench_code("code_F512_n6", [1, 1, 0, 0, 0, 0, 0, 0, 0, 1], 6, mismatches),
         bench_uniform(3, 7, mismatches),
         bench_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7, mismatches),
         bench_uniform(3, 8, mismatches, N8_CAP),

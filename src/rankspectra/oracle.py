@@ -275,11 +275,17 @@ class ClassicalMatroid:
         return list(zip(masks.tolist(), nullity[masks].tolist()))
 
     def _spot_check_axioms(self, seed: int, pairs: int = 200):
-        rng = random.Random(seed)
+        """Rank bound, monotonicity and submodularity on ordered mask pairs:
+        every pair when there are at most ``pairs`` of them, else ``pairs``
+        seeded draws."""
         ranks = self._ranks.tolist()
-        for _ in range(pairs):
-            A = rng.randrange(self.full_mask + 1)
-            B = rng.randrange(self.full_mask + 1)
+        masks = self.full_mask + 1
+        if masks * masks <= pairs:
+            draws = product(range(masks), repeat=2)
+        else:
+            rng = random.Random(seed)
+            draws = ((rng.randrange(masks), rng.randrange(masks)) for _ in range(pairs))
+        for A, B in draws:
             rA, rB = ranks[A], ranks[B]
             if not (0 <= rA <= bin(A).count("1")):
                 raise StructuralError(f"classical rank bound fails on {A:b}")

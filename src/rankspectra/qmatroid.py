@@ -8,16 +8,19 @@ q-flats, q-cycles and restriction are all derived from the rank oracle,
 which is memoized per canonical subspace; the lines of F_q^n, the
 q-flats and the rank profile are kept after their first scan.
 
-Over F_2 the q-flats and the rank profile are read off one
-``SubspaceTable`` per matroid: the int RREF rows of every subspace as
-arrays, with a rank array per dimension.  Two sources rank a whole
-dimension at once: a code over F_Q with Q <= 256 eliminates the images
-G y^T of all its row sets together over F_Q, and U(k, n) fills in
+A code ranks one subspace through ``mat_mul`` and ``mat_rank`` over its
+field, the same for every q.  Over F_2 the q-flats, the rank profile and
+the axiom check read the ranks off one ``SubspaceTable`` per matroid: the
+int RREF rows of every subspace as arrays, with a rank array per
+dimension.  Two sources rank a whole dimension at once: a code over F_Q
+with Q <= 4096 eliminates the images G y^T of all its row sets together
+over F_Q, through the exp/log tables of F_Q, and U(k, n) fills in
 min(d, k).  Every other rank function (``dual``, ``restrict``, a plain
-function) fills the arrays through ``rank``, one subspace at a time.
-Over larger fields both scans walk the subspaces one ``Subspace`` at a
-time, the flats through the line steps of ``is_qflat``; that walk, and
-the scalar ``rho_binary``, stay the reference for F_2.
+function, a code over a larger field) fills the arrays through ``rank``,
+one subspace at a time.  Over larger base fields the scans walk the
+subspaces one ``Subspace`` at a time, the flats through the line steps of
+``is_qflat``; that walk, and the single-subspace ``rho``, stay the
+reference for F_2.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
 from .linalg import (
-    _TABLE_LIMIT,
     DEFAULT_SUBSPACE_CAP,
     GF,
     Subspace,
@@ -43,6 +45,9 @@ from .linalg import (
     rank_support,
 )
 from .subspace_table import SubspaceTable
+
+# largest binary code field whose q-matroid ranks whole arrays of subspaces
+_BATCH_LIMIT = 4096
 
 
 class GabidulinCode:
@@ -110,36 +115,29 @@ class GabidulinCode:
         return cls(tower, q_level, code_level, rows)
 
     @cached_property
-    def _packed_columns(self) -> tuple[int, ...]:
-        """Column j of G as one int, entry i in bits i*w .. i*w + w - 1, Q = 2^w.
-
-        Read by the F_2 rank oracle, where F_Q addition is XOR on these
-        bit fields; built on first use.
-        """
-        width = self.Q.bit_length() - 1
-        return tuple(sum(row[j] << width * i for i, row in enumerate(self.G))
-                     for j in range(self.n))
-
-    @cached_property
     def _image_tables(self):
-        """(phi, mul, inv) for the batched F_2 rank oracle; built on first use.
+        """(phi, exp, log) for the batched F_2 rank oracle; built on first use.
 
         phi[y] = G y^T over F_Q for each of the 2^n vectors y of F_2^n, as
-        a (2^n, k) uint8 array: phi[y + 2^j] = phi[y] XOR column j, one XOR
-        per entry.  mul and inv are the product and inverse tables of F_Q
-        (inv[0] = 0), read off the exp/log of its primitive element.
+        a (2^n, k) array of the smallest unsigned dtype that holds F_Q:
+        phi[y + 2^j] = phi[y] XOR column j, one XOR per entry.  With g the
+        primitive element of ``exp_log``, ab = exp[log a + log b]: exp holds
+        g^0 .. g^(Q-2) twice and then zeros, 4Q + 1 entries in all, and
+        log[0] = 2Q points into the zeros, so a product with a zero factor
+        reads 0 (log a + log b lies in [2Q, 4Q]).  log is int16: for
+        Q <= ``_BATCH_LIMIT`` every such sum stays below 2^15.
         """
         gf = self.gf_code
+        Q = gf.size
+        dtype = np.min_scalar_type(Q - 1)
         exp, log = exp_log(gf.tower, gf.level)
-        exp2, log = np.array(exp + exp, np.uint8), np.array(log)
-        mul = exp2[log[:, None] + log]
-        mul[0] = mul[:, 0] = 0
-        inv = np.zeros(gf.size, np.uint8)
-        inv[1:] = exp2[-log[1:] % (gf.size - 1)]
-        phi = np.zeros((1, self.k), np.uint8)
-        for column in np.array(self.G, np.uint8).T:
+        exp = np.array(exp + exp + [0] * (2 * Q + 3), dtype)
+        log = np.array(log, np.int16)
+        log[0] = 2 * Q
+        phi = np.zeros((1, self.k), dtype)
+        for column in np.array(self.G, dtype).T:
             phi = np.concatenate([phi, phi ^ column])
-        return phi, mul, inv
+        return phi, exp, log
 
     def codeword(self, message):
         """Word u . G for a message over the code field (or an extension of it)."""
@@ -343,24 +341,27 @@ class QMatroid:
         """q-Matroid on the chart of U whose conullity agrees with this one.
 
         The chart is the RREF basis of U; conullity (and hence every
-        downstream lattice quantity) is chart-independent.
-        """
-        s = U.dim
-        gf = self.gf
+        downstream lattice quantity) is chart-independent.  The rank is the
+        double dual within the chart, in closed form.  Write U(V) for the
+        embedding of a chart subspace V and s = dim U.  Conullity pins the
+        dual rank, rho*_U(V) = dim V - rho(E) + rho(U(V)^perp), and
 
-        def restricted_conullity(V: Subspace) -> int:
-            return self.conullity(U.embed_subspace(V))
+            rho_U(W) = dim W + rho*_U(W^perp) - rho*_U(chart),
+
+        with W^perp taken in the chart.  The embedded whole chart is U, so
+        rho*_U(chart) = s - rho(E) + rho(U^perp); expanding both terms,
+        dim W, s and rho(E) cancel:
+
+            rho_U(W) = rho(U(W^perp)^perp) - rho(U^perp),
+
+        and rho(U^perp) is ranked once, here.
+        """
+        offset = self.rank(U.complement())
 
         def rho(W: Subspace) -> int:
-            # rho_U = double dual within the chart: conullity pins rho*_U,
-            # and rho_U(W) = dim W + rho*_U(W^perp) - rho*_U(chart).
-            def rho_star(V: Subspace) -> int:
-                return V.dim - restricted_conullity(V)
+            return self.rank(U.embed_subspace(W.complement()).complement()) - offset
 
-            full = Subspace.full(gf, s)
-            return W.dim + rho_star(W.complement()) - rho_star(full)
-
-        return QMatroid(gf, s, rho, name=f"{self.name}|U")
+        return QMatroid(self.gf, U.dim, rho, name=f"{self.name}|U")
 
     # -- axiom verification ---------------------------------------------
 
@@ -384,11 +385,18 @@ class QMatroid:
         along matched chains (A meet B -> A and B -> A + B) gives P3.
 
         The line steps are counted against ``cap`` before any enumeration.
+        Over F_2 every rank comes from the ranked subspace table first, whose
+        rows follow the order of ``all_subspaces``, so the walk reads the
+        memo alone.
 
         Returns {"ok": bool, "violation": description-or-None}.
         """
         self._check_step_count(cap)
+        if self.q == 2:
+            ranks = np.concatenate(self._ranked_table(cap)[1]).tolist()
         subs = list(all_subspaces(self.gf, self.n, cap=cap))
+        if self.q == 2:
+            self._memo.update(zip(subs, ranks, strict=True))
         for X in subs:
             r = self.rank(X)
             if not (0 <= r <= X.dim):
@@ -426,44 +434,20 @@ class QMatroid:
 def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
     """rho(U) = rank over F_{q^m} of G Y^T, Y the RREF basis of U.
 
-    Over F_2 the rows of Y are ints and addition in F_{2^m} is XOR on the
-    encodings, so column r of G Y^T is the XOR of the generator columns
-    at the set bits of row r, each column packed into one int (see
-    ``GabidulinCode._packed_columns``); those columns are ranked as rows,
-    a matrix having the rank of its transpose.
+    Base-field encodings embed into the code field unchanged, so the
+    coordinate rows of U are read as rows over F_{q^m}.  A binary code over
+    at most ``_BATCH_LIMIT`` elements also ranks arrays of subspaces at
+    once, through ``_code_rank_rows``.
     """
-    gf_q = GF(code.tower, code.q_level)
-    gf_code = code.gf_code
-    G = code.G
+    gf_code, G = code.gf_code, code.G
 
     def rho(U: Subspace) -> int:
         if U.dim == 0:
             return 0
-        # tuple rows (q > 2); base-field encodings embed into the code field unchanged
-        Yt = tuple(zip(*U.rows))
-        return mat_rank(gf_code, mat_mul(gf_code, G, Yt))
+        return mat_rank(gf_code, mat_mul(gf_code, G, tuple(zip(*U.coordinate_rows()))))
 
-    width = gf_code.size.bit_length() - 1
-    digit, shifts = gf_code.size - 1, range(0, width * code.k, width)
-
-    def rho_binary(U: Subspace) -> int:
-        if U.dim == 0:
-            return 0
-        columns = code._packed_columns
-        cols = []
-        for row in U.rows:
-            col = 0
-            while row:
-                low = row & -row
-                col ^= columns[low.bit_length() - 1]
-                row ^= low
-            cols.append(tuple([col >> t & digit for t in shifts]))
-        return mat_rank(gf_code, cols)
-
-    if gf_q.size != 2:
-        return QMatroid(gf_q, code.n, rho, name="code")
-    M = QMatroid(gf_q, code.n, rho_binary, name="code")
-    if gf_code.size <= _TABLE_LIMIT:
+    M = QMatroid(code.gf_q, code.n, rho, name="code")
+    if M.q == 2 and code.Q <= _BATCH_LIMIT:
         M._rank_rows = partial(_code_rank_rows, code)
     return M
 
@@ -474,10 +458,11 @@ def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
     The d images phi[y] of each row set form a d x k matrix over F_Q with
     the rank of G Y^T; all N are eliminated at once, one pass per column:
     the first unused row with a nonzero entry there is the pivot, and every
-    row drops its multiple of it.  That zeroes the pivot row, which, like
-    the earlier pivots, is never read again.
+    row drops its multiple of it, the factor entry / pivot being
+    exp[log entry + Q - 1 - log pivot], one column at a time.  That zeroes
+    the pivot row, which, like the earlier pivots, is never read again.
     """
-    phi, mul, inv = code._image_tables
+    phi, exp, log = code._image_tables
     images = phi[rows]
     count, d, k = images.shape
     rank = np.zeros(count, np.int8)
@@ -485,14 +470,18 @@ def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
         return rank
     unused = np.ones((count, d), bool)
     at = np.arange(count)
+    zero = log[0]
     for c in range(k):
         column = images[:, :, c]
         pivot = (unused & (column != 0)).argmax(axis=1)
         found = unused[at, pivot] & (column[at, pivot] != 0)
         unused[at[found], pivot[found]] = False
-        prow = images[at, pivot, c:]
-        factor = mul[column, inv[prow[:, :1]]] * found[:, None]
-        images[:, :, c:] ^= mul[factor[:, :, None], prow[:, None, :]]
+        # the pivot row and the factors as logs
+        prow = log[images[at, pivot, c:]]
+        factor = np.where(found[:, None], log[column] + (code.Q - 1) - prow[:, :1], zero)
+        factor = log[exp[factor]]
+        for j in range(c, k):
+            images[:, :, j] ^= exp[factor + prow[:, j - c, None]]
         rank += found
     return rank
 

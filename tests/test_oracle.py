@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from rankspectra import (
     GF,
     GabidulinCode,
+    QMatroid,
     Subspace,
     InputError,
     ResourceLimitError,
+    StructuralError,
     _kernels,
     build_cycle_lattice,
     cli,
@@ -413,3 +415,15 @@ def test_pipeline_matches_brute_force(Q, k, n, seed):
     assert report["spectrum"]["A"] == brute_spectrum(model.code, 1)
     for i in range(min(2, k) + 1):
         assert report["higher"][i] == brute_higher(model.code, i)
+
+
+def test_spot_check_reads_every_pair_of_three_points():
+    # submodularity fails on the points {P0}, {P1} alone: rho(P0 + P1) + rho(0)
+    # = 1 > rho(P0) + rho(P1) = 0, seen by 2 of the 64 ordered mask pairs;
+    # 200 draws from seed 420 miss both
+    gf = GF.of_order(2)
+    P0, P1, _ = enumerate_subspaces(gf, 2, 1)
+    M = QMatroid(gf, 2, lambda X: 0 if X.dim == 0 or X in (P0, P1) else 1)
+    for seed in [*range(21), 420]:
+        with pytest.raises(StructuralError, match="submodularity"):
+            ClassicalMatroid(M, seed)

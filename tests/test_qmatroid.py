@@ -126,6 +126,49 @@ def test_restriction_preserves_conullity(example_matroid):
         break
 
 
+def _double_dual_restriction(M, U):
+    # the restriction by its definition: the double dual within the chart,
+    # whose dual rank the conullity of M pins
+    def rho_star(V):
+        return V.dim - M.conullity(U.embed_subspace(V))
+
+    full = Subspace.full(M.gf, U.dim)
+    return lambda W: W.dim + rho_star(W.complement()) - rho_star(full)
+
+
+def _seed1_code_q3_n5():
+    # the seed-1 code_q3_n5 benchmark input: k=2, n=5 over F_243, redrawn
+    # from one stream until the generator has full rank
+    tower = prime_field(3).extend([1, 2, 0, 0, 0, 1])
+    rng = random.Random("code_q3_n5/1")
+    while True:
+        gen = [[rng.randrange(243) for _ in range(5)] for _ in range(2)]
+        try:
+            return GabidulinCode(tower, 0, 1, gen)
+        except InputError:
+            continue
+
+
+@pytest.mark.parametrize("make", [
+    lambda example, mrd: example.qmatroid(),
+    lambda example, mrd: mrd.qmatroid(),  # the code of tests/data/mrd_2_4.json
+    lambda example, mrd: _seed1_code_q3_n5().qmatroid(),
+    lambda example, mrd: uniform_qmatroid(2, 4, 3),
+], ids=["example", "mrd_2_4", "code_q3_n5", "U(2,4) over F_3"])
+def test_restriction_closed_form_matches_double_dual(make, example_code, mrd_code):
+    M = make(example_code, mrd_code)
+    rng = random.Random(0)
+    pairs = 0
+    for s in range(4):
+        charts = list(enumerate_subspaces(M.gf, M.n, s))
+        for U in rng.sample(charts, min(24, len(charts))):
+            restricted, reference = M.restrict(U), _double_dual_restriction(M, U)
+            for W in all_subspaces(M.gf, s):
+                assert restricted.rank(W) == reference(W)
+                pairs += 1
+    assert pairs >= 391
+
+
 def test_restriction_is_qmatroid(example_matroid):
     M = example_matroid
     U = next(enumerate_subspaces(M.gf, 4, 3))

@@ -21,6 +21,7 @@ from rankspectra import (
     subspace_table,
     uniform_qmatroid,
 )
+from rankspectra.linalg import exp_log
 from rankspectra.subspace_table import SubspaceTable
 
 
@@ -69,23 +70,56 @@ def test_covers_are_the_sums_with_lines(n):
             assert len(cover) == len(expected) and {above[i] for i in cover} == expected
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(m=st.integers(2, 8), n=st.integers(1, 5), data=st.data())
-def test_batched_code_ranks_match_scalar(m, n, data):
-    tower = binary_tower(m)
-    k = data.draw(st.integers(1, n))
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
+def random_binary_code(m, n, k, rng):
     while True:
         gen = [[rng.randrange(2**m) for _ in range(n)] for _ in range(k)]
         try:
-            M = GabidulinCode(tower, 0, 1, gen).qmatroid()
-            break
+            return GabidulinCode(binary_tower(m), 0, 1, gen)
         except InputError:
             continue
-    assert M._rank_rows is not None
-    for s, rows in enumerate(table(n).rows):
-        scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, n, s)]
-        assert M._rank_rows(rows).tolist() == scalar
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(n=st.integers(1, 5), data=st.data())
+def test_batched_code_ranks_match_scalar(n, data):
+    # the exp/log batch against the single-subspace rho (mat_mul + mat_rank)
+    # over every field F_4 .. F_4096; above F_256 the scalar side runs on
+    # tower arithmetic, so n <= 4 there
+    for m in range(2, 13):
+        length = min(n, 4) if m > 8 else n
+        k = data.draw(st.integers(1, length))
+        code = random_binary_code(m, length, k, random.Random(data.draw(st.integers(0, 2**32))))
+        M = code.qmatroid()
+        assert M._rank_rows is not None
+        for s, rows in enumerate(table(length).rows):
+            scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, length, s)]
+            assert M._rank_rows(rows).tolist() == scalar
+
+
+def test_verify_axioms_reads_batched_ranks(example_code):
+    # over F_2 the axiom walk reads the batch's ranks and ranks nothing itself
+    M = example_code.qmatroid()
+    rho, calls = M._rank_fn, []
+
+    def counted(X):
+        calls.append(X)
+        return rho(X)
+
+    M._rank_fn = counted
+    assert M.verify_axioms() == {"ok": True, "violation": None}
+    assert calls == []
+    assert all(r == rho(X) for X, r in M._memo.items())
+
+
+def test_batch_stops_at_its_field_limit():
+    rng = random.Random(1)
+    assert random_binary_code(12, 3, 2, rng).qmatroid()._rank_rows is not None
+    M = random_binary_code(13, 3, 2, rng).qmatroid()
+    assert M._rank_rows is None
+    # ranked one subspace at a time, with no exp/log table of F_8192
+    misses = exp_log.cache_info().misses
+    assert sum(M.rank_profile().values()) == 16
+    assert exp_log.cache_info().misses == misses
 
 
 def _corrupted(dim, rank):
