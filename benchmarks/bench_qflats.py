@@ -1,18 +1,20 @@
-"""Benchmark the q-flat scan, the rank profile and the cycle lattice.
+"""Benchmark the q-flat scan, the cycle lattice, the rank profile and the
+axiom check.
 
-Times a cold ``QMatroid.qflats()``, then a cold ``rank_profile()`` on a
-fresh copy of the matroid, and ``build_cycle_lattice``, on U(3,6), U(3,7)
-and U(3,8) over F_2 and on the seed-1 random k=3 codes of length 6 over
-F_64 and F_512, 7 over F_128 and 8 over F_256 (``random_code`` of
-``perfbench/workloads.py``; the n=6 code over F_64 is the ``code_q2_n6``
-benchmark input, and F_512 is the smallest field past the Q x Q product
-tables of ``linalg``).  The n = 8 rungs run with a subspace cap of 2*10^8,
-since their line steps pass the default cap.  Prints seconds, flat counts
-and the peak RSS of the process, and writes them to
-``benchmarks/BENCH_qflats.json`` with the run metadata.  Exits non-zero if
-a uniform Betti table differs from its closed form, or if the q-flats of
-an n <= 7 rung differ from the scalar ``is_qflat`` scan over all
-subspaces.  Run from the repository root:
+Times a cold ``QMatroid.qflats()``, ``build_cycle_lattice``, then a cold
+``rank_profile()`` and a cold ``verify_axioms()``, each on a fresh copy of
+the matroid, on U(3,6), U(3,7) and U(3,8) over F_2 and on the seed-1
+random k=3 codes of length 6 over F_64 and F_512, 7 over F_128 and 8 over
+F_256 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over
+F_64 is the ``code_q2_n6`` benchmark input, and F_512 is the smallest
+field past the Q x Q product tables of ``linalg``).  The n = 8 rungs run
+with a subspace cap of 2*10^8, since their line steps pass the default
+cap.  Prints seconds, flat counts and the peak RSS of the process, and
+writes them to ``benchmarks/BENCH_qflats.json`` with the run metadata.
+Exits non-zero if a uniform Betti table differs from its closed form, if
+the axiom check fails, or if the q-flats of an n <= 7 rung differ from
+the scalar ``is_qflat`` scan over all subspaces.  Run from the repository
+root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
@@ -59,16 +61,20 @@ def bench(label, make, mismatches, cap=None):
     built = time.perf_counter()
     make().rank_profile(**kwargs)
     profiled = time.perf_counter()
+    if not make().verify_axioms(**kwargs)["ok"]:
+        mismatches.append(f"{label}: the q-matroid axioms fail")
+    verified = time.perf_counter()
     print(f"{label}: {len(flats)} q-flats in {scanned - start:.3f} s, "
           f"lattice in {built - scanned:.3f} s, cold rank profile in "
-          f"{profiled - built:.3f} s")
+          f"{profiled - built:.3f} s, cold axiom check in {verified - profiled:.3f} s")
     if M.n <= 7:
         R = QMatroid(M.gf, M.n, M._rank_fn)
         if flats != tuple(X for X in all_subspaces(R.gf, R.n) if R.is_qflat(X)):
             mismatches.append(f"{label}: q-flats differ from the is_qflat scan")
     rung = {"rung": label, "flats": len(flats), "qflats_s": round(scanned - start, 4),
             "lattice_s": round(built - scanned, 4),
-            "rank_profile_s": round(profiled - built, 4)}
+            "rank_profile_s": round(profiled - built, 4),
+            "verify_axioms_s": round(verified - profiled, 4)}
     return rung, lattice
 
 

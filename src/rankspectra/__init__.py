@@ -1,5 +1,14 @@
 """Weight spectra of rank-metric codes via lattices of q-cycles."""
 
+import os
+import sys
+
+# Every array operation here is on integers and none calls BLAS, so an
+# OpenBLAS loaded by the first ``import numpy`` need not start its worker
+# threads; a value already in the environment is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import InputError, ResourceLimitError, StructuralError

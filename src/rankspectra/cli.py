@@ -18,11 +18,16 @@ import json
 import math
 import sys
 
-from . import __version__, oracle
+from . import __version__
 from .errors import InputError, ResourceLimitError, StructuralError
 from .fields import prime_field
 from .lattice import build_cycle_lattice, virtual_betti_table
-from .linalg import DEFAULT_SUBSPACE_CAP, enumerate_subspaces, gaussian_binomial
+from .linalg import (
+    DEFAULT_CODEWORD_CAP,
+    DEFAULT_SUBSPACE_CAP,
+    enumerate_subspaces,
+    gaussian_binomial,
+)
 from .qmatroid import GabidulinCode, uniform_qmatroid
 from .spectra import (
     cross_checked_weights,
@@ -298,12 +303,20 @@ def run_verification(model: Model, level: str, cap: int | None,
     return checks
 
 
+# The oracle checks import ``oracle`` (and its enumeration kernel) as they
+# run, so no other command loads it.
+
+
 def verify_iso_summary(M, cap):
+    from . import oracle
+
     report = oracle.verify_lattice_isomorphism(M, cap=cap)
     return {"flats": report["flats"], "cycles": report["cycles"]}
 
 
 def check_inclusion_exclusion(M, polys, cap):
+    from . import oracle
+
     for s in range(min(2, M.n) + 1):
         total = [0] * (M.full_rank + 1)
         for U in enumerate_subspaces(M.gf, M.n, s, cap=cap):
@@ -317,6 +330,8 @@ def check_inclusion_exclusion(M, polys, cap):
 
 
 def check_brute_spectrum(model, polys, cap_codewords):
+    from . import oracle
+
     out = {}
     for r in (1, 2):
         if model.Q ** (r * model.code.k) > cap_codewords:
@@ -331,6 +346,8 @@ def check_brute_spectrum(model, polys, cap_codewords):
 
 
 def check_brute_higher(model, higher, cap):
+    from . import oracle
+
     for i in range(min(2, model.code.k) + 1):
         brute = oracle.brute_higher(model.code, i, cap=cap)
         if brute != higher[i]:
@@ -348,7 +365,7 @@ def _add_common(parser):
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--cap-codewords", type=int,
-                        default=oracle.DEFAULT_CODEWORD_CAP)
+                        default=DEFAULT_CODEWORD_CAP)
     parser.add_argument("--cap-subspaces", "--max-subspaces", type=int,
                         dest="cap_subspaces", default=DEFAULT_SUBSPACE_CAP)
 

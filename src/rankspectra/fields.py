@@ -16,6 +16,8 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import InputError, StructuralError
 
 # Constructed fields are capped at 2**31 elements; this is a desk-scale
@@ -326,14 +328,25 @@ class FieldTower:
         return None
 
     def _has_root(self, f, level):
-        """Whether the polynomial f (little-endian) vanishes at some element."""
+        """Whether the polynomial f (little-endian) vanishes at some element.
+
+        A level small enough for the dense tables of ``linalg`` evaluates
+        through them; a larger one through the tower arithmetic.
+        """
         if f[0] == 0:
             return True
-        add, mul = self.add, self.mul
+        # imported here: linalg imports this module
+        from .linalg import _TABLE_LIMIT, _table_ops
+
+        if self.sizes[level] <= _TABLE_LIMIT:
+            add, _, _, mul, _ = _table_ops(self, level)
+        else:
+            add = partial(self.add, level=level)
+            mul = partial(self.mul, level=level)
         for x in range(1, self.sizes[level]):
             value = 0
             for c in reversed(f):
-                value = add(mul(value, x, level), c, level)
+                value = add(mul(value, x), c)
             if value == 0:
                 return True
         return False

@@ -36,6 +36,7 @@ from .errors import InputError, ResourceLimitError
 from .fields import MAX_FIELD_SIZE, FieldTower, prime_field
 
 DEFAULT_SUBSPACE_CAP = 10**7
+DEFAULT_CODEWORD_CAP = 1 << 24
 _TABLE_LIMIT = 256
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, ResourceLimitError, StructuralError
 from .linalg import (
+    DEFAULT_CODEWORD_CAP,
     DEFAULT_SUBSPACE_CAP,
     GF,
     Subspace,
@@ -27,7 +28,6 @@ from .linalg import (
 from .qmatroid import GabidulinCode, QMatroid
 from .spectra import WeightPolynomial
 
-DEFAULT_CODEWORD_CAP = 1 << 24
 # ``ClassicalMatroid.dual_cycles`` walks all 2^points subsets, so the limit
 # bounds that work (2^20 subsets), not just the mask width: the 31 points
 # of a q = 2, n = 5 ground set would take 2^31 steps
@@ -130,21 +130,26 @@ def brute_higher(code: GabidulinCode, i: int,
 
     The rank support of a subcode is the sum of the supports of any basis
     (entrywise scaling acts invertibly on the expansion rows), so only
-    basis codewords are expanded.
+    basis codewords are expanded.  Each basis is an RREF, whose rows are
+    messages with a leading 1, shared by many subcodes and by every i: the
+    support of each row is ranked once per code, through ``rank_support``,
+    and kept on the code.
     """
     if not (0 <= i <= code.k):
         raise InputError(f"subcode dimension {i} out of range")
     n = code.n
     if i == 0:
         return [1] + [0] * n
-    gf_code = code.gf_code
+    supports = code._row_supports
     counts = [0] * (n + 1)
-    for D in enumerate_subspaces(gf_code, code.k, i, cap=cap):
+    for D in enumerate_subspaces(code.gf_code, code.k, i, cap=cap):
         support = Subspace.zero(code.gf_q, n)
         for message in D.rows:
-            word = code.codeword(message)
-            support = support.sum(
-                rank_support(code.tower, code.code_level, code.q_level, word))
+            row = supports.get(message)
+            if row is None:
+                row = supports[message] = rank_support(
+                    code.tower, code.code_level, code.q_level, code.codeword(message))
+            support = support.sum(row)
         counts[support.dim] += 1
     return counts
 

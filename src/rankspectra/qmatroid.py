@@ -77,6 +77,9 @@ class GabidulinCode:
             raise InputError("generator entry out of range for the code field")
         if self.k and mat_rank(self.gf_code, self.G) != self.k:
             raise InputError("generator matrix does not have full rank")
+        # rank support of the codeword of each message row, filled and read
+        # by ``oracle.brute_higher`` across its calls
+        self._row_supports: dict = {}
 
     @property
     def q(self) -> int:
@@ -384,14 +387,48 @@ class QMatroid:
         rho(A + y) <= rho(A + x + y) <= rho(A + x) + 1.  Summing steps
         along matched chains (A meet B -> A and B -> A + B) gives P3.
 
+        Over F_2 the walk above runs only when the closure-pointer pass of
+        ``SubspaceTable.closures`` over the ranked table fails, so that it
+        reports its witness; the pass decides.  Its checks are (P1), steps
+        in {0, 1} on every cover X + v, and ptr[X + v] = ptr[X] on every
+        cover with step 0, ptr[X] being X when there is none and else ptr
+        of the first.  By induction from the top, ptr[X] contains X and,
+        through a chain of step-0 covers, has the rank of X.  The pass
+        accepts exactly when the walk does:
+
+        - If the walk accepts, M is a q-matroid and cl is its closure
+          operator (Byrne, Ceria and Jurrius, "Constructions of new
+          q-cryptomorphisms", JCTB 2022).  For a step-0 cover X + v,
+          cl(X + v) = cl X: by diminishing returns each step-0 line of X
+          is a step-0 line of X + v or lies in X + v, so cl X <= cl(X + v);
+          and cl(X + v) has rank rho(X + v) = rho(X), so by monotonicity
+          each of its lines is a step 0 at X or lies in X, so
+          cl(X + v) <= cl X.  By induction from the top ptr[X] = cl X, as
+          a subspace with no step-0 cover is a flat and points to itself,
+          and the closure test passes.
+        - If the pass accepts, each step-0 line L of X lies in X + L <=
+          ptr[X + L] = ptr[X], so every S and T of the fold lies between X
+          and ptr[X].  Steps >= 0 on every cover make rho monotone, so
+          rho(X) <= rho(T) <= rho(ptr[X]) = rho(X), and the walk accepts.
+
         The line steps are counted against ``cap`` before any enumeration.
-        Over F_2 every rank comes from the ranked subspace table first, whose
-        rows follow the order of ``all_subspaces``, so the walk reads the
-        memo alone.
 
         Returns {"ok": bool, "violation": description-or-None}.
         """
         self._check_step_count(cap)
+        if self.q == 2:
+            table, ranks = self._ranked_table(cap)
+            if table.closures(ranks) is not None:
+                return {"ok": True, "violation": None}
+        return self._axiom_walk(cap)
+
+    def _axiom_walk(self, cap: int | None) -> dict:
+        """The scalar walk of ``verify_axioms`` over ``Subspace`` objects.
+
+        Over F_2 every rank comes from the ranked subspace table first, whose
+        rows follow the order of ``all_subspaces``, so the walk reads the
+        memo alone.
+        """
         if self.q == 2:
             ranks = np.concatenate(self._ranked_table(cap)[1]).tolist()
         subs = list(all_subspaces(self.gf, self.n, cap=cap))

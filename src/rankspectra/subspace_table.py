@@ -172,6 +172,46 @@ class SubspaceTable:
             out.append(np.flatnonzero(flat))
         return out
 
+    def closures(self, ranks) -> list[np.ndarray] | None:
+        """Per dimension, the key of each subspace's closure pointer, given
+        the rank array of each dimension; None as soon as a check fails.
+
+        The dimensions are walked from n down to 0, each pivot block over
+        all its covers X + v at once, in chunks of ``CHUNK`` pairs.  With
+        d = rho(X + v) - rho(X), the checks are 0 <= rho(X) <= dim X, d in
+        {0, 1} on every cover, and ptr[X + v] == ptr[X] on every cover with
+        d = 0, where ptr[X] is X itself when no cover has d = 0 and else
+        ptr[X + v] for the first cover that has.  ``QMatroid.verify_axioms``
+        proves that these checks pass exactly on the q-matroids, and then
+        ptr[X] is the closure of X, so its fixed points are the q-flats.
+        """
+        ptr = [None] * (self.n + 1)
+        for s in range(self.n, -1, -1):
+            rank = ranks[s]
+            if ((rank < 0) | (rank > s)).any():
+                return None
+            ptr[s] = self.keys[s].copy()
+            if s == self.n:
+                continue
+            for pivots, lo, hi in self.blocks[s]:
+                vs = self.cover_vectors(pivots)
+                step = max(1, CHUNK // len(vs))
+                for i in range(lo, hi, step):
+                    part = np.arange(i, min(i + step, hi))
+                    cover = self.cover_index(s, pivots, part, vs)
+                    d = ranks[s + 1][cover] - rank[part, None]
+                    zero = d == 0
+                    if not (zero | (d == 1)).all():
+                        return None
+                    up = ptr[s + 1][cover]
+                    first = zero.argmax(axis=1)
+                    at = np.arange(len(part))
+                    own = np.where(zero[at, first], up[at, first], ptr[s][part])
+                    if not ((up == own[:, None]) | ~zero).all():
+                        return None
+                    ptr[s][part] = own
+        return ptr
+
     @staticmethod
     def profile(ranks) -> Counter:
         """c(d, r) over the rank arrays."""

@@ -112,9 +112,10 @@ def test_rank_profile_built_once(monkeypatch, capsys):
     assert status == 0
     # read by the Betti/Moebius identity for s = 0..4, then by the weights
     assert calls["rank_profile"] == 5 + 1
-    # one subspace scan for the axioms, and one table, enumerated once per
-    # dimension of F_2^4, for the q-flats and the profile
-    assert calls["all_subspaces"] == 1
+    # no scalar subspace scan, since the axioms pass on the table, and one
+    # table, enumerated once per dimension of F_2^4, for the axioms, the
+    # q-flats and the profile
+    assert calls["all_subspaces"] == 0
     assert calls["binary_subspace_rows"] == 5
 
 
@@ -256,6 +257,27 @@ def test_cli_import_loads_no_thread_pool():
                       "print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == b"False"
+
+
+def test_cli_import_leaves_oracle_out():
+    # only the oracle checks of ``verify --level full`` load the oracle
+    proc = run_python("-c", "import sys, rankspectra.cli; "
+                      "print('rankspectra.oracle' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
+
+
+@pytest.mark.parametrize("setup,expected", [
+    ("os.environ.pop('OPENBLAS_NUM_THREADS', None)", b"1"),
+    ("os.environ['OPENBLAS_NUM_THREADS'] = '3'", b"3"),
+    # numpy already loaded its BLAS, so the variable would change nothing
+    ("os.environ.pop('OPENBLAS_NUM_THREADS', None); import numpy", b"None"),
+], ids=["unset", "user-value", "numpy-first"])
+def test_import_sets_one_blas_thread(setup, expected):
+    proc = run_python("-c", f"import os; {setup}; import rankspectra; "
+                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 @pytest.mark.parametrize("doc,status", [

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankspectra import InputError, prime_field
+from rankspectra import InputError, linalg, prime_field
 from rankspectra.fields import FieldTower
 
 
@@ -163,3 +163,19 @@ def gcd_only_irreducible(tower, degree, level):
 def test_find_irreducible_matches_gcd_scan(tower, degree):
     level = tower.top_level
     assert tower.find_irreducible(degree, level) == gcd_only_irreducible(tower, degree, level)
+
+
+@pytest.mark.parametrize("tower", [
+    pytest.param(prime_field(2), id="F2"),
+    pytest.param(prime_field(2).extend([1, 1, 1]), id="F4"),
+    pytest.param(prime_field(2).extend([1, 1, 0, 0, 1]), id="F16"),
+    pytest.param(prime_field(3), id="F3"),
+    pytest.param(prime_field(3).extend([1, 0, 1]), id="F9"),
+])
+def test_root_filter_tables_match_tower_arithmetic(monkeypatch, tower):
+    # the root filter evaluates through the dense tables of linalg; with
+    # their limit at 1 it falls back to the recursive tower arithmetic
+    level = tower.top_level
+    fast = [tower.find_irreducible(degree, level) for degree in (2, 3, 4)]
+    monkeypatch.setattr(linalg, "_TABLE_LIMIT", 1)
+    assert fast == [tower.find_irreducible(degree, level) for degree in (2, 3, 4)]

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from rankspectra import (
     enumerate_subspaces,
     gaussian_binomial,
     higher_spectra,
+    linalg,
     oracle,
     prime_field,
     qmatroid_from_code,
@@ -37,6 +39,8 @@ from rankspectra.oracle import (
     inclusion_exclusion_poly,
     verify_lattice_isomorphism,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_brute_spectrum_example_r1(example_code):
@@ -151,6 +155,36 @@ def test_brute_higher_totals(example_code):
 def test_brute_higher_mrd(mrd_code):
     # the d+1 column of the top row is the full Gaussian count
     assert brute_higher(mrd_code, 2) == [0, 0, 0, 0, 1]
+
+
+def uncached_higher(code, i):
+    """``brute_higher`` with every basis codeword ranked where it occurs."""
+    counts = [0] * (code.n + 1)
+    for D in enumerate_subspaces(code.gf_code, code.k, i):
+        support = Subspace.zero(code.gf_q, code.n)
+        for message in D.rows:
+            support = support.sum(linalg.rank_support(
+                code.tower, code.code_level, code.q_level, code.codeword(message)))
+        counts[support.dim] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name,ranked", [("example_code.json", 273), ("mrd_2_4.json", 17)])
+def test_brute_higher_ranks_each_message_row_once(monkeypatch, name, ranked):
+    # the rows of the RREF bases over F_16^k with a leading 1: 1 + 16 + 256
+    # for k = 3, shared by the 273 lines and the 273 planes; 1 + 16 for k = 2
+    code = cli.parse_spec_source((DATA / name).read_bytes())[0].code
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return linalg.rank_support(*args)
+
+    monkeypatch.setattr(oracle, "rank_support", counted)
+    counts = [brute_higher(code, i) for i in range(3)]
+    assert calls == ranked
+    assert counts == [uncached_higher(code, i) for i in range(3)]
 
 
 def test_classical_matroid_ranks(uniform24):

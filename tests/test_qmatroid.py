@@ -278,6 +278,29 @@ def test_verify_axioms_sum_calls_bounded(monkeypatch):
     assert M.verify_axioms()["ok"]
 
 
+def test_verify_axioms_sum_calls_bounded_q3(monkeypatch):
+    # the same bound where the scalar walk decides: over F_2 the closure
+    # pass makes no ``sum`` calls at all
+    M = uniform_qmatroid(2, 4, 3)
+    subs = sum(1 for _ in all_subspaces(M.gf, 4))
+    lines = sum(1 for _ in enumerate_subspaces(M.gf, 4, 1))
+    bound = subs * (lines + 4)
+    assert bound == 212 * 44
+    calls = 0
+    original = Subspace.sum
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise AssertionError(f"verify_axioms made more than {bound} sum calls")
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "sum", counted)
+    assert M.verify_axioms()["ok"]
+    assert calls > subs
+
+
 class Enumerated(Exception):
     """Raised by a stand-in for the subspace enumerations: the scan got past
     its checks."""

@@ -1,8 +1,11 @@
 """The indexed F_2 subspace table against the scalar subspace walk."""
 
+import json
 import random
+import sys
 from collections import Counter
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from rankspectra import (
     QMatroid,
     ResourceLimitError,
     all_subspaces,
+    cli,
     enumerate_subspaces,
     prime_field,
     subspace_table,
@@ -170,3 +174,75 @@ def test_profile_cap_checked_after_table_built():
     with pytest.raises(ResourceLimitError) as err:
         M.rank_profile(cap=5)
     assert (err.value.required, err.value.cap) == (15, 5)
+
+
+# -- the closure-pointer axiom pass against the scalar walk -----------------
+
+
+@cache
+def subspace_list(n):
+    return list(all_subspaces(GF.of_order(2), n))
+
+
+def perturbed_matroid(seed):
+    """A uniform or F_16-code q-matroid on F_2^3..F_2^5 with up to three
+    ranks moved by -1, +1 or +2, kept inside [0, dim] when one of the two
+    fits, and ranked through a shared table."""
+    rng = random.Random(seed)
+    n = 3 + seed % 3
+    if rng.random() < 0.5:
+        base = uniform_qmatroid(rng.randrange(n + 1), n, 2)
+    else:
+        base = random_binary_code(4, n, rng.randint(1, 3), rng).qmatroid()
+    T = table(n)
+    sizes = [len(rows) for rows in T.rows]
+    flat = np.concatenate([base._rank_rows(rows) for rows in T.rows]).astype(np.int64)
+    dims = np.repeat(np.arange(n + 1), sizes)
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(flat))
+        delta = rng.choice([-1, 1, 2])
+        flat[i] += delta if 0 <= flat[i] + delta <= dims[i] else -delta
+    M = QMatroid(base.gf, n, dict(zip(subspace_list(n), flat.tolist())).__getitem__)
+    M._table = T, np.split(flat, np.cumsum(sizes)[:-1])
+    return M
+
+
+def test_closure_pass_matches_scalar_walk():
+    verdicts = []
+    for seed in range(400):
+        M = perturbed_matroid(seed)
+        T, ranks = M._table
+        ptr = T.closures(ranks)
+        verdicts.append(ptr is not None)
+        assert verdicts[-1] == M._axiom_walk(None)["ok"], seed
+        if ptr is not None:
+            # on a q-matroid the fixed points are the q-flats
+            fixed = [np.flatnonzero(p == keys) for p, keys in zip(ptr, T.keys)]
+            assert all(np.array_equal(a, b) for a, b in zip(fixed, T.flats(ranks)))
+    assert 50 < sum(verdicts) < 350
+
+
+def seed1_code(label, m_extension, n):
+    """The seed-1 k=3 benchmark code, parsed as the CLI parses it."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import random_code
+    finally:
+        sys.path.pop(0)
+    spec = random_code(1, label, 2, m_extension, 3, n)
+    return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_qmatroid(3, 6, 2),
+    lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
+    lambda: seed1_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7),
+], ids=["U(3,6)", "code_q2_n6", "code_q2_n7"])
+def test_closure_fixed_points_are_qflats(make):
+    M = make()
+    T, ranks = M._ranked_table(None)
+    ptr = T.closures(ranks)
+    fixed = tuple(X for s, (p, keys) in enumerate(zip(ptr, T.keys))
+                  for X in T.subspaces(M.gf, s, np.flatnonzero(p == keys)))
+    assert fixed == M.qflats()
+    assert M.verify_axioms() == {"ok": True, "violation": None}
