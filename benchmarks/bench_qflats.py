@@ -9,12 +9,14 @@ F_256 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over
 F_64 is the ``code_q2_n6`` benchmark input, and F_512 is the smallest
 field past the Q x Q product tables of ``linalg``).  The n = 8 rungs run
 with a subspace cap of 2*10^8, since their line steps pass the default
-cap.  Prints seconds, flat counts and the peak RSS of the process, and
-writes them to ``benchmarks/BENCH_qflats.json`` with the run metadata.
-Exits non-zero if a uniform Betti table differs from its closed form, if
-the axiom check fails, or if the q-flats of an n <= 7 rung differ from
-the scalar ``is_qflat`` scan over all subspaces.  Run from the repository
-root:
+cap.  Prints seconds, flat counts, the cover edges of the cycle lattice
+and the peak RSS of the process, and writes them to
+``benchmarks/BENCH_qflats.json`` with the run metadata.  Exits non-zero if
+a uniform Betti table differs from its closed form, if the axiom check
+fails, or if on an n <= 7 rung the q-flats differ from the scalar
+``is_qflat`` scan over all subspaces or the lattice, built from the cover
+edges of the flat scan, differs from the point-mask containment lattice
+over the same nodes.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
@@ -25,6 +27,7 @@ import sys
 import time
 
 from rankspectra import (
+    CycleLattice,
     QMatroid,
     all_subspaces,
     build_cycle_lattice,
@@ -51,7 +54,7 @@ def code_matroid(label, m_extension, n):
 
 def bench(label, make, mismatches, cap=None):
     """Time the scans on fresh matroids from ``make``; n <= 7 is checked
-    against the scalar scan."""
+    against the scalar scan and the point-mask lattice."""
     kwargs = {} if cap is None else {"cap": cap}
     M = make()
     start = time.perf_counter()
@@ -64,14 +67,21 @@ def bench(label, make, mismatches, cap=None):
     if not make().verify_axioms(**kwargs)["ok"]:
         mismatches.append(f"{label}: the q-matroid axioms fail")
     verified = time.perf_counter()
+    edges = sum(map(len, M.flat_covers(**kwargs)))
     print(f"{label}: {len(flats)} q-flats in {scanned - start:.3f} s, "
-          f"lattice in {built - scanned:.3f} s, cold rank profile in "
-          f"{profiled - built:.3f} s, cold axiom check in {verified - profiled:.3f} s")
+          f"lattice ({edges} cover edges) in {built - scanned:.3f} s, cold rank "
+          f"profile in {profiled - built:.3f} s, cold axiom check in "
+          f"{verified - profiled:.3f} s")
     if M.n <= 7:
         R = QMatroid(M.gf, M.n, M._rank_fn)
         if flats != tuple(X for X in all_subspaces(R.gf, R.n) if R.is_qflat(X)):
             mismatches.append(f"{label}: q-flats differ from the is_qflat scan")
-    rung = {"rung": label, "flats": len(flats), "qflats_s": round(scanned - start, 4),
+        ref = CycleLattice(M, [F.complement() for F in flats],
+                           [M.full_rank - M.rank(F) for F in flats])
+        if (lattice.nodes, lattice.nullity, lattice.below) != (ref.nodes, ref.nullity, ref.below):
+            mismatches.append(f"{label}: the cover lattice differs from point-mask containment")
+    rung = {"rung": label, "flats": len(flats), "cover_edges": edges,
+            "qflats_s": round(scanned - start, 4),
             "lattice_s": round(built - scanned, 4),
             "rank_profile_s": round(profiled - built, 4),
             "verify_axioms_s": round(verified - profiled, 4)}

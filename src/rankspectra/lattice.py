@@ -6,8 +6,21 @@ and Pellikaan, "Defining the q-analogue of a matroid", 2018): for a line
 L outside X^perp, the hyperplane (X^perp + L)^perp of X keeps the dual
 rank of X iff L raises the rank of X^perp by one.  The nullity of X in M*
 is k - rho(X^perp), so one scan of the q-flats of M gives every node.
-It is checked on its cover edges, and by the top node of each bitset of
-common lower bounds, which must be the whole set below that node.
+
+Over F_2 the order is built from cover edges.  The flats that cover a
+flat F are the closures cl(F + v) of its covers F + v in F_2^n (Byrne,
+Ceria and Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022),
+and X |-> X^perp reverses inclusion, so node F^perp covers the nodes G^perp
+of those closures.  ``QMatroid.flat_covers`` reads them off the closure
+pointers of the flat scan, and the down-sets follow in one pass in
+nullity order.  Those pointers are closures only on a q-matroid: codes
+and U(k, n) are q-matroids by theorem (Jurrius and Pellikaan), and any
+other rank function must pass the closure pass of ``verify_axioms``
+first, run once per matroid, or the lattice raises StructuralError.
+Over larger fields, and for nodes passed in directly, the order is
+point-mask containment, which stays the test reference.  Either way the
+lattice is checked on its cover edges, and by the top node of each bitset
+of common lower bounds, which must be the whole set below that node.
 Moebius values on the lattice, and on its collapsed versions
 (all nodes of rank <= l identified with the bottom), stand in for the
 graded Betti numbers of the associated simplicial-complex resolutions:
@@ -45,36 +58,77 @@ def _point_mask(X, index) -> int:
 
 
 class CycleLattice:
-    """q-cycles of M* ordered by inclusion; rank of a node = its nullity."""
+    """q-cycles of M* ordered by inclusion; rank of a node = its nullity.
 
-    def __init__(self, matroid: QMatroid, nodes, nullities):
+    ``covers[i]``, when given, lists the nodes that node i covers, and the
+    order is the transitive closure of these edges.  Without them it is
+    point-mask containment, which the test suite keeps as the reference.
+    """
+
+    def __init__(self, matroid: QMatroid, nodes, nullities, covers=None):
         self.matroid = matroid
         self.n = matroid.n
         self.q = matroid.q
         self.k = matroid.full_rank
-        order = sorted(range(len(nodes)), key=lambda i: (
-            nullities[i], nodes[i].dim, nodes[i].coordinate_rows()))
+        if self.q == 2:
+            # bit-reversed int rows compare as the coordinate rows do
+            rev = [int(f"{v:0{self.n}b}"[::-1], 2) for v in range(1 << self.n)]
+            order = sorted(range(len(nodes)), key=lambda i: (
+                nullities[i], nodes[i].dim, tuple(map(rev.__getitem__, nodes[i].rows))))
+        else:
+            order = sorted(range(len(nodes)), key=lambda i: (
+                nullities[i], nodes[i].dim, nodes[i].coordinate_rows()))
         self.nodes = [nodes[i] for i in order]
         self.nullity = [nullities[i] for i in order]
         self.dims = [X.dim for X in self.nodes]
-        # X contains Y iff every projective point of Y lies in X; points are
-        # bits, indexed by their RREF rows in the matroid's line tuple
+        if covers is None:
+            self.below = self._contained_below(matroid)
+        else:
+            self.below = self._closed_below([covers[i] for i in order], order)
+        self._mobius = {}
+        self._validate()
+
+    def _contained_below(self, matroid):
+        """below[i] from point-mask containment.
+
+        X contains Y iff every projective point of Y lies in X; points are
+        bits, indexed by their RREF rows in the matroid's line tuple.
+        Strictly below i: a smaller node whose points lie in i's, or an
+        equal copy of i, which Jordan-Dedekind then rejects.
+        """
         index = {P.rows[0]: t for t, P in enumerate(matroid.lines())}
         masks = [_point_mask(X, index) for X in self.nodes]
-        # strictly below i: a smaller node whose points lie in i's, or an
-        # equal copy of i, which Jordan-Dedekind then rejects
         copies: dict[int, list[int]] = {}
         by_dim: dict[int, list[int]] = {}
         for j, (mj, dj) in enumerate(zip(masks, self.dims)):
             copies.setdefault(mj, []).append(j)
             by_dim.setdefault(dj, []).append(j)
-        self.below = []
+        below = []
         for i, (mi, di) in enumerate(zip(masks, self.dims)):
             lower = [j for d in range(di) for j in by_dim.get(d, ())
                      if masks[j] & mi == masks[j]]
-            self.below.append(frozenset(lower + [j for j in copies[mi] if j != i]))
-        self._mobius = {}
-        self._validate()
+            below.append(frozenset(lower + [j for j in copies[mi] if j != i]))
+        return below
+
+    def _closed_below(self, covers, order):
+        """below[i] from the cover edges, in one pass in index order.
+
+        Each edge must drop the nullity by one, so a covered node comes
+        first in the index order and its down-set is already known.
+        """
+        at = [0] * len(order)
+        for i, old in enumerate(order):
+            at[old] = i
+        below = []
+        for i, edges in enumerate(covers):
+            lower = [at[j] for j in edges]
+            for j in lower:
+                if self.nullity[j] != self.nullity[i] - 1:
+                    raise StructuralError(
+                        "Jordan-Dedekind violated between nodes of ranks "
+                        f"{self.nullity[j]} and {self.nullity[i]}")
+            below.append(frozenset(lower).union(*(below[j] for j in lower)))
+        return below
 
     # -- structure checks ----------------------------------------------
 
@@ -201,8 +255,9 @@ def build_cycle_lattice(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> 
     """
     k = M.full_rank
     flats = M.qflats(cap=cap)
-    return CycleLattice(M, [F.complement() for F in flats],
-                        [k - M.rank(F) for F in flats])
+    covers = M.flat_covers(cap=cap) if M.q == 2 else None
+    return CycleLattice(M, M.flat_complements(cap=cap),
+                        [k - M.rank(F) for F in flats], covers)
 
 
 def virtual_betti_table(L: CycleLattice) -> BettiTable:

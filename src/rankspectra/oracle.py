@@ -33,6 +33,12 @@ from .spectra import WeightPolynomial
 # of a q = 2, n = 5 ground set would take 2^31 steps
 _BITMASK_GROUND_LIMIT = 20
 
+# ``brute_higher`` expands each of the [k, 1]_Q message rows once and sums
+# the supports of each of the [k, i]_Q subcodes; past this many rows and
+# subcodes together it raises instead of running for hours (a k = 3 code
+# over F_1024 has 1,049,601 of each, its rows on tower arithmetic)
+_SUBCODE_WORK_LIMIT = 10**5
+
 
 def _extension_setup(code: GabidulinCode, r: int):
     """Tower containing F_{Q^r} one step above the code field."""
@@ -133,13 +139,19 @@ def brute_higher(code: GabidulinCode, i: int,
     basis codewords are expanded.  Each basis is an RREF, whose rows are
     messages with a leading 1, shared by many subcodes and by every i: the
     support of each row is ranked once per code, through ``rank_support``,
-    and kept on the code.
+    and kept on the code.  The rows and subcodes are counted against
+    ``_SUBCODE_WORK_LIMIT`` before any is enumerated.
     """
     if not (0 <= i <= code.k):
         raise InputError(f"subcode dimension {i} out of range")
     n = code.n
     if i == 0:
         return [1] + [0] * n
+    work = gaussian_binomial(code.k, 1, code.Q) + gaussian_binomial(code.k, i, code.Q)
+    if work > _SUBCODE_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"{work} message rows and subcodes exceed the subcode work limit "
+            f"{_SUBCODE_WORK_LIMIT}", required=work, cap=_SUBCODE_WORK_LIMIT)
     supports = code._row_supports
     counts = [0] * (n + 1)
     for D in enumerate_subspaces(code.gf_code, code.k, i, cap=cap):

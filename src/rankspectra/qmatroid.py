@@ -9,8 +9,9 @@ which is memoized per canonical subspace; the lines of F_q^n, the
 q-flats and the rank profile are kept after their first scan.
 
 A code ranks one subspace through ``mat_mul`` and ``mat_rank`` over its
-field, the same for every q.  Over F_2 the q-flats, the rank profile and
-the axiom check read the ranks off one ``SubspaceTable`` per matroid: the
+field, the same for every q.  Over F_2 the q-flats with their closure
+pointers and cover edges, the rank profile and the axiom check read the
+ranks off one ``SubspaceTable`` per matroid: the
 int RREF rows of every subspace as arrays, with a rank array per
 dimension.  Two sources rank a whole dimension at once: a code over F_Q
 with Q <= 4096 eliminates the images G y^T of all its row sets together
@@ -30,7 +31,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, StructuralError
 from .fields import FieldTower
 from .linalg import (
     DEFAULT_SUBSPACE_CAP,
@@ -164,12 +165,19 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
+        # over F_2: per dimension, the table indices of the flats and the
+        # closure pointer of every subspace, from the same scan
+        self._flat_pointers = None
         self._profile: Counter | None = None
         self._lines: tuple[Subspace, ...] | None = None
         # over F_2: ranks of an (N, d) array of int RREF rows, when the
         # source has a batched form; and the ranked subspace table
         self._rank_rows = None
         self._table = None
+        # True when the source is a q-matroid by theorem (codes, U(k, n));
+        # else the verdict of the closure pass, None until it has run
+        self._qmatroid_by_theorem = False
+        self._closure_verdict = None
         self.name = name
 
     # -- rank and derived functions ------------------------------------
@@ -279,16 +287,18 @@ class QMatroid:
         F_2 the flats are read off the ranked subspace table: X is a flat
         iff each cover of X has a rank other than rho(X), which is
         ``is_qflat``; only the flats become ``Subspace`` objects, and their
-        ranks go into the memo.  Over larger fields the capped enumeration
-        runs to its end before the first ``is_qflat``, whose line scan is
-        uncapped.
+        ranks go into the memo, and the closure pointers of the same scan
+        are kept for ``flat_covers``.  Over larger fields the capped
+        enumeration runs to its end before the first ``is_qflat``, whose
+        line scan is uncapped.
         """
         if self._flats is None:
             self._check_step_count(cap)
             if self.q == 2:
                 table, ranks = self._ranked_table(cap)
+                self._flat_pointers = table.flats(ranks)
                 flats = []
-                for s, index in enumerate(table.flats(ranks)):
+                for s, index in enumerate(self._flat_pointers[0]):
                     for X, r in zip(table.subspaces(self.gf, s, index), ranks[s][index].tolist()):
                         self._memo[X] = r
                         flats.append(X)
@@ -297,6 +307,34 @@ class QMatroid:
                 subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
                 self._flats = tuple(X for X in subspaces if self.is_qflat(X))
         return self._flats
+
+    def flat_covers(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> list[list[int]]:
+        """Over F_2, for each q-flat by its index in ``qflats``, the indices
+        of the q-flats that cover it.
+
+        These are the distinct closures cl(F + v) of the covers of F in
+        F_2^n (Byrne, Ceria and Jurrius, "Constructions of new
+        q-cryptomorphisms", JCTB 2022), read off the pointers of the flat
+        scan.  Those pointers are closures only on a q-matroid, so unless
+        the source is one by theorem the closure pass of ``verify_axioms``
+        runs first, once per matroid, and StructuralError is raised if it
+        fails.
+        """
+        self.qflats(cap)
+        if not (self._qmatroid_by_theorem or self._closures_pass(cap)):
+            raise StructuralError("the rank function fails the q-matroid axioms")
+        table, ranks = self._ranked_table(cap)
+        return table.flat_covers(ranks, *self._flat_pointers)
+
+    def flat_complements(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> list[Subspace]:
+        """F^perp for each q-flat F, in the order of ``qflats``; over F_2
+        reduced for all flats of a dimension at once on the subspace table."""
+        flats = self.qflats(cap)
+        if self.q != 2:
+            return [F.complement() for F in flats]
+        table = self._ranked_table(cap)[0]
+        return [X for s, index in enumerate(self._flat_pointers[0])
+                for X in table.complements(self.gf, s, index)]
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
         """c(d, r): the number of subspaces of dimension d and rank r; counted
@@ -389,7 +427,8 @@ class QMatroid:
 
         Over F_2 the walk above runs only when the closure-pointer pass of
         ``SubspaceTable.closures`` over the ranked table fails, so that it
-        reports its witness; the pass decides.  Its checks are (P1), steps
+        reports its witness; the pass decides, and its verdict is kept on
+        the matroid for ``flat_covers``.  Its checks are (P1), steps
         in {0, 1} on every cover X + v, and ptr[X + v] = ptr[X] on every
         cover with step 0, ptr[X] being X when there is none and else ptr
         of the first.  By induction from the top, ptr[X] contains X and,
@@ -416,11 +455,17 @@ class QMatroid:
         Returns {"ok": bool, "violation": description-or-None}.
         """
         self._check_step_count(cap)
-        if self.q == 2:
-            table, ranks = self._ranked_table(cap)
-            if table.closures(ranks) is not None:
-                return {"ok": True, "violation": None}
+        if self.q == 2 and self._closures_pass(cap):
+            return {"ok": True, "violation": None}
         return self._axiom_walk(cap)
+
+    def _closures_pass(self, cap: int | None) -> bool:
+        """Whether ``SubspaceTable.closures`` passes on the ranked F_2 table;
+        run once per matroid, then kept."""
+        table, ranks = self._ranked_table(cap)
+        if self._closure_verdict is None:
+            self._closure_verdict = table.closures(ranks) is not None
+        return self._closure_verdict
 
     def _axiom_walk(self, cap: int | None) -> dict:
         """The scalar walk of ``verify_axioms`` over ``Subspace`` objects.
@@ -484,6 +529,7 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
         return mat_rank(gf_code, mat_mul(gf_code, G, tuple(zip(*U.coordinate_rows()))))
 
     M = QMatroid(code.gf_q, code.n, rho, name="code")
+    M._qmatroid_by_theorem = True
     if M.q == 2 and code.Q <= _BATCH_LIMIT:
         M._rank_rows = partial(_code_rank_rows, code)
     return M
@@ -530,4 +576,5 @@ def uniform_qmatroid(k: int, n: int, q: int) -> QMatroid:
     gf = GF.of_order(q)
     M = QMatroid(gf, n, lambda X: min(X.dim, k), name=f"U({k},{n})")
     M._rank_rows = lambda rows: np.full(len(rows), min(rows.shape[1], k), np.int8)
+    M._qmatroid_by_theorem = True
     return M

@@ -21,13 +21,31 @@ c the lowest bit of v, the RREF of X + v is v itself, with pivot c, and
 the rows of X that hold bit c XORed with v; each of those has its pivot
 below c, so it keeps it.  The key of X + v is then key(X) with the pivot
 bit c set and, XORed into the field of each changed row and of c, the
-bits of v above that row's pivot.
+bits of v above that row's pivot.  The pivots, free columns and cover
+vectors of each pivot block sit in small tables, read at the block of
+each subspace, so every pass takes a whole dimension at once.
+
+Flats and closure pointers.  X is a flat when every cover has another
+rank.  The flat scan walks the dimensions from n down, and a non-flat
+leaves at the first cover of its own rank that it meets; it points where
+that cover points, and a flat points to itself.  On a q-matroid a cover
+of the same rank keeps the closure (``QMatroid.verify_axioms``), so by
+induction from the top the pointer of X is cl X, and the flats that
+cover a flat F are the distinct pointers of its covers, the closures
+cl(F + v) (Byrne, Ceria and Jurrius, "Constructions of new
+q-cryptomorphisms", JCTB 2022).  On a rank function that is no q-matroid
+the flats are still the flats, but the pointers need not be closures:
+``QMatroid.flat_covers`` reads them only from a source that is a
+q-matroid by theorem (a code, U(k, n)) or after ``closures``, the full
+pass of the axiom check, has passed.  That pass visits every cover, so
+codes never run it to build a lattice.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -35,7 +53,7 @@ from .errors import ResourceLimitError
 from .linalg import GF, Subspace, check_subspace_count
 
 KEY_BITS = 63  # value bits of an int64
-CHUNK = 1 << 20  # (subspace, cover) pairs per array pass
+CHUNK = 1 << 16  # (subspace, cover) pairs per array pass
 
 
 def key_offsets(n: int) -> np.ndarray:
@@ -48,32 +66,38 @@ def key_offsets(n: int) -> np.ndarray:
     return n + np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1)))).astype(np.int64)
 
 
-def _deposit(t: np.ndarray, columns) -> np.ndarray:
-    """Rows with bit t_j of each index t at column columns[-1 - j]."""
-    out = np.zeros(len(t), np.int64)
-    for j, col in enumerate(reversed(columns)):
-        out |= (t >> j & 1) << col
-    return out
-
-
 def binary_subspace_rows(n: int, s: int):
-    """Yield (pivots, rows) per pivot set of the s-subspaces of F_2^n.
+    """(blocks, rows) of the s-subspaces of F_2^n.
 
     ``rows`` is an (N, s) int64 array of RREF rows, in the order of
-    ``enumerate_subspaces``: pivot sets in lexicographic order, and within
-    one the product of the choices for each row, the free entries of a row
-    read as a big-endian counter.
+    ``enumerate_subspaces``: pivot sets in lexicographic order, each a
+    block of consecutive rows listed in ``blocks`` as (pivots, lo, hi), and
+    within one the product of the choices for each row, the free entries
+    of a row read as a big-endian counter.  So the index within a block
+    holds the choice of each row in a field of bits, the last row lowest,
+    and row i of a block is its list of choices read at that field.
     """
-    if s == 0:
-        yield (), np.zeros((1, 0), np.int64)
-        return
+    blocks, tables, lo = [], [], 0
     for pivots in combinations(range(n), s):
         choices = []
         for p in pivots:
-            free = [j for j in range(p + 1, n) if j not in pivots]
-            choices.append(_deposit(np.arange(1 << len(free)), free) | 1 << p)
-        grid = np.meshgrid(*choices, indexing="ij")
-        yield pivots, np.stack(grid, axis=-1).reshape(-1, s)
+            values = [1 << p]
+            for col in (j for j in range(p + 1, n) if j not in pivots):
+                values = [v | bit << col for v in values for bit in (0, 1)]
+            choices.append(values)
+        size = prod(map(len, choices))
+        blocks.append((pivots, lo, lo + size))
+        tables.append(choices)
+        lo += size
+    rows = np.empty((lo, s), np.int64)
+    index = np.arange(max(hi - lo for _, lo, hi in blocks))
+    for (_, lo, hi), choices in zip(blocks, tables):
+        shift = (hi - lo).bit_length() - 1
+        for i, values in enumerate(choices):
+            mask = len(values) - 1  # a power of 2 choices
+            shift -= mask.bit_length()
+            rows[lo:hi, i] = np.array(values)[index[:hi - lo] >> shift & mask]
+    return blocks, rows
 
 
 class SubspaceTable:
@@ -84,21 +108,19 @@ class SubspaceTable:
         self.offsets = key_offsets(n)
         self.rows, self.blocks, self.keys, self._order, self._sorted = [], [], [], [], []
         for s in range(n + 1):
-            blocks, parts, start = [], [], 0
-            for pivots, rows in binary_subspace_rows(n, s):
-                blocks.append((pivots, start, start + len(rows)))
-                parts.append(rows)
-                start += len(rows)
-            rows = np.concatenate(parts)
-            keys = np.zeros(len(rows), np.int64)
+            blocks, rows = binary_subspace_rows(n, s)
+            keys = np.empty(len(rows), np.int64)
             for pivots, lo, hi in blocks:
-                keys[lo:hi] = self._keys(rows[lo:hi], pivots)
+                keys[lo:hi] = sum(1 << p for p in pivots)
+                for i, p in enumerate(pivots):
+                    keys[lo:hi] ^= rows[lo:hi, i] >> (p + 1) << self.offsets[p]
             order = np.argsort(keys)
             self.rows.append(rows)
             self.blocks.append(blocks)
             self.keys.append(keys)
             self._order.append(order)
             self._sorted.append(keys[order])
+        self._tables = [self._block_tables(s) for s in range(n + 1)]
 
     @staticmethod
     def check(n: int, cap: int | None) -> None:
@@ -106,12 +128,6 @@ class SubspaceTable:
         for s in range(n + 1):
             check_subspace_count(n, s, 2, cap)
         key_offsets(n)
-
-    def _keys(self, rows: np.ndarray, pivots) -> np.ndarray:
-        key = np.full(len(rows), sum(1 << p for p in pivots), np.int64)
-        for i, p in enumerate(pivots):
-            key ^= rows[:, i] >> (p + 1) << self.offsets[p]
-        return key
 
     def index(self, s: int, keys: np.ndarray) -> np.ndarray:
         """Indices in dimension s of the subspaces with these keys."""
@@ -122,62 +138,161 @@ class SubspaceTable:
         blocks = self.blocks[s]
         if indices is None:
             indices = np.arange(len(self.rows[s]))
-        at = np.searchsorted([lo for _, lo, _ in blocks], indices, side="right") - 1
+        at = self._block_of(s, indices)
         for b, row in zip(at.tolist(), self.rows[s][indices].tolist()):
             yield Subspace(gf, self.n, tuple(row), blocks[b][0])
 
-    def cover_vectors(self, pivots) -> np.ndarray:
-        """The nonzero v zero at ``pivots``: X + v are the covers of X."""
-        free = [j for j in range(self.n) if j not in pivots]
-        return _deposit(np.arange(1, 1 << len(free)), free)
-
-    def cover_index(self, s: int, pivots, at: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Indices in dimension s + 1 of X + v, for X at indices ``at`` of
-        dimension s, all with these pivots, and v from ``cover_vectors``;
-        one row per X, one column per v."""
+    def _block_tables(self, s: int):
+        """Per pivot block of dimension s: its first index, pivots and free
+        columns, and per cover vector v, with c the lowest bit of v: c, the
+        key change of X + v over X at the pivot and at c, and for each row
+        i of X the change when row i holds bit c.  The cover vectors of a
+        block are the nonzero v zero at its pivots, the t-th with the bits
+        of t at the free columns, as rows are enumerated."""
+        blocks = self.blocks[s]
+        pivots = np.array([p for p, _, _ in blocks], np.int64).reshape(len(blocks), s)
+        free = np.array([[j for j in range(self.n) if j not in p] for p, _, _ in blocks],
+                        np.int64).reshape(len(blocks), self.n - s)
+        t = np.arange(1, 1 << (self.n - s))
+        v = np.zeros((len(blocks), len(t)), np.int64)
+        for j, col in enumerate(free.T[::-1]):
+            v |= (t >> j & 1) << col[:, None]
         off = self.offsets
         c = np.log2(v & -v).astype(np.int64)
-        keys = self.keys[s][at, None] ^ (1 << c ^ v >> (c + 1) << off[c])
+        moves = v >> (pivots.T[:, :, None] + 1) << off[pivots.T][:, :, None]
+        return ([lo for _, lo, _ in blocks], pivots, free, c,
+                1 << c ^ v >> (c + 1) << off[c], moves)
+
+    def _block_of(self, s: int, at: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._tables[s][0], at, side="right") - 1
+
+    def cover_index(self, s: int, at: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Indices in dimension s + 1 of X + v, for X at indices ``at`` of
+        dimension s: one row per X, one column per cover vector v of the
+        block of X (``_block_tables``), columns ``cols`` of them."""
+        _, _, _, low, delta, moves = self._tables[s]
+        block = self._block_of(s, at)
+        c = low[:, cols][block]
+        keys = self.keys[s][at, None] ^ delta[:, cols][block]
         rows = self.rows[s][at]
-        for i, p in enumerate(pivots):
-            keys ^= np.where(rows[:, i, None] >> c & 1 == 1, v >> (p + 1) << off[p], 0)
+        for i in range(s):
+            keys ^= np.where(rows[:, i, None] >> c & 1 == 1, moves[i][:, cols][block], 0)
         return self.index(s + 1, keys)
 
-    def flats(self, ranks) -> list[np.ndarray]:
-        """Per dimension, the indices of the subspaces whose every cover has
-        another rank, given the rank array of each dimension.
+    def complements(self, gf: GF, s: int, at: np.ndarray):
+        """``Subspace`` objects X^perp for the subspaces X at indices ``at``
+        of dimension s.
 
-        The covers of a pivot block are tried in slices of 1, 4, 16, ...
-        vectors, and a subspace leaves after the first slice with a cover
-        of its own rank: most non-flats leave after the first.
+        The kernel rows are those of ``Subspace.complement``: e_f, plus e_p
+        for each row of X with pivot p that holds bit f, one per free
+        column f.  They are reduced for all X at once, one column c at a
+        time: the first row not yet a pivot row that holds bit c becomes
+        the pivot row of c and is XORed into every other row holding bit
+        c.  A row chosen at c holds no bit below c, as every earlier
+        column is then held by its pivot row alone or by no row that is
+        not yet a pivot row.
         """
+        _, pivots, free, _, _, _ = self._tables[s]
+        block = self._block_of(s, at)
+        pivots, free = pivots[block], free[block]
+        rows = self.rows[s][at]
+        kernel = 1 << free
+        for i in range(s):
+            kernel |= (rows[:, i, None] >> free & 1) << pivots[:, i, None]
+        count = np.arange(len(at))
+        unused = np.ones(kernel.shape, bool)
+        # F_2^n has no kernel rows, and argmax needs one
+        for c in range(self.n if s < self.n else 0):
+            holds = kernel >> c & 1 == 1
+            open_ = holds & unused
+            lead = open_.argmax(axis=1)
+            found = open_[count, lead]
+            holds[count, lead] = False
+            kernel ^= np.where(holds & found[:, None], kernel[count, lead][:, None], 0)
+            unused[count[found], lead[found]] = False
+        low = kernel & -kernel
+        order = np.argsort(low, axis=1)
+        pivots = np.log2(low[count[:, None], order]).astype(np.int64)
+        for row, p in zip(kernel[count[:, None], order].tolist(), pivots.tolist()):
+            yield Subspace(gf, self.n, tuple(row), tuple(p))
+
+    def flats(self, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The flats and the closure pointers, given the rank array of each
+        dimension.
+
+        Returns, per dimension, the indices of the subspaces whose every
+        cover has another rank, and an int32 pointer for every subspace:
+        the id of a flat, flats numbered by dimension and then index.  The
+        covers are tried in slices of 1, 4, 16, ... vectors, and a
+        subspace leaves after the first slice with a cover of its own
+        rank: most non-flats leave after the first.  The dimensions are
+        scanned from n down, so a non-flat points where the first cover of
+        its own rank in that slice points, and a flat to itself.  On a
+        q-matroid that is its closure (module docstring); on any other
+        rank function the flats are still the flats, but the pointers
+        mean nothing.
+        """
+        n = self.n
+        flats, ptr = [None] * (n + 1), [None] * (n + 1)
+        # pointers hold table positions until the flats are numbered
+        base = np.cumsum([0] + [len(rows) for rows in self.rows])
+        for s in range(n, -1, -1):
+            width = (1 << (n - s)) - 1
+            live = np.arange(len(self.rows[s]))
+            point = (live + base[s]).astype(np.int32)
+            a = 0
+            while a < width and len(live):
+                cols = slice(a, 4 * a + 1)
+                a = min(4 * a + 1, width)
+                step = max(1, CHUNK // (cols.stop - cols.start))
+                keep = []
+                for i in range(0, len(live), step):
+                    part = live[i:i + step]
+                    cover = self.cover_index(s, part, cols)
+                    same = ranks[s + 1][cover] == ranks[s][part, None]
+                    first = same.argmax(axis=1)
+                    left = same[np.arange(len(part)), first]
+                    point[part[left]] = ptr[s + 1][cover[left, first[left]]]
+                    keep.append(part[~left])
+                live = np.concatenate(keep)
+            flats[s] = live
+            ptr[s] = point
+        ids = np.zeros(base[-1], np.int32)
+        at = np.concatenate([index + b for index, b in zip(flats, base)])
+        ids[at] = np.arange(len(at), dtype=np.int32)
+        for s, point in enumerate(ptr):
+            ptr[s] = ids[point]
+        return flats, ptr
+
+    def flat_covers(self, ranks, flats, ptr) -> list[list[int]]:
+        """For each flat by id, the distinct pointers of its covers, given
+        the rank arrays and the output of ``flats``: on a q-matroid, the
+        ids of the flats that cover it.
+
+        A cover of a flat of rank rho(E) - 1 has rank rho(E), and so has
+        closure E, the top flat: those flats are not looked up.
+        """
+        top = sum(map(len, flats)) - 1
+        full = ranks[self.n][0]
         out = []
-        for s in range(self.n + 1):
-            flat = np.zeros(len(self.rows[s]), bool)
-            for pivots, lo, hi in self.blocks[s]:
-                live = np.arange(lo, hi)
-                vs = self.cover_vectors(pivots)
-                a = 0
-                while a < len(vs) and len(live):
-                    v = vs[a:4 * a + 1]
-                    a += len(v)
-                    step = max(1, CHUNK // len(v))
-                    keep = []
-                    for i in range(0, len(live), step):
-                        part = live[i:i + step]
-                        cover = self.cover_index(s, pivots, part, v)
-                        keep.append(part[(ranks[s + 1][cover] != ranks[s][part, None]).all(axis=1)])
-                    live = np.concatenate(keep)
-                flat[live] = True
-            out.append(np.flatnonzero(flat))
-        return out
+        for s, index in enumerate(flats[:-1]):
+            covers = [[top] for _ in range(len(index))]
+            lower = np.flatnonzero(ranks[s][index] < full - 1)
+            step = max(1, CHUNK // ((1 << (self.n - s)) - 1))
+            for i in range(0, len(lower), step):
+                part = lower[i:i + step]
+                up = ptr[s + 1][self.cover_index(s, index[part])]
+                for j, row in zip(part.tolist(), up.tolist()):
+                    covers[j] = sorted(set(row))
+            out += covers
+        return out + [[]]
 
     def closures(self, ranks) -> list[np.ndarray] | None:
         """Per dimension, the key of each subspace's closure pointer, given
         the rank array of each dimension; None as soon as a check fails.
 
-        The dimensions are walked from n down to 0, each pivot block over
-        all its covers X + v at once, in chunks of ``CHUNK`` pairs.  With
+        The dimensions are walked from n down to 0, all covers X + v of a
+        dimension at once, in chunks of ``CHUNK`` pairs.  With
         d = rho(X + v) - rho(X), the checks are 0 <= rho(X) <= dim X, d in
         {0, 1} on every cover, and ptr[X + v] == ptr[X] on every cover with
         d = 0, where ptr[X] is X itself when no cover has d = 0 and else
@@ -193,23 +308,22 @@ class SubspaceTable:
             ptr[s] = self.keys[s].copy()
             if s == self.n:
                 continue
-            for pivots, lo, hi in self.blocks[s]:
-                vs = self.cover_vectors(pivots)
-                step = max(1, CHUNK // len(vs))
-                for i in range(lo, hi, step):
-                    part = np.arange(i, min(i + step, hi))
-                    cover = self.cover_index(s, pivots, part, vs)
-                    d = ranks[s + 1][cover] - rank[part, None]
-                    zero = d == 0
-                    if not (zero | (d == 1)).all():
-                        return None
-                    up = ptr[s + 1][cover]
-                    first = zero.argmax(axis=1)
-                    at = np.arange(len(part))
-                    own = np.where(zero[at, first], up[at, first], ptr[s][part])
-                    if not ((up == own[:, None]) | ~zero).all():
-                        return None
-                    ptr[s][part] = own
+            size = len(rank)
+            step = max(1, CHUNK // ((1 << (self.n - s)) - 1))
+            for i in range(0, size, step):
+                part = np.arange(i, min(i + step, size))
+                cover = self.cover_index(s, part)
+                d = ranks[s + 1][cover] - rank[part, None]
+                zero = d == 0
+                if not (zero | (d == 1)).all():
+                    return None
+                up = ptr[s + 1][cover]
+                first = zero.argmax(axis=1)
+                at = np.arange(len(part))
+                own = np.where(zero[at, first], up[at, first], ptr[s][part])
+                if not ((up == own[:, None]) | ~zero).all():
+                    return None
+                ptr[s][part] = own
         return ptr
 
     @staticmethod

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -95,6 +96,23 @@ def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
     # single scan, with no line walk per subspace
     assert calls["flats"] == 1
     assert calls["is_qflat"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_skips_closure_pass(monkeypatch, capsys, name):
+    # codes and U(k, n) are q-matroids by theorem: the lattice reads the
+    # pointers of the flat scan, and the full closure pass never runs
+    calls = []
+    original = SubspaceTable.closures
+
+    def closures(self, ranks):
+        calls.append(self.n)
+        return original(self, ranks)
+
+    monkeypatch.setattr(SubspaceTable, "closures", closures)
+    status, _ = run_cli(capsys, "analyze", str(DATA / name))
+    assert status == 0
+    assert calls == []
 
 
 def test_rank_profile_built_once(monkeypatch, capsys):
@@ -326,6 +344,22 @@ def test_classical_oracle_bounded(tmp_path):
         "status": "skipped",
         "witness": "classical ground set of 31 points exceeds the bitmask limit"}
     assert {c["status"] for c in checks.values()} == {"pass"}
+
+
+def test_brute_higher_bounded(tmp_path):
+    # a k=3, n=5 code over F_1024: 1,049,601 message rows on tower arithmetic
+    # and as many subcodes of each dimension; the check reads skipped at once
+    rng = random.Random(1)
+    spec = tmp_path / "f1024.json"
+    spec.write_text(json.dumps({
+        "p": 2, "m_extension": [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1], "n": 5,
+        "generator": [[rng.randrange(1024) for _ in range(5)] for _ in range(3)]}))
+    proc = run_module("verify", "--level", "full", str(spec), timeout=30)
+    assert proc.returncode == 0
+    checks = {c.pop("check"): c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["brute-force higher spectra (i <= 2)"] == {
+        "status": "skipped",
+        "witness": "2099202 message rows and subcodes exceed the subcode work limit 100000"}
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--level", "quick"]],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rankspectra import (
     BettiTable,
     CycleLattice,
+    GF,
     GabidulinCode,
     InputError,
     QMatroid,
@@ -23,6 +24,7 @@ from rankspectra import (
     weight_polys_betti,
 )
 from rankspectra.lattice import _point_mask
+from rankspectra.subspace_table import SubspaceTable
 
 # Betti table of the session example code: (l, i, dim) -> value
 EXAMPLE_BETTI = {
@@ -156,6 +158,57 @@ def test_corrupted_rank_oracle_rejected(dim, rank, axiom):
     with pytest.raises(StructuralError):
         table = virtual_betti_table(build_cycle_lattice(M))
         cross_checked_weights(M, table, weight_polys_betti(table))
+
+
+def _counted_closures(monkeypatch):
+    calls = []
+    original = SubspaceTable.closures
+
+    def closures(self, ranks):
+        calls.append(self.n)
+        return original(self, ranks)
+
+    monkeypatch.setattr(SubspaceTable, "closures", closures)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_qmatroid(2, 4, 2),
+    lambda: uniform_qmatroid(3, 5, 2).dual(),
+    lambda: uniform_qmatroid(2, 5, 2).restrict(next(enumerate_subspaces(GF.of_order(2), 5, 3))),
+], ids=["U(2,4)", "U(3,5)*", "U(2,5)|U"])
+@pytest.mark.parametrize("axioms_first", [True, False], ids=["axioms-first", "lattice-first"])
+def test_plain_rank_function_runs_closure_pass_once(monkeypatch, make, axioms_first):
+    # the pointers of the flat scan are closures only on a q-matroid: a rank
+    # function that is not one by theorem is checked once, and the verdict is
+    # shared by verify_axioms and the lattice
+    calls = _counted_closures(monkeypatch)
+    source = make()
+    M = QMatroid(source.gf, source.n, source._rank_fn)
+    if axioms_first:
+        assert M.verify_axioms()["ok"]
+    L = build_cycle_lattice(M)
+    assert M.verify_axioms()["ok"]
+    assert calls == [M.n]
+    ref = build_cycle_lattice(source)
+    assert (L.nodes, L.nullity, L.below) == (ref.nodes, ref.nullity, ref.below)
+
+
+def test_codes_and_uniform_skip_closure_pass(monkeypatch, example_code):
+    calls = _counted_closures(monkeypatch)
+    build_cycle_lattice(example_code.qmatroid())
+    build_cycle_lattice(uniform_qmatroid(3, 5, 2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim,rank", [(1, 0), (3, 1)], ids=["line-rank-0", "3-space-rank-1"])
+def test_corrupted_rank_oracle_rejected_by_lattice(dim, rank):
+    # without verify_axioms first, the lattice runs the closure pass itself
+    base = uniform_qmatroid(2, 4, 2)
+    target = next(enumerate_subspaces(base.gf, 4, dim))
+    M = QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))
+    with pytest.raises(StructuralError, match="q-matroid axioms"):
+        build_cycle_lattice(M)
 
 
 def _random_f16_matroid(tower16, k, seed):

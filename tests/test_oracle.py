@@ -157,6 +157,30 @@ def test_brute_higher_mrd(mrd_code):
     assert brute_higher(mrd_code, 2) == [0, 0, 0, 0, 1]
 
 
+def test_brute_higher_work_checked_before_enumeration(monkeypatch):
+    # [3, 1]_1024 message rows plus [3, i]_1024 subcodes pass the work limit,
+    # which raises before any subcode is enumerated
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated past the work limit")
+
+    tower = prime_field(2)
+    tower = tower.extend(tower.find_irreducible(10))
+    rng = random.Random(1)
+    while True:
+        try:
+            code = GabidulinCode(tower, 0, 1, [[rng.randrange(1024) for _ in range(5)]
+                                               for _ in range(3)])
+            break
+        except InputError:
+            continue
+    monkeypatch.setattr(oracle, "enumerate_subspaces", enumerate_nothing)
+    for i in (1, 2):
+        with pytest.raises(ResourceLimitError) as err:
+            brute_higher(code, i)
+        assert (err.value.required, err.value.cap) == (2 * 1049601, 10**5)
+    assert brute_higher(code, 0) == [1, 0, 0, 0, 0, 0]
+
+
 def uncached_higher(code, i):
     """``brute_higher`` with every basis codeword ranked where it occurs."""
     counts = [0] * (code.n + 1)

@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankspectra import (
+    CycleLattice,
     GF,
     GabidulinCode,
     InputError,
     QMatroid,
     ResourceLimitError,
     all_subspaces,
+    build_cycle_lattice,
     cli,
     enumerate_subspaces,
     prime_field,
@@ -67,11 +69,20 @@ def test_covers_are_the_sums_with_lines(n):
     lines = list(enumerate_subspaces(gf, n, 1))
     for s in range(n):
         above = list(T.subspaces(gf, s + 1))
-        covers = [row for pivots, lo, hi in T.blocks[s] for row in T.cover_index(
-            s, pivots, np.arange(lo, hi), T.cover_vectors(pivots)).tolist()]
+        covers = T.cover_index(s, np.arange(len(T.rows[s]))).tolist()
         for X, cover in zip(T.subspaces(gf, s), covers, strict=True):
             expected = {X.sum(L) for L in lines} - {X}
             assert len(cover) == len(expected) and {above[i] for i in cover} == expected
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_table_complements_match_scalar(n):
+    gf = GF.of_order(2)
+    T = table(n)
+    for s in range(n + 1):
+        batched = T.complements(gf, s, np.arange(len(T.rows[s])))
+        for X, C in zip(T.subspaces(gf, s), batched, strict=True):
+            assert (C.rows, C.pivots) == (X.complement().rows, X.complement().pivots)
 
 
 def random_binary_code(m, n, k, rng):
@@ -216,9 +227,13 @@ def test_closure_pass_matches_scalar_walk():
         verdicts.append(ptr is not None)
         assert verdicts[-1] == M._axiom_walk(None)["ok"], seed
         if ptr is not None:
-            # on a q-matroid the fixed points are the q-flats
+            # on a q-matroid the fixed points are the q-flats, and the
+            # early-exit pointers of the flat scan name the same flats
+            flats, scan_ptr = T.flats(ranks)
             fixed = [np.flatnonzero(p == keys) for p, keys in zip(ptr, T.keys)]
-            assert all(np.array_equal(a, b) for a, b in zip(fixed, T.flats(ranks)))
+            assert all(np.array_equal(a, b) for a, b in zip(fixed, flats))
+            flat_keys = np.concatenate([keys[f] for keys, f in zip(T.keys, flats)])
+            assert all(np.array_equal(flat_keys[a], b) for a, b in zip(scan_ptr, ptr)), seed
     assert 50 < sum(verdicts) < 350
 
 
@@ -233,11 +248,14 @@ def seed1_code(label, m_extension, n):
     return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
 
 
-@pytest.mark.parametrize("make", [
+SEED1_LADDER = pytest.mark.parametrize("make", [
     lambda: uniform_qmatroid(3, 6, 2),
     lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
     lambda: seed1_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7),
 ], ids=["U(3,6)", "code_q2_n6", "code_q2_n7"])
+
+
+@SEED1_LADDER
 def test_closure_fixed_points_are_qflats(make):
     M = make()
     T, ranks = M._ranked_table(None)
@@ -246,3 +264,16 @@ def test_closure_fixed_points_are_qflats(make):
                   for X in T.subspaces(M.gf, s, np.flatnonzero(p == keys)))
     assert fixed == M.qflats()
     assert M.verify_axioms() == {"ok": True, "violation": None}
+
+
+@SEED1_LADDER
+def test_cover_lattice_matches_point_masks(make):
+    # the lattice built from the closure pointers of the flat scan against
+    # point-mask containment over the scalar complements of the flats
+    M = make()
+    L = build_cycle_lattice(M)
+    ref = CycleLattice(M, [F.complement() for F in M.qflats()],
+                       [M.full_rank - M.rank(F) for F in M.qflats()])
+    assert L.nodes == ref.nodes
+    assert L.nullity == ref.nullity
+    assert L.below == ref.below
