@@ -256,7 +256,7 @@ def build_cycle_lattice(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> 
     k = M.full_rank
     flats = M.qflats(cap=cap)
     covers = M.flat_covers(cap=cap) if M.q == 2 else None
-    return CycleLattice(M, M.flat_complements(cap=cap),
+    return CycleLattice(M, [F.complement() for F in flats],
                         [k - M.rank(F) for F in flats], covers)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, ResourceLimitError, StructuralError
 from .linalg import (
+    _TABLE_LIMIT,
     DEFAULT_CODEWORD_CAP,
     DEFAULT_SUBSPACE_CAP,
     GF,
@@ -33,11 +34,14 @@ from .spectra import WeightPolynomial
 # of a q = 2, n = 5 ground set would take 2^31 steps
 _BITMASK_GROUND_LIMIT = 20
 
-# ``brute_higher`` expands each of the [k, 1]_Q message rows once and sums
-# the supports of each of the [k, i]_Q subcodes; past this many rows and
-# subcodes together it raises instead of running for hours (a k = 3 code
-# over F_1024 has 1,049,601 of each, its rows on tower arithmetic)
-_SUBCODE_WORK_LIMIT = 10**5
+# ``brute_higher`` expands message rows through ``mat_mul`` and
+# ``rank_support``: about 0.05 ms a row on the dense tables of a field of
+# at most ``_TABLE_LIMIT`` elements, about 1 ms on tower arithmetic above
+# it (0.75-1.05 ms from F_512 to F_65536 at n = 5).  The rows it may expand
+# on a tower are bounded on their own, to about 10 s: a k = 3 code over
+# F_1024 has 1,049,601 and ran for hours.  Its subcodes are under the
+# subspace cap, on either arithmetic.
+_TOWER_ROW_LIMIT = 10**4
 
 
 def _extension_setup(code: GabidulinCode, r: int):
@@ -139,19 +143,22 @@ def brute_higher(code: GabidulinCode, i: int,
     basis codewords are expanded.  Each basis is an RREF, whose rows are
     messages with a leading 1, shared by many subcodes and by every i: the
     support of each row is ranked once per code, through ``rank_support``,
-    and kept on the code.  The rows and subcodes are counted against
-    ``_SUBCODE_WORK_LIMIT`` before any is enumerated.
+    and kept on the code.  Over a field past ``_TABLE_LIMIT`` the rows are
+    counted against ``_TOWER_ROW_LIMIT`` before any is expanded: at most
+    [k, 1]_Q messages with a leading 1, and at most i per subcode.
     """
     if not (0 <= i <= code.k):
         raise InputError(f"subcode dimension {i} out of range")
     n = code.n
     if i == 0:
         return [1] + [0] * n
-    work = gaussian_binomial(code.k, 1, code.Q) + gaussian_binomial(code.k, i, code.Q)
-    if work > _SUBCODE_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"{work} message rows and subcodes exceed the subcode work limit "
-            f"{_SUBCODE_WORK_LIMIT}", required=work, cap=_SUBCODE_WORK_LIMIT)
+    if code.Q > _TABLE_LIMIT:
+        rows = min(gaussian_binomial(code.k, 1, code.Q),
+                   i * gaussian_binomial(code.k, i, code.Q))
+        if rows > _TOWER_ROW_LIMIT:
+            raise ResourceLimitError(
+                f"{rows} message rows on tower arithmetic exceed the limit "
+                f"{_TOWER_ROW_LIMIT}", required=rows, cap=_TOWER_ROW_LIMIT)
     supports = code._row_supports
     counts = [0] * (n + 1)
     for D in enumerate_subspaces(code.gf_code, code.k, i, cap=cap):

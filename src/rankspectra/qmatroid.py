@@ -326,16 +326,6 @@ class QMatroid:
         table, ranks = self._ranked_table(cap)
         return table.flat_covers(ranks, *self._flat_pointers)
 
-    def flat_complements(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> list[Subspace]:
-        """F^perp for each q-flat F, in the order of ``qflats``; over F_2
-        reduced for all flats of a dimension at once on the subspace table."""
-        flats = self.qflats(cap)
-        if self.q != 2:
-            return [F.complement() for F in flats]
-        table = self._ranked_table(cap)[0]
-        return [X for s, index in enumerate(self._flat_pointers[0])
-                for X in table.complements(self.gf, s, index)]
-
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
         """c(d, r): the number of subspaces of dimension d and rank r; counted
         once, then kept.  Over F_2 it is counted over the rank arrays of the

@@ -143,12 +143,12 @@ class SubspaceTable:
             yield Subspace(gf, self.n, tuple(row), blocks[b][0])
 
     def _block_tables(self, s: int):
-        """Per pivot block of dimension s: its first index, pivots and free
-        columns, and per cover vector v, with c the lowest bit of v: c, the
-        key change of X + v over X at the pivot and at c, and for each row
-        i of X the change when row i holds bit c.  The cover vectors of a
-        block are the nonzero v zero at its pivots, the t-th with the bits
-        of t at the free columns, as rows are enumerated."""
+        """Per pivot block of dimension s: its first index, and per cover
+        vector v, with c the lowest bit of v: c, the key change of X + v
+        over X at the pivot and at c, and for each row i of X the change
+        when row i holds bit c.  The cover vectors of a block are the
+        nonzero v zero at its pivots, the t-th with the bits of t at the
+        free columns, as rows are enumerated."""
         blocks = self.blocks[s]
         pivots = np.array([p for p, _, _ in blocks], np.int64).reshape(len(blocks), s)
         free = np.array([[j for j in range(self.n) if j not in p] for p, _, _ in blocks],
@@ -160,8 +160,7 @@ class SubspaceTable:
         off = self.offsets
         c = np.log2(v & -v).astype(np.int64)
         moves = v >> (pivots.T[:, :, None] + 1) << off[pivots.T][:, :, None]
-        return ([lo for _, lo, _ in blocks], pivots, free, c,
-                1 << c ^ v >> (c + 1) << off[c], moves)
+        return ([lo for _, lo, _ in blocks], c, 1 << c ^ v >> (c + 1) << off[c], moves)
 
     def _block_of(self, s: int, at: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._tables[s][0], at, side="right") - 1
@@ -170,7 +169,7 @@ class SubspaceTable:
         """Indices in dimension s + 1 of X + v, for X at indices ``at`` of
         dimension s: one row per X, one column per cover vector v of the
         block of X (``_block_tables``), columns ``cols`` of them."""
-        _, _, _, low, delta, moves = self._tables[s]
+        _, low, delta, moves = self._tables[s]
         block = self._block_of(s, at)
         c = low[:, cols][block]
         keys = self.keys[s][at, None] ^ delta[:, cols][block]
@@ -178,43 +177,6 @@ class SubspaceTable:
         for i in range(s):
             keys ^= np.where(rows[:, i, None] >> c & 1 == 1, moves[i][:, cols][block], 0)
         return self.index(s + 1, keys)
-
-    def complements(self, gf: GF, s: int, at: np.ndarray):
-        """``Subspace`` objects X^perp for the subspaces X at indices ``at``
-        of dimension s.
-
-        The kernel rows are those of ``Subspace.complement``: e_f, plus e_p
-        for each row of X with pivot p that holds bit f, one per free
-        column f.  They are reduced for all X at once, one column c at a
-        time: the first row not yet a pivot row that holds bit c becomes
-        the pivot row of c and is XORed into every other row holding bit
-        c.  A row chosen at c holds no bit below c, as every earlier
-        column is then held by its pivot row alone or by no row that is
-        not yet a pivot row.
-        """
-        _, pivots, free, _, _, _ = self._tables[s]
-        block = self._block_of(s, at)
-        pivots, free = pivots[block], free[block]
-        rows = self.rows[s][at]
-        kernel = 1 << free
-        for i in range(s):
-            kernel |= (rows[:, i, None] >> free & 1) << pivots[:, i, None]
-        count = np.arange(len(at))
-        unused = np.ones(kernel.shape, bool)
-        # F_2^n has no kernel rows, and argmax needs one
-        for c in range(self.n if s < self.n else 0):
-            holds = kernel >> c & 1 == 1
-            open_ = holds & unused
-            lead = open_.argmax(axis=1)
-            found = open_[count, lead]
-            holds[count, lead] = False
-            kernel ^= np.where(holds & found[:, None], kernel[count, lead][:, None], 0)
-            unused[count[found], lead[found]] = False
-        low = kernel & -kernel
-        order = np.argsort(low, axis=1)
-        pivots = np.log2(low[count[:, None], order]).astype(np.int64)
-        for row, p in zip(kernel[count[:, None], order].tolist(), pivots.tolist()):
-            yield Subspace(gf, self.n, tuple(row), tuple(p))
 
     def flats(self, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The flats and the closure pointers, given the rank array of each

@@ -157,27 +157,45 @@ def test_brute_higher_mrd(mrd_code):
     assert brute_higher(mrd_code, 2) == [0, 0, 0, 0, 1]
 
 
-def test_brute_higher_work_checked_before_enumeration(monkeypatch):
-    # [3, 1]_1024 message rows plus [3, i]_1024 subcodes pass the work limit,
-    # which raises before any subcode is enumerated
-    def enumerate_nothing(*args, **kwargs):
-        raise AssertionError("enumerated past the work limit")
-
+def random_code_over(m, k, n, seed=1):
     tower = prime_field(2)
-    tower = tower.extend(tower.find_irreducible(10))
-    rng = random.Random(1)
+    tower = tower.extend(tower.find_irreducible(m))
+    rng = random.Random(seed)
     while True:
         try:
-            code = GabidulinCode(tower, 0, 1, [[rng.randrange(1024) for _ in range(5)]
-                                               for _ in range(3)])
-            break
+            return GabidulinCode(tower, 0, 1, [[rng.randrange(2**m) for _ in range(n)]
+                                               for _ in range(k)])
         except InputError:
             continue
+
+
+@pytest.mark.parametrize("m, k, i, rows", [
+    (8, 3, 1, None),  # dense tables: bounded by the subspace cap alone
+    (8, 3, 2, None),
+    (12, 2, 1, None),  # 4097 rows on tower arithmetic
+    (10, 2, 2, None),  # one subcode, two rows
+    (9, 3, 1, 262657),
+    (10, 3, 1, 1049601),
+    (10, 3, 2, 1049601),
+])
+def test_brute_higher_tower_rows_checked_before_enumeration(monkeypatch, m, k, i, rows):
+    # a code over F_{2^m} with Q past the table limit counts the message rows
+    # it would expand, min([k, 1]_Q, i [k, i]_Q), before any subcode
+    def enumerate_nothing(*args, **kwargs):
+        enumerated.append(i)
+        return iter(())
+
+    enumerated = []
+    code = random_code_over(m, k, 5)
     monkeypatch.setattr(oracle, "enumerate_subspaces", enumerate_nothing)
-    for i in (1, 2):
+    if rows is None:
+        assert brute_higher(code, i) == [0] * 6
+        assert enumerated == [i]
+    else:
         with pytest.raises(ResourceLimitError) as err:
             brute_higher(code, i)
-        assert (err.value.required, err.value.cap) == (2 * 1049601, 10**5)
+        assert (err.value.required, err.value.cap) == (rows, 10**4)
+        assert enumerated == []
     assert brute_higher(code, 0) == [1, 0, 0, 0, 0, 0]
 
 

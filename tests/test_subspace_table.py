@@ -75,16 +75,6 @@ def test_covers_are_the_sums_with_lines(n):
             assert len(cover) == len(expected) and {above[i] for i in cover} == expected
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_table_complements_match_scalar(n):
-    gf = GF.of_order(2)
-    T = table(n)
-    for s in range(n + 1):
-        batched = T.complements(gf, s, np.arange(len(T.rows[s])))
-        for X, C in zip(T.subspaces(gf, s), batched, strict=True):
-            assert (C.rows, C.pivots) == (X.complement().rows, X.complement().pivots)
-
-
 def random_binary_code(m, n, k, rng):
     while True:
         gen = [[rng.randrange(2**m) for _ in range(n)] for _ in range(k)]
