@@ -9,8 +9,9 @@ F_256 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over
 F_64 is the ``code_q2_n6`` benchmark input, and F_512 is the smallest
 field past the Q x Q product tables of ``linalg``).  The n = 8 rungs run
 with a subspace cap of 2*10^8, since their line steps pass the default
-cap.  Prints seconds, flat counts, the cover edges of the cycle lattice
-and the peak RSS of the process, and writes them to
+cap.  Prints seconds, how far each stage raised the process's peak RSS
+(``VmHWM``, MiB), flat counts, the cover edges of the cycle lattice and
+the peak RSS of the process, and writes them to
 ``benchmarks/BENCH_qflats.json`` with the run metadata.  Exits non-zero if
 a uniform Betti table differs from its closed form, if the axiom check
 fails, or if on an n <= 7 rung the q-flats differ from the scalar
@@ -24,7 +25,6 @@ over the same nodes.  Run from the repository root:
 import json
 import resource
 import sys
-import time
 
 from rankspectra import (
     CycleLattice,
@@ -36,7 +36,7 @@ from rankspectra import (
     uniform_qmatroid,
     virtual_betti_table,
 )
-from run_meta import HERE, run_metadata
+from run_meta import HERE, measured, run_metadata
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from workloads import random_code  # noqa: E402
@@ -57,21 +57,17 @@ def bench(label, make, mismatches, cap=None):
     against the scalar scan and the point-mask lattice."""
     kwargs = {} if cap is None else {"cap": cap}
     M = make()
-    start = time.perf_counter()
-    flats = M.qflats(**kwargs)
-    scanned = time.perf_counter()
-    lattice = build_cycle_lattice(M, **kwargs)
-    built = time.perf_counter()
-    make().rank_profile(**kwargs)
-    profiled = time.perf_counter()
-    if not make().verify_axioms(**kwargs)["ok"]:
+    flats, flats_s, flats_mib = measured(M.qflats, **kwargs)
+    lattice, lattice_s, lattice_mib = measured(build_cycle_lattice, M, **kwargs)
+    _, profile_s, profile_mib = measured(lambda: make().rank_profile(**kwargs))
+    verdict, axioms_s, axioms_mib = measured(lambda: make().verify_axioms(**kwargs))
+    if not verdict["ok"]:
         mismatches.append(f"{label}: the q-matroid axioms fail")
-    verified = time.perf_counter()
     edges = sum(map(len, M.flat_covers(**kwargs)))
-    print(f"{label}: {len(flats)} q-flats in {scanned - start:.3f} s, "
-          f"lattice ({edges} cover edges) in {built - scanned:.3f} s, cold rank "
-          f"profile in {profiled - built:.3f} s, cold axiom check in "
-          f"{verified - profiled:.3f} s")
+    print(f"{label}: {len(flats)} q-flats in {flats_s:.3f} s (+{flats_mib} MiB), "
+          f"lattice ({edges} cover edges) in {lattice_s:.3f} s (+{lattice_mib} MiB), "
+          f"cold rank profile in {profile_s:.3f} s (+{profile_mib} MiB), cold axiom "
+          f"check in {axioms_s:.3f} s (+{axioms_mib} MiB)")
     if M.n <= 7:
         R = QMatroid(M.gf, M.n, M._rank_fn)
         if flats != tuple(X for X in all_subspaces(R.gf, R.n) if R.is_qflat(X)):
@@ -81,10 +77,10 @@ def bench(label, make, mismatches, cap=None):
         if (lattice.nodes, lattice.nullity, lattice.below) != (ref.nodes, ref.nullity, ref.below):
             mismatches.append(f"{label}: the cover lattice differs from point-mask containment")
     rung = {"rung": label, "flats": len(flats), "cover_edges": edges,
-            "qflats_s": round(scanned - start, 4),
-            "lattice_s": round(built - scanned, 4),
-            "rank_profile_s": round(profiled - built, 4),
-            "verify_axioms_s": round(verified - profiled, 4)}
+            "qflats_s": round(flats_s, 4), "qflats_hwm_rise_mib": flats_mib,
+            "lattice_s": round(lattice_s, 4), "lattice_hwm_rise_mib": lattice_mib,
+            "rank_profile_s": round(profile_s, 4), "rank_profile_hwm_rise_mib": profile_mib,
+            "verify_axioms_s": round(axioms_s, 4), "verify_axioms_hwm_rise_mib": axioms_mib}
     return rung, lattice
 
 

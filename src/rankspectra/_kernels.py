@@ -16,14 +16,18 @@ the entries before it with an unsigned minimum (see ``_ranks``): n(n-1)
 word passes per chunk, whatever the bit width.  The kernel is vectorized
 over chunks of messages and takes one subrange of the message space per
 call; the low table is only as wide as the range's indices reach, so a
-short range near 0 builds a short table.
+short range near 0 builds a short table.  A chunk is at most 2^14
+messages, 128 KiB per row of uint64 words: in
+``benchmarks/bench_kernels.py``, 2^16 made the r=2 oracle and the
+whole-range reference slower and raised the peak RSS by 3 MiB more, and
+2^12 made the whole-range reference slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CHUNK_BITS = 16
+_CHUNK_BITS = 14
 
 
 def _spectrum_odometer(contrib, mtilde, start, stop, counts):
@@ -124,7 +128,7 @@ def spectrum_counts(basis, start: int = 0,
         raise ValueError("message index range out of bounds")
     c = min(K, _CHUNK_BITS, max(stop - 1, 0).bit_length())
     # column i: the codeword of message i < 2^c, as an (n, 2^c) table;
-    # 2^c reaches every index below stop, up to one chunk of 2^16
+    # 2^c reaches every index below stop, up to one chunk of 2^14
     low = np.zeros((n, 1), dtype=np.uint64)
     for row in basis[:c]:
         low = np.hstack([low, low ^ row[:, None]])

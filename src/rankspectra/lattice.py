@@ -142,7 +142,11 @@ class CycleLattice:
         alone.  So the top bit m of the common lower bounds c = down[i] &
         down[j] is maximal in c; a unique maximal element of a finite poset
         is its maximum, so the meet is unique iff c == down[m], which holds
-        whenever i or j has nullity below 2.
+        whenever i or j has nullity below 2.  Only the nodes of nullity >= 2
+        keep a bitset: node i's has i bits, and one per node would take about
+        120 MB on U(3,9), whose nodes are almost all of nullity 1.  The
+        down-set of a node m of nullity <= 1 is m and at most the bottom,
+        bit 0, so it is formed only while c with top bit m is compared.
         """
         if not self.nodes or self.nodes[0].dim != 0 or self.nullity[0] != 0:
             raise StructuralError("lattice must have the zero subspace as unique bottom")
@@ -156,12 +160,18 @@ class CycleLattice:
                         "Jordan-Dedekind violated between nodes of ranks "
                         f"{self.nullity[j]} and {self.nullity[i]}"
                     )
-        down = [sum(1 << j for j in below_i) | 1 << i
-                for i, below_i in enumerate(self.below)]
-        for i in range(sum(1 for r in self.nullity if r < 2), len(down)):
-            for down_j in down[i + 1:]:
-                common = down[i] & down_j
-                if common != down[common.bit_length() - 1]:
+        first = sum(1 for r in self.nullity if r < 2)
+        down = [sum(1 << j for j in self.below[i]) | 1 << i
+                for i in range(first, len(self.below))]
+        for a, down_i in enumerate(down):
+            for down_j in down[a + 1:]:
+                common = down_i & down_j
+                m = common.bit_length() - 1
+                if m >= first:
+                    unique = common == down[m - first]
+                else:  # m and at most the bottom, bit 0, are in down[m]
+                    unique = m >= 0 and common == 1 << m | (0 in self.below[m])
+                if not unique:
                     raise StructuralError("lattice meet is not unique")
         if max(self.nullity) != self.k:
             raise StructuralError(

@@ -285,6 +285,39 @@ def test_cli_import_leaves_oracle_out():
     assert proc.stdout.strip() == b"False"
 
 
+def test_cli_leaves_openssl_out():
+    # the input is hashed by the builtin SHA-256, so no command loads
+    # OpenSSL's ``_hashlib``
+    proc = run_python("-c", "import sys, rankspectra.cli; "
+                      "print('_hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
+    proc = run_python("-c", "import sys; from rankspectra.cli import main; "
+                      f"status = main(['analyze', {EXAMPLE!r}]); "
+                      "print(status, '_hashlib' in sys.modules, file=sys.stderr)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == [b"0", b"False"]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.json")))
+def test_input_sha256_matches_hashlib(capsys, name):
+    raw = (DATA / name).read_bytes()
+    status, report = run_json(capsys, "analyze", str(DATA / name))
+    assert status == 0
+    assert report["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "full")],
+                         ids=["analyze", "verify-full"])
+def test_module_run_matches_main(capsys, argv):
+    # ``console_main`` freezes the heap before exiting; the report and the
+    # status stay those of ``main``
+    status, out = run_cli(capsys, *argv, EXAMPLE)
+    proc = run_module(*argv, EXAMPLE)
+    assert (proc.returncode, proc.stdout) == (status, out.encode())
+    assert status == 0
+
+
 @pytest.mark.parametrize("setup,expected", [
     ("os.environ.pop('OPENBLAS_NUM_THREADS', None)", b"1"),
     ("os.environ['OPENBLAS_NUM_THREADS'] = '3'", b"3"),

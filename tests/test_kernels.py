@@ -51,7 +51,8 @@ def test_range_partition_merges():
 
 
 def test_range_partition_across_chunk_boundary():
-    # K = 18, so 2^18 messages: the cuts fall off the 2^16-message chunk grid
+    # K = 18, so 2^18 messages: the cuts fall off the 2^14-message chunk grid,
+    # 65530 and 65542 on either side of the boundary at 65536
     basis = _toy_basis(k=2, mtilde=9, n=4)
     whole = _kernels.spectrum_counts(basis)
     cuts = [0, 65530, 65542, 200001, 512**2]
@@ -60,14 +61,14 @@ def test_range_partition_across_chunk_boundary():
     assert list(sum(parts)) == list(whole)
     window = _reference(basis, 9, 65530, 65542)
     assert list(parts[1]) == list(window)
-    head = _kernels.spectrum_counts(basis, 0, 65542)  # two chunks
+    head = _kernels.spectrum_counts(basis, 0, 65542)  # five chunks
     assert list(head - parts[0]) == list(window)
 
 
 def test_class_ranges_sum_to_whole():
     # [0, 1) and the doubling ranges [2^a, 2^(a+1)) partition all 2^18
-    # indices; each range sizes its own low table, and from a = 16 on the
-    # ranges span several 2^16-message chunks
+    # indices; each range sizes its own low table, and from a = 15 on the
+    # ranges span several 2^14-message chunks
     basis = _toy_basis(k=2, mtilde=9, n=4)
     parts = [_kernels.spectrum_counts(basis, 0, 1)]
     parts += [_kernels.spectrum_counts(basis, 1 << a, 2 << a) for a in range(18)]
@@ -77,7 +78,7 @@ def test_class_ranges_sum_to_whole():
 
 def test_low_table_sized_to_range(monkeypatch):
     # the one-word range [1, 2) reads columns 0 and 1 only: one doubling of
-    # the table, not 16
+    # the table, not one per chunk bit
     widths = []
     hstack = np.hstack
 
