@@ -30,62 +30,6 @@ import numpy as np
 _CHUNK_BITS = 14
 
 
-def _spectrum_odometer(contrib, mtilde, start, stop, counts):
-    """Reference implementation, one message at a time.
-
-    contrib[t, v, j] is the encoding of the j-th entry of v * row_t of the
-    generator matrix; message index digits are big-endian in t.
-    """
-    k, S, n = contrib.shape
-    digits = np.zeros(k, np.int64)
-    acc = np.zeros((k + 1, n), np.uint64)
-    basis = np.zeros(n, np.uint64)
-    rem = start
-    for t in range(k - 1, -1, -1):
-        digits[t] = rem % S
-        rem //= S
-    for u in range(k):
-        for j in range(n):
-            acc[u + 1, j] = acc[u, j] ^ contrib[u, digits[u], j]
-    one = np.uint64(1)
-    for _ in range(stop - start):
-        rank = 0
-        for b in range(n):
-            basis[b] = 0
-        for i in range(mtilde):
-            row = np.uint64(0)
-            sh = np.uint64(i)
-            for j in range(n):
-                row |= ((acc[k, j] >> sh) & one) << np.uint64(j)
-            while row != 0:
-                h = 0
-                r = row >> one
-                while r != 0:
-                    r >>= one
-                    h += 1
-                if basis[h] != 0:
-                    row ^= basis[h]
-                else:
-                    basis[h] = row
-                    rank += 1
-                    break
-        counts[rank] += 1
-        t = k - 1
-        while t >= 0:
-            digits[t] += 1
-            if digits[t] == S:
-                digits[t] = 0
-                t -= 1
-            else:
-                break
-        if t < 0:
-            break
-        for u in range(t, k):
-            for j in range(n):
-                acc[u + 1, j] = acc[u, j] ^ contrib[u, digits[u], j]
-    return counts
-
-
 def _ranks(rows):
     """GF(2) rank of each column of word rows, shape (n, size).
 

@@ -252,12 +252,6 @@ class ClassicalMatroid:
     def rank(self, mask: int) -> int:
         return int(self._ranks[mask])
 
-    def dual_rank(self, mask: int) -> int:
-        return bin(mask).count("1") + self.rank(self.full_mask ^ mask) - self.full_rank
-
-    def dual_nullity(self, mask: int) -> int:
-        return bin(mask).count("1") - self.dual_rank(mask)
-
     def _dual_nullities(self) -> np.ndarray:
         """Dual nullity of every mask: |m| - rho*(m) = rho(E) - rho(E - m)."""
         return self.full_rank - self._ranks[::-1]

@@ -7,11 +7,14 @@ subspace that ``enumerate_subspaces(GF(2), n, d)`` yields.  The rows come
 one pivot set at a time, a block of consecutive indices, so the pivots of
 a row are those of its block.  No ``Subspace`` is built except on request.
 
-Keys.  An RREF row with pivot p is zero below p, so a subspace is fixed by
-its pivot mask and, for each row, its bits above the pivot.  Column p owns
-n - 1 - p key bits for the bits above it, after the n bits of the pivot
-mask: n + n(n - 1)/2 bits in all, 55 at n = 10 and 66 at n = 11, so the
-key is one int64 up to n = 10.  Past that the table refuses to be built.
+Index.  An RREF row with pivot p is zero below p, so a subspace is fixed
+by its pivot mask and the bits of its rows at the free columns.  Its
+index is the first index of its pivot block plus those bits read as one
+mixed-radix number, a field per row, the last row lowest, and within a
+row the highest column lowest: the Schubert-cell ranking of the
+Grassmannian (Silberstein and Etzion, "Enumerative coding for Grassmannian
+space", IEEE Trans. IT 2011).  ``place_table`` holds the share of each
+row in that number, so an index is a sum of gathers.
 
 Covers.  The (d + 1)-subspaces above X are the X + v for the 2^(n-d) - 1
 nonzero v that are zero at the pivots of X.  Such a v is already reduced
@@ -19,11 +22,12 @@ modulo X, and two of them give the same sum only if their difference,
 also zero at the pivots, lies in X, that is only if they are equal.  With
 c the lowest bit of v, the RREF of X + v is v itself, with pivot c, and
 the rows of X that hold bit c XORed with v; each of those has its pivot
-below c, so it keeps it.  The key of X + v is then key(X) with the pivot
-bit c set and, XORed into the field of each changed row and of c, the
-bits of v above that row's pivot.  The pivots, free columns and cover
-vectors of each pivot block sit in small tables, read at the block of
-each subspace, so every pass takes a whole dimension at once.
+below c, so it keeps it.  The index of X + v is then the first index of
+the block of the pivot mask of X with bit c set, plus the shares of v
+and of the rows of X, each XORed with v when it holds bit c.  The pivot
+masks and cover vectors of each pivot block sit in small tables, read at
+the block of each subspace, so every pass takes a whole dimension at
+once.
 
 Flats and closure pointers.  X is a flat when every cover has another
 rank.  The flat scan walks the dimensions from n down, and a non-flat
@@ -49,21 +53,9 @@ from math import prod
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .linalg import GF, Subspace, check_subspace_count
 
-KEY_BITS = 63  # value bits of an int64
 CHUNK = 1 << 16  # (subspace, cover) pairs per array pass
-
-
-def key_offsets(n: int) -> np.ndarray:
-    """Bit offset of each column's key field; raises past the int64 key."""
-    bits = n + n * (n - 1) // 2
-    if bits > KEY_BITS:
-        raise ResourceLimitError(
-            f"subspace keys of F_2^{n} need {bits} bits, over {KEY_BITS}",
-            required=bits, cap=KEY_BITS)
-    return n + np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1)))).astype(np.int64)
 
 
 def binary_subspace_rows(n: int, s: int):
@@ -100,38 +92,47 @@ def binary_subspace_rows(n: int, s: int):
     return blocks, rows
 
 
+def place_table(n: int) -> np.ndarray:
+    """At ``mask << n | row``, the share of an RREF row in the index of a
+    subspace of F_2^n within the block of pivot mask ``mask``: the bits
+    of the row at the free columns, the highest column lowest, shifted
+    past the fields of the rows with higher pivots."""
+    value = np.arange(1 << n)
+    mask, row = value[:, None], value[None, :]
+    packed = shift = offset = free = 0
+    for j in range(n - 1, -1, -1):  # free = free columns above j
+        pivot, bit = mask >> j & 1, row >> j & 1
+        shift = np.where(bit == 1, offset, shift)  # ends at the lowest bit
+        packed = packed | bit * (1 - pivot) << free
+        offset = offset + pivot * free
+        free = free + 1 - pivot
+    return np.ravel(packed << shift)
+
+
 class SubspaceTable:
-    """Every subspace of F_2^n by dimension: rows, pivot blocks and keys."""
+    """Every subspace of F_2^n by dimension: rows, pivot blocks and the
+    tables of the index."""
 
     def __init__(self, n: int):
         self.n = n
-        self.offsets = key_offsets(n)
-        self.rows, self.blocks, self.keys, self._order, self._sorted = [], [], [], [], []
+        self._place = place_table(n)
+        self._first = np.zeros(1 << n, np.int64)
+        self.rows, self.blocks, self._tables = [], [], []
         for s in range(n + 1):
             blocks, rows = binary_subspace_rows(n, s)
-            keys = np.empty(len(rows), np.int64)
-            for pivots, lo, hi in blocks:
-                keys[lo:hi] = sum(1 << p for p in pivots)
-                for i, p in enumerate(pivots):
-                    keys[lo:hi] ^= rows[lo:hi, i] >> (p + 1) << self.offsets[p]
-            order = np.argsort(keys)
             self.rows.append(rows)
             self.blocks.append(blocks)
-            self.keys.append(keys)
-            self._order.append(order)
-            self._sorted.append(keys[order])
-        self._tables = [self._block_tables(s) for s in range(n + 1)]
+            self._tables.append(self._block_tables(s))
+            first, masks, _ = self._tables[s]
+            self._first[masks] = first
+        # a pointer names a subspace by its index plus base[s]
+        self.base = np.cumsum([0] + [len(rows) for rows in self.rows])
 
     @staticmethod
     def check(n: int, cap: int | None) -> None:
-        """The subspace cap of every dimension, then the key width."""
+        """The subspace cap of every dimension."""
         for s in range(n + 1):
             check_subspace_count(n, s, 2, cap)
-        key_offsets(n)
-
-    def index(self, s: int, keys: np.ndarray) -> np.ndarray:
-        """Indices in dimension s of the subspaces with these keys."""
-        return self._order[s][np.searchsorted(self._sorted[s], keys)]
 
     def subspaces(self, gf: GF, s: int, indices=None):
         """``Subspace`` objects of dimension s, all or at the given indices."""
@@ -143,24 +144,18 @@ class SubspaceTable:
             yield Subspace(gf, self.n, tuple(row), blocks[b][0])
 
     def _block_tables(self, s: int):
-        """Per pivot block of dimension s: its first index, and per cover
-        vector v, with c the lowest bit of v: c, the key change of X + v
-        over X at the pivot and at c, and for each row i of X the change
-        when row i holds bit c.  The cover vectors of a block are the
-        nonzero v zero at its pivots, the t-th with the bits of t at the
-        free columns, as rows are enumerated."""
+        """Per pivot block of dimension s: its first index, its pivot mask
+        and its cover vectors, the nonzero v zero at its pivots, the t-th
+        with the bits of t at the free columns, as rows are enumerated."""
         blocks = self.blocks[s]
-        pivots = np.array([p for p, _, _ in blocks], np.int64).reshape(len(blocks), s)
         free = np.array([[j for j in range(self.n) if j not in p] for p, _, _ in blocks],
                         np.int64).reshape(len(blocks), self.n - s)
         t = np.arange(1, 1 << (self.n - s))
         v = np.zeros((len(blocks), len(t)), np.int64)
         for j, col in enumerate(free.T[::-1]):
             v |= (t >> j & 1) << col[:, None]
-        off = self.offsets
-        c = np.log2(v & -v).astype(np.int64)
-        moves = v >> (pivots.T[:, :, None] + 1) << off[pivots.T][:, :, None]
-        return ([lo for _, lo, _ in blocks], c, 1 << c ^ v >> (c + 1) << off[c], moves)
+        masks = np.array([sum(1 << j for j in p) for p, _, _ in blocks], np.int64)
+        return [lo for _, lo, _ in blocks], masks, v
 
     def _block_of(self, s: int, at: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._tables[s][0], at, side="right") - 1
@@ -169,14 +164,18 @@ class SubspaceTable:
         """Indices in dimension s + 1 of X + v, for X at indices ``at`` of
         dimension s: one row per X, one column per cover vector v of the
         block of X (``_block_tables``), columns ``cols`` of them."""
-        _, low, delta, moves = self._tables[s]
+        _, masks, vectors = self._tables[s]
         block = self._block_of(s, at)
-        c = low[:, cols][block]
-        keys = self.keys[s][at, None] ^ delta[:, cols][block]
+        v = vectors[:, cols][block]
+        low = v & -v
+        mask = masks[block, None] | low
+        up = mask << self.n
+        index = self._first[mask] + self._place[up | v]
         rows = self.rows[s][at]
         for i in range(s):
-            keys ^= np.where(rows[:, i, None] >> c & 1 == 1, moves[i][:, cols][block], 0)
-        return self.index(s + 1, keys)
+            row = rows[:, i, None]
+            index += self._place[up | np.where(row & low, row ^ v, row)]
+        return index
 
     def flats(self, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The flats and the closure pointers, given the rank array of each
@@ -197,7 +196,7 @@ class SubspaceTable:
         n = self.n
         flats, ptr = [None] * (n + 1), [None] * (n + 1)
         # pointers hold table positions until the flats are numbered
-        base = np.cumsum([0] + [len(rows) for rows in self.rows])
+        base = self.base
         for s in range(n, -1, -1):
             width = (1 << (n - s)) - 1
             live = np.arange(len(self.rows[s]))
@@ -250,8 +249,8 @@ class SubspaceTable:
         return out + [[]]
 
     def closures(self, ranks) -> list[np.ndarray] | None:
-        """Per dimension, the key of each subspace's closure pointer, given
-        the rank array of each dimension; None as soon as a check fails.
+        """Per dimension, the closure pointer of each subspace, given the
+        rank array of each dimension; None as soon as a check fails.
 
         The dimensions are walked from n down to 0, all covers X + v of a
         dimension at once, in chunks of ``CHUNK`` pairs.  With
@@ -261,16 +260,18 @@ class SubspaceTable:
         ptr[X + v] for the first cover that has.  ``QMatroid.verify_axioms``
         proves that these checks pass exactly on the q-matroids, and then
         ptr[X] is the closure of X, so its fixed points are the q-flats.
+        A pointer is int32, the index of a subspace plus ``base`` of its
+        dimension, as in ``flats``.
         """
         ptr = [None] * (self.n + 1)
         for s in range(self.n, -1, -1):
             rank = ranks[s]
             if ((rank < 0) | (rank > s)).any():
                 return None
-            ptr[s] = self.keys[s].copy()
+            size = len(rank)
+            ptr[s] = (np.arange(size) + self.base[s]).astype(np.int32)
             if s == self.n:
                 continue
-            size = len(rank)
             step = max(1, CHUNK // ((1 << (self.n - s)) - 1))
             for i in range(0, size, step):
                 part = np.arange(i, min(i + step, size))

@@ -12,6 +12,62 @@ def _toy_basis(k=2, mtilde=2, n=3, seed=11):
     return rng.integers(0, 1 << mtilde, size=(k * mtilde, n), dtype=np.uint64)
 
 
+def _spectrum_odometer(contrib, mtilde, start, stop, counts):
+    """Reference implementation, one message at a time.
+
+    contrib[t, v, j] is the encoding of the j-th entry of v * row_t of the
+    generator matrix; message index digits are big-endian in t.
+    """
+    k, S, n = contrib.shape
+    digits = np.zeros(k, np.int64)
+    acc = np.zeros((k + 1, n), np.uint64)
+    basis = np.zeros(n, np.uint64)
+    rem = start
+    for t in range(k - 1, -1, -1):
+        digits[t] = rem % S
+        rem //= S
+    for u in range(k):
+        for j in range(n):
+            acc[u + 1, j] = acc[u, j] ^ contrib[u, digits[u], j]
+    one = np.uint64(1)
+    for _ in range(stop - start):
+        rank = 0
+        for b in range(n):
+            basis[b] = 0
+        for i in range(mtilde):
+            row = np.uint64(0)
+            sh = np.uint64(i)
+            for j in range(n):
+                row |= ((acc[k, j] >> sh) & one) << np.uint64(j)
+            while row != 0:
+                h = 0
+                r = row >> one
+                while r != 0:
+                    r >>= one
+                    h += 1
+                if basis[h] != 0:
+                    row ^= basis[h]
+                else:
+                    basis[h] = row
+                    rank += 1
+                    break
+        counts[rank] += 1
+        t = k - 1
+        while t >= 0:
+            digits[t] += 1
+            if digits[t] == S:
+                digits[t] = 0
+                t -= 1
+            else:
+                break
+        if t < 0:
+            break
+        for u in range(t, k):
+            for j in range(n):
+                acc[u + 1, j] = acc[u, j] ^ contrib[u, digits[u], j]
+    return counts
+
+
 def _reference(basis, mtilde, start=0, stop=None):
     # expand the basis by linearity into the odometer's table:
     # contrib[t, v] is the XOR of the rows (k-1-t)*mtilde + b over bits b of v
@@ -24,7 +80,7 @@ def _reference(basis, mtilde, start=0, stop=None):
                 if v >> b & 1:
                     contrib[t, v] ^= basis[(k - 1 - t) * mtilde + b]
     stop = S**k if stop is None else stop
-    return _kernels._spectrum_odometer(
+    return _spectrum_odometer(
         contrib, mtilde, start, stop, np.zeros(n + 1, dtype=np.int64))
 
 

@@ -27,7 +27,7 @@ from rankspectra import (
     subspace_table,
     uniform_qmatroid,
 )
-from rankspectra.linalg import exp_log
+from rankspectra.linalg import DEFAULT_SUBSPACE_CAP, exp_log
 from rankspectra.subspace_table import SubspaceTable
 
 
@@ -57,13 +57,11 @@ def test_rows_follow_enumeration_order(n):
     for s in range(n + 1):
         expected = [(X.rows, X.pivots) for X in enumerate_subspaces(gf, n, s)]
         assert [(X.rows, X.pivots) for X in T.subspaces(gf, s)] == expected
-        # keys are injective, and each looks up its own index
-        assert len(set(T.keys[s].tolist())) == len(expected)
-        assert T.index(s, T.keys[s]).tolist() == list(range(len(expected)))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_covers_are_the_sums_with_lines(n):
+    # the computed index of every cover against the scalar sum X + L
     gf = GF.of_order(2)
     T = table(n)
     lines = list(enumerate_subspaces(gf, n, 1))
@@ -155,17 +153,17 @@ def test_indexed_flats_and_profile_match_scalar_scan(make):
     assert M.rank_profile() == profile
 
 
-def test_key_width_refused_before_enumeration(monkeypatch):
+def test_default_cap_refused_before_enumeration(monkeypatch):
     def enumerate_nothing(*args, **kwargs):
-        raise AssertionError("enumerated past the key width")
+        raise AssertionError("enumerated past the default cap")
 
     monkeypatch.setattr(subspace_table, "binary_subspace_rows", enumerate_nothing)
-    # n = 10 needs 10 + 45 = 55 key bits, n = 11 needs 11 + 55 = 66
-    assert subspace_table.key_offsets(10)[-1] == 10 + 45
+    # the table has no width limit of its own: at n = 11 the default cap
+    # refuses the line steps of the flat scan and the subspaces of the profile
     for scan in ("qflats", "rank_profile"):
         with pytest.raises(ResourceLimitError) as err:
-            getattr(uniform_qmatroid(3, 11, 2), scan)(cap=None)
-        assert (err.value.required, err.value.cap) == (66, 63)
+            getattr(uniform_qmatroid(3, 11, 2), scan)()
+        assert err.value.cap == DEFAULT_SUBSPACE_CAP < err.value.required
 
 
 def test_profile_cap_checked_after_table_built():
@@ -220,10 +218,10 @@ def test_closure_pass_matches_scalar_walk():
             # on a q-matroid the fixed points are the q-flats, and the
             # early-exit pointers of the flat scan name the same flats
             flats, scan_ptr = T.flats(ranks)
-            fixed = [np.flatnonzero(p == keys) for p, keys in zip(ptr, T.keys)]
+            fixed = [np.flatnonzero(p == np.arange(len(p)) + b) for p, b in zip(ptr, T.base)]
             assert all(np.array_equal(a, b) for a, b in zip(fixed, flats))
-            flat_keys = np.concatenate([keys[f] for keys, f in zip(T.keys, flats)])
-            assert all(np.array_equal(flat_keys[a], b) for a, b in zip(scan_ptr, ptr)), seed
+            flat_at = np.concatenate([f + b for f, b in zip(flats, T.base)])
+            assert all(np.array_equal(flat_at[a], b) for a, b in zip(scan_ptr, ptr)), seed
     assert 50 < sum(verdicts) < 350
 
 
@@ -250,8 +248,8 @@ def test_closure_fixed_points_are_qflats(make):
     M = make()
     T, ranks = M._ranked_table(None)
     ptr = T.closures(ranks)
-    fixed = tuple(X for s, (p, keys) in enumerate(zip(ptr, T.keys))
-                  for X in T.subspaces(M.gf, s, np.flatnonzero(p == keys)))
+    fixed = tuple(X for s, (p, b) in enumerate(zip(ptr, T.base))
+                  for X in T.subspaces(M.gf, s, np.flatnonzero(p == np.arange(len(p)) + b)))
     assert fixed == M.qflats()
     assert M.verify_axioms() == {"ok": True, "violation": None}
 
