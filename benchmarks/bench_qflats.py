@@ -3,12 +3,14 @@ axiom check.
 
 Times a cold ``QMatroid.qflats()``, ``build_cycle_lattice``, then a cold
 ``rank_profile()`` and a cold ``verify_axioms()``, each on a fresh copy of
-the matroid, on U(3,6), U(3,7) and U(3,8) over F_2 and on the seed-1
-random k=3 codes of length 6 over F_64 and F_512, 7 over F_128 and 8 over
-F_256 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over
-F_64 is the ``code_q2_n6`` benchmark input, and F_512 is the smallest
-field past the Q x Q product tables of ``linalg``).  The n = 8 rungs run
-with a subspace cap of 2*10^8, since their line steps pass the default
+the matroid, on U(3,6), U(3,7) and U(3,8) over F_2, on U(3,6) over F_3,
+on the seed-1 random k=3 binary codes of length 6 over F_64 and F_512, 7
+over F_128 and 8 over F_256, and on the seed-1 k=2 code of length 5 over
+F_243 with base field F_3 (``random_code`` of ``perfbench/workloads.py``;
+the n=6 code over F_64 and the F_243 code are the ``code_q2_n6`` and
+``code_q3_n5`` benchmark inputs, and F_512 is the smallest field past the
+Q x Q product tables of ``linalg``).  The n = 8 rungs and U(3,6) over F_3
+run with a raised subspace cap, since their line steps pass the default
 cap.  Prints seconds, how far each stage raised the process's peak RSS
 (``VmHWM``, MiB), flat counts, the cover edges of the cycle lattice and
 the peak RSS of the process, and writes them to
@@ -44,11 +46,12 @@ from workloads import random_code  # noqa: E402
 SEED = 1
 OUT = HERE / "BENCH_qflats.json"
 N8_CAP = 2 * 10**8
+Q3_CAP = 10**8
 
 
-def code_matroid(label, m_extension, n):
-    """q-matroid of the seeded k=3 code over F_{2^m}, parsed as the CLI parses it."""
-    spec = random_code(SEED, label, 2, m_extension, 3, n)
+def code_matroid(label, p, m_extension, k, n):
+    """q-matroid of the seeded code over F_{p^m}, parsed as the CLI parses it."""
+    spec = random_code(SEED, label, p, m_extension, k, n)
     return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
 
 
@@ -84,19 +87,19 @@ def bench(label, make, mismatches, cap=None):
     return rung, lattice
 
 
-def bench_uniform(k, n, mismatches, cap=None):
-    rung, lattice = bench(f"U({k},{n}) over F_2", lambda: uniform_qmatroid(k, n, 2),
+def bench_uniform(k, n, mismatches, cap=None, q=2):
+    rung, lattice = bench(f"U({k},{n}) over F_{q}", lambda: uniform_qmatroid(k, n, q),
                           mismatches, cap)
     table = virtual_betti_table(lattice)
-    expected = uniform_betti_table(n, k, 2)
+    expected = uniform_betti_table(n, k, q)
     if table != expected:
-        mismatches.append(f"U({k},{n}) Betti table {table.to_records()} "
+        mismatches.append(f"U({k},{n}) over F_{q} Betti table {table.to_records()} "
                           f"!= closed form {expected.to_records()}")
     return rung
 
 
-def bench_code(label, m_extension, n, mismatches, cap=None):
-    return bench(f"{label} seed {SEED}", lambda: code_matroid(label, m_extension, n),
+def bench_code(label, m_extension, n, mismatches, cap=None, p=2, k=3):
+    return bench(f"{label} seed {SEED}", lambda: code_matroid(label, p, m_extension, k, n),
                  mismatches, cap)[0]
 
 
@@ -110,6 +113,8 @@ def main():
         bench_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7, mismatches),
         bench_uniform(3, 8, mismatches, N8_CAP),
         bench_code("code_q2_n8", [1, 0, 1, 1, 1, 0, 0, 0, 1], 8, mismatches, N8_CAP),
+        bench_uniform(3, 6, mismatches, Q3_CAP, q=3),
+        bench_code("code_q3_n5", [1, 2, 0, 0, 0, 1], 5, mismatches, p=3, k=2),
     ]
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MiB")

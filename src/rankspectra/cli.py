@@ -380,27 +380,29 @@ def _add_common(parser):
                         dest="cap_subspaces", default=DEFAULT_SUBSPACE_CAP)
 
 
-def build_parser():
+COMMANDS = ("analyze", "betti", "weights", "spectrum", "higher", "verify", "mrd")
+
+
+def build_parser(command=None):
+    """The parser of every command, or of ``command`` alone, which parses
+    and reports as the full one does: its usage still lists every command."""
     parser = argparse.ArgumentParser(
         prog="rankspectra",
         description="Rank-metric weight spectra via the lattice of q-cycles",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "betti", "weights", "spectrum", "higher"):
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(COMMANDS) + "}"))
+    for name in COMMANDS if command is None else (command,):
         p = sub.add_parser(name)
-        p.add_argument("file")
+        if name == "mrd":
+            for flag in ("--q", "--m", "--n", "--k"):
+                p.add_argument(flag, type=int, required=True)
+        else:
+            p.add_argument("file")
+        if name == "verify":
+            p.add_argument("--level", choices=("quick", "full"), default="quick")
         _add_common(p)
-    p = sub.add_parser("verify")
-    p.add_argument("file")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_common(p)
-    p = sub.add_parser("mrd")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
     return parser
 
 
@@ -459,7 +461,8 @@ def run_mrd(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         output, status = run(args)

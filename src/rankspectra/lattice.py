@@ -7,20 +7,20 @@ L outside X^perp, the hyperplane (X^perp + L)^perp of X keeps the dual
 rank of X iff L raises the rank of X^perp by one.  The nullity of X in M*
 is k - rho(X^perp), so one scan of the q-flats of M gives every node.
 
-Over F_2 the order is built from cover edges.  The flats that cover a
-flat F are the closures cl(F + v) of its covers F + v in F_2^n (Byrne,
-Ceria and Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022),
-and X |-> X^perp reverses inclusion, so node F^perp covers the nodes G^perp
-of those closures.  ``QMatroid.flat_covers`` reads them off the closure
+The order is built from cover edges.  The flats that cover a flat F are
+the closures cl(F + v) of its covers F + v in F_q^n (Byrne, Ceria and
+Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022), and
+X |-> X^perp reverses inclusion, so node F^perp covers the nodes G^perp of
+those closures.  ``QMatroid.flat_covers`` reads them off the closure
 pointers of the flat scan, and the down-sets follow in one pass in
 nullity order.  Those pointers are closures only on a q-matroid: codes
 and U(k, n) are q-matroids by theorem (Jurrius and Pellikaan), and any
 other rank function must pass the closure pass of ``verify_axioms``
-first, run once per matroid, or the lattice raises StructuralError.
-Over larger fields, and for nodes passed in directly, the order is
-point-mask containment, which stays the test reference.  Either way the
-lattice is checked on its cover edges, and by the top node of each bitset
-of common lower bounds, which must be the whole set below that node.
+first, run once per matroid, or the lattice raises StructuralError.  For
+nodes passed in directly the order is point-mask containment, which
+stays the test reference.  Either way the lattice is checked on its
+cover edges, and by the top node of each bitset of common lower bounds,
+which must be the whole set below that node.
 Moebius values on the lattice, and on its collapsed versions
 (all nodes of rank <= l identified with the bottom), stand in for the
 graded Betti numbers of the associated simplicial-complex resolutions:
@@ -265,9 +265,8 @@ def build_cycle_lattice(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> 
     """
     k = M.full_rank
     flats = M.qflats(cap=cap)
-    covers = M.flat_covers(cap=cap) if M.q == 2 else None
     return CycleLattice(M, [F.complement() for F in flats],
-                        [k - M.rank(F) for F in flats], covers)
+                        [k - M.rank(F) for F in flats], M.flat_covers(cap=cap))
 
 
 def virtual_betti_table(L: CycleLattice) -> BettiTable:

@@ -9,19 +9,16 @@ which is memoized per canonical subspace; the lines of F_q^n, the
 q-flats and the rank profile are kept after their first scan.
 
 A code ranks one subspace through ``mat_mul`` and ``mat_rank`` over its
-field, the same for every q.  Over F_2 the q-flats with their closure
-pointers and cover edges, the rank profile and the axiom check read the
-ranks off one ``SubspaceTable`` per matroid: the
-int RREF rows of every subspace as arrays, with a rank array per
-dimension.  Two sources rank a whole dimension at once: a code over F_Q
-with Q <= 4096 eliminates the images G y^T of all its row sets together
-over F_Q, through the exp/log tables of F_Q, and U(k, n) fills in
-min(d, k).  Every other rank function (``dual``, ``restrict``, a plain
-function, a code over a larger field) fills the arrays through ``rank``,
-one subspace at a time.  Over larger base fields the scans walk the
-subspaces one ``Subspace`` at a time, the flats through the line steps of
-``is_qflat``; that walk, and the single-subspace ``rho``, stay the
-reference for F_2.
+field, the same for every q.  The q-flats with their closure pointers and
+cover edges, the rank profile and the axiom check read the ranks off one
+``SubspaceTable`` per matroid: the packed RREF rows of every subspace as
+arrays, with a rank array per dimension.  A binary code over F_Q with
+Q <= 4096 ranks a whole dimension at once, eliminating the images G y^T
+of all its row sets together through the exp/log tables of F_Q, and
+U(k, n) fills in min(d, k); every other rank function fills the arrays
+through ``rank``, one subspace at a time.  The line steps of ``is_qflat``,
+the scalar axiom walk, which also finds the witness of a failure, and the
+single-subspace ``rho`` stay the reference.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from .linalg import (
     GF,
     Subspace,
     all_subspaces,
+    check_subspace_count,
     enumerate_subspaces,
     exp_log,
     gaussian_binomial,
@@ -165,13 +163,13 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
-        # over F_2: per dimension, the table indices of the flats and the
-        # closure pointer of every subspace, from the same scan
+        # per dimension, the table indices of the flats and the closure
+        # pointer of every subspace, from the same scan
         self._flat_pointers = None
         self._profile: Counter | None = None
         self._lines: tuple[Subspace, ...] | None = None
-        # over F_2: ranks of an (N, d) array of int RREF rows, when the
-        # source has a batched form; and the ranked subspace table
+        # ranks of an (N, d) array of packed RREF rows, when the source
+        # has a batched form; and the ranked subspace table
         self._rank_rows = None
         self._table = None
         # True when the source is a q-matroid by theorem (codes, U(k, n));
@@ -263,62 +261,54 @@ class QMatroid:
         return all(step for _, _, step in self._steps(F))
 
     def _ranked_table(self, cap: int | None):
-        """The F_2 subspace table and a rank array per dimension; built once.
+        """The subspace table and a rank array per dimension; built once.
 
         The ranks come from ``_rank_rows`` when the source has it, else
         from ``rank`` one subspace at a time.  The caps are checked on
         every call, as an enumeration would check them.
         """
-        SubspaceTable.check(self.n, cap)
+        for s in range(self.n + 1):
+            check_subspace_count(self.n, s, self.q, cap)
         if self._table is None:
-            table = SubspaceTable(self.n)
+            table = SubspaceTable(self.gf, self.n)
             if self._rank_rows is not None:
                 ranks = [self._rank_rows(rows) for rows in table.rows]
             else:
-                ranks = [np.array([self.rank(X) for X in table.subspaces(self.gf, s)],
-                                  np.int64) for s in range(self.n + 1)]
+                ranks = [np.array([self.rank(X) for X in table.subspaces(s)], np.int64)
+                         for s in range(self.n + 1)]
             self._table = table, ranks
         return self._table
 
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
         """All q-flats by increasing (dimension, basis); scanned once, then kept.
 
-        The line steps of the scan are counted against ``cap`` first.  Over
-        F_2 the flats are read off the ranked subspace table: X is a flat
-        iff each cover of X has a rank other than rho(X), which is
-        ``is_qflat``; only the flats become ``Subspace`` objects, and their
-        ranks go into the memo, and the closure pointers of the same scan
-        are kept for ``flat_covers``.  Over larger fields the capped
-        enumeration runs to its end before the first ``is_qflat``, whose
-        line scan is uncapped.
+        The line steps of the scan are counted against ``cap`` first.  The
+        flats are read off the ranked subspace table: X is a flat iff each
+        cover of X has a rank other than rho(X), which is ``is_qflat``.  Only
+        the flats become ``Subspace`` objects, their ranks go into the memo,
+        and the closure pointers of the scan are kept for ``flat_covers``.
         """
         if self._flats is None:
             self._check_step_count(cap)
-            if self.q == 2:
-                table, ranks = self._ranked_table(cap)
-                self._flat_pointers = table.flats(ranks)
-                flats = []
-                for s, index in enumerate(self._flat_pointers[0]):
-                    for X, r in zip(table.subspaces(self.gf, s, index), ranks[s][index].tolist()):
-                        self._memo[X] = r
-                        flats.append(X)
-                self._flats = tuple(flats)
-            else:
-                subspaces = list(all_subspaces(self.gf, self.n, cap=cap))
-                self._flats = tuple(X for X in subspaces if self.is_qflat(X))
+            table, ranks = self._ranked_table(cap)
+            self._flat_pointers = table.flats(ranks)
+            flats = []
+            for s, index in enumerate(self._flat_pointers[0]):
+                for X, r in zip(table.subspaces(s, index), ranks[s][index].tolist()):
+                    self._memo[X] = r
+                    flats.append(X)
+            self._flats = tuple(flats)
         return self._flats
 
     def flat_covers(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> list[list[int]]:
-        """Over F_2, for each q-flat by its index in ``qflats``, the indices
-        of the q-flats that cover it.
+        """For each q-flat by its index in ``qflats``, the indices of the
+        q-flats that cover it.
 
-        These are the distinct closures cl(F + v) of the covers of F in
-        F_2^n (Byrne, Ceria and Jurrius, "Constructions of new
-        q-cryptomorphisms", JCTB 2022), read off the pointers of the flat
-        scan.  Those pointers are closures only on a q-matroid, so unless
-        the source is one by theorem the closure pass of ``verify_axioms``
-        runs first, once per matroid, and StructuralError is raised if it
-        fails.
+        These are the distinct closures cl(F + v) of the covers of F, read
+        off the pointers of the flat scan (``SubspaceTable``).  Those
+        pointers are closures only on a q-matroid, so unless the source is
+        one by theorem the closure pass of ``verify_axioms`` runs first,
+        once per matroid, and StructuralError is raised if it fails.
         """
         self.qflats(cap)
         if not (self._qmatroid_by_theorem or self._closures_pass(cap)):
@@ -328,14 +318,9 @@ class QMatroid:
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
         """c(d, r): the number of subspaces of dimension d and rank r; counted
-        once, then kept.  Over F_2 it is counted over the rank arrays of the
-        subspace table."""
+        once, then kept, over the rank arrays of the subspace table."""
         if self._profile is None:
-            if self.q == 2:
-                self._profile = SubspaceTable.profile(self._ranked_table(cap)[1])
-            else:
-                self._profile = Counter((X.dim, self.rank(X))
-                                        for X in all_subspaces(self.gf, self.n, cap=cap))
+            self._profile = SubspaceTable.profile(self._ranked_table(cap)[1])
         return self._profile
 
     def is_qcycle(self, X: Subspace) -> bool:
@@ -415,15 +400,15 @@ class QMatroid:
         rho(A + y) <= rho(A + x + y) <= rho(A + x) + 1.  Summing steps
         along matched chains (A meet B -> A and B -> A + B) gives P3.
 
-        Over F_2 the walk above runs only when the closure-pointer pass of
+        The walk above runs only when the closure-pointer pass of
         ``SubspaceTable.closures`` over the ranked table fails, so that it
         reports its witness; the pass decides, and its verdict is kept on
-        the matroid for ``flat_covers``.  Its checks are (P1), steps
-        in {0, 1} on every cover X + v, and ptr[X + v] = ptr[X] on every
-        cover with step 0, ptr[X] being X when there is none and else ptr
-        of the first.  By induction from the top, ptr[X] contains X and,
-        through a chain of step-0 covers, has the rank of X.  The pass
-        accepts exactly when the walk does:
+        the matroid for ``flat_covers``.  Its checks are (P1), steps in
+        {0, 1} on every cover X + v, and ptr[X + v] = ptr[X] on every cover
+        with step 0, ptr[X] being X when there is none and else ptr of the
+        first.  By induction from the top, ptr[X] contains X and, through a
+        chain of step-0 covers, has the rank of X.  The pass accepts exactly
+        when the walk does:
 
         - If the walk accepts, M is a q-matroid and cl is its closure
           operator (Byrne, Ceria and Jurrius, "Constructions of new
@@ -445,12 +430,12 @@ class QMatroid:
         Returns {"ok": bool, "violation": description-or-None}.
         """
         self._check_step_count(cap)
-        if self.q == 2 and self._closures_pass(cap):
+        if self._closures_pass(cap):
             return {"ok": True, "violation": None}
         return self._axiom_walk(cap)
 
     def _closures_pass(self, cap: int | None) -> bool:
-        """Whether ``SubspaceTable.closures`` passes on the ranked F_2 table;
+        """Whether ``SubspaceTable.closures`` passes on the ranked table;
         run once per matroid, then kept."""
         table, ranks = self._ranked_table(cap)
         if self._closure_verdict is None:
@@ -460,15 +445,12 @@ class QMatroid:
     def _axiom_walk(self, cap: int | None) -> dict:
         """The scalar walk of ``verify_axioms`` over ``Subspace`` objects.
 
-        Over F_2 every rank comes from the ranked subspace table first, whose
-        rows follow the order of ``all_subspaces``, so the walk reads the
-        memo alone.
+        It reads the ranks of the table, whose rows follow the order of
+        ``all_subspaces``, so it judges the ranks the closure pass judged.
         """
-        if self.q == 2:
-            ranks = np.concatenate(self._ranked_table(cap)[1]).tolist()
+        ranks = np.concatenate(self._ranked_table(cap)[1]).tolist()
         subs = list(all_subspaces(self.gf, self.n, cap=cap))
-        if self.q == 2:
-            self._memo.update(zip(subs, ranks, strict=True))
+        self._memo.update(zip(subs, ranks, strict=True))
         for X in subs:
             r = self.rank(X)
             if not (0 <= r <= X.dim):

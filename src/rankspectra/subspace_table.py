@@ -1,33 +1,30 @@
-"""One indexed table of all subspaces of F_2^n, for array passes over them.
+"""One indexed table of all subspaces of F_q^n, for array passes over them.
 
-Each dimension d holds the int RREF rows of its subspaces (bit j =
-coordinate j, the F_2 row form of ``linalg``) as one (N, d) int64 array,
-in the order of ``enumerate_subspaces``: index i of dimension d is the i-th
-subspace that ``enumerate_subspaces(GF(2), n, d)`` yields.  The rows come
-one pivot set at a time, a block of consecutive indices, so the pivots of
-a row are those of its block.  No ``Subspace`` is built except on request.
+Each dimension d holds the RREF rows of its subspaces, packed base q
+(digit j = coordinate j, over F_2 the int row form of ``linalg``), as one
+(N, d) int64 array, in the order of ``enumerate_subspaces``: index i of
+dimension d is the i-th subspace that ``enumerate_subspaces(gf, n, d)``
+yields.  The rows come one pivot set at a time, a block of consecutive
+indices, so the pivots of a row are those of its block.  No ``Subspace``
+is built except on request.
 
-Index.  An RREF row with pivot p is zero below p, so a subspace is fixed
-by its pivot mask and the bits of its rows at the free columns.  Its
-index is the first index of its pivot block plus those bits read as one
-mixed-radix number, a field per row, the last row lowest, and within a
-row the highest column lowest: the Schubert-cell ranking of the
-Grassmannian (Silberstein and Etzion, "Enumerative coding for Grassmannian
-space", IEEE Trans. IT 2011).  ``place_table`` holds the share of each
-row in that number, so an index is a sum of gathers.
+Index.  An RREF row with pivot p is zero below p and 1 at p, so a
+subspace is fixed by its pivot mask and the digits of its rows at the
+free columns.  Its index is the first index of its pivot block plus those
+digits read as one mixed-radix number, a field per row, the last row
+lowest, and within a row the highest column lowest: the Schubert-cell
+ranking of the Grassmannian (Silberstein and Etzion, "Enumerative coding
+for Grassmannian space", IEEE Trans. IT 2011).  ``weight_table`` holds the
+weight of each digit in that number, at most 2^n n^2 entries whatever q.
 
-Covers.  The (d + 1)-subspaces above X are the X + v for the 2^(n-d) - 1
-nonzero v that are zero at the pivots of X.  Such a v is already reduced
-modulo X, and two of them give the same sum only if their difference,
-also zero at the pivots, lies in X, that is only if they are equal.  With
-c the lowest bit of v, the RREF of X + v is v itself, with pivot c, and
-the rows of X that hold bit c XORed with v; each of those has its pivot
-below c, so it keeps it.  The index of X + v is then the first index of
-the block of the pivot mask of X with bit c set, plus the shares of v
-and of the rows of X, each XORed with v when it holds bit c.  The pivot
-masks and cover vectors of each pivot block sit in small tables, read at
-the block of each subspace, so every pass takes a whole dimension at
-once.
+Covers.  The (d + 1)-subspaces above X are the X + v for the nonzero v
+that are zero at the pivots of X and 1 at their first nonzero column c:
+v is reduced modulo X, so it names the line of X + v over X.  The RREF of
+X + v is v, with pivot c, and each row of X minus row[c] v, which keeps
+its pivot, below c.  The index of X + v is then the first index of the
+block of the pivot mask of X with bit c set, plus the shares of v and of
+the updated rows.  Small tables hold these per pivot block, so every
+pass takes a whole dimension at once.
 
 Flats and closure pointers.  X is a flat when every cover has another
 rank.  The flat scan walks the dimensions from n down, and a non-flat
@@ -53,109 +50,133 @@ from math import prod
 
 import numpy as np
 
-from .linalg import GF, Subspace, check_subspace_count
+from .linalg import GF, Subspace
 
 CHUNK = 1 << 16  # (subspace, cover) pairs per array pass
 
 
-def binary_subspace_rows(n: int, s: int):
-    """(blocks, rows) of the s-subspaces of F_2^n.
+def subspace_rows(n: int, s: int, q: int):
+    """(blocks, rows) of the s-subspaces of F_q^n.
 
-    ``rows`` is an (N, s) int64 array of RREF rows, in the order of
-    ``enumerate_subspaces``: pivot sets in lexicographic order, each a
+    ``rows`` is an (N, s) int64 array of packed RREF rows, in the order
+    of ``enumerate_subspaces``: pivot sets in lexicographic order, each a
     block of consecutive rows listed in ``blocks`` as (pivots, lo, hi), and
     within one the product of the choices for each row, the free entries
-    of a row read as a big-endian counter.  So the index within a block
-    holds the choice of each row in a field of bits, the last row lowest,
-    and row i of a block is its list of choices read at that field.
+    of a row read as a big-endian counter, the last row lowest.
     """
     blocks, tables, lo = [], [], 0
     for pivots in combinations(range(n), s):
         choices = []
         for p in pivots:
-            values = [1 << p]
+            values = [q ** p]
             for col in (j for j in range(p + 1, n) if j not in pivots):
-                values = [v | bit << col for v in values for bit in (0, 1)]
-            choices.append(values)
+                values = [v + digit * q ** col for v in values for digit in range(q)]
+            choices.append(np.array(values))
         size = prod(map(len, choices))
         blocks.append((pivots, lo, lo + size))
         tables.append(choices)
         lo += size
     rows = np.empty((lo, s), np.int64)
-    index = np.arange(max(hi - lo for _, lo, hi in blocks))
     for (_, lo, hi), choices in zip(blocks, tables):
-        shift = (hi - lo).bit_length() - 1
+        # a view with one axis per row's choice, the last row's fastest
+        block = rows[lo:hi].reshape(*map(len, choices), s)
         for i, values in enumerate(choices):
-            mask = len(values) - 1  # a power of 2 choices
-            shift -= mask.bit_length()
-            rows[lo:hi, i] = np.array(values)[index[:hi - lo] >> shift & mask]
+            block[..., i] = values.reshape([-1 if j == i else 1 for j in range(s)])
     return blocks, rows
 
 
-def place_table(n: int) -> np.ndarray:
-    """At ``mask << n | row``, the share of an RREF row in the index of a
-    subspace of F_2^n within the block of pivot mask ``mask``: the bits
-    of the row at the free columns, the highest column lowest, shifted
-    past the fields of the rows with higher pivots."""
-    value = np.arange(1 << n)
-    mask, row = value[:, None], value[None, :]
-    packed = shift = offset = free = 0
-    for j in range(n - 1, -1, -1):  # free = free columns above j
-        pivot, bit = mask >> j & 1, row >> j & 1
-        shift = np.where(bit == 1, offset, shift)  # ends at the lowest bit
-        packed = packed | bit * (1 - pivot) << free
-        offset = offset + pivot * free
-        free = free + 1 - pivot
-    return np.ravel(packed << shift)
+def weight_table(n: int, q: int) -> np.ndarray:
+    """At [mask, p, j], the weight of digit j of a row with pivot p in the
+    index within the block of pivot mask ``mask``: q to the free columns
+    above j plus the fields of higher-pivot rows, if j is free and > p."""
+    cols = np.arange(n)
+    pivot = np.arange(1 << n)[:, None] >> cols & 1
+    free = 1 - pivot
+    above = np.cumsum(free[:, ::-1], 1)[:, ::-1] - free  # free columns above j
+    field = pivot * above  # the width of the field of a row with pivot j
+    shift = np.cumsum(field[:, ::-1], 1)[:, ::-1] - field
+    keep = (pivot[:, :, None] & free[:, None, :]) * (cols[:, None] < cols)
+    return keep * np.int64(q) ** (keep * (shift[:, :, None] + above[:, None, :]))
+
+
+def _moved_share(gf: GF, n: int, weights: np.ndarray):
+    """``moved(mask, v, unit, pivots, block)`` on arrays of the pivot masks
+    of X + v, cover vectors v, q^c for their leading columns c and the
+    blocks of X: ``share(i, row)``, the share in the index of row - row[c] v
+    for row i of X.  Over F_2 an XOR and a lookup, else the field's
+    arithmetic, as tables if q^2 <= CHUNK, with the pivots of the block."""
+    if gf.size == 2:
+        row, pivot = np.arange(1 << n), [(r & -r).bit_length() - 1 for r in range(1 << n)]
+        place = sum(((row >> j & 1) * weights[:, pivot, j] for j in range(n)),
+                    np.zeros((1 << n, 1 << n), np.int64)).ravel()
+        def moved(mask, v, low, pivots, block):
+            up = mask << n
+            return lambda i, row: place[up | np.where(row & low, row ^ v, row)]
+        return moved
+    q, units = gf.size, (gf.size ** np.arange(n)).tolist()
+    sub, mul = (np.frompyfunc(op, 2, 1) for op in (gf.sub, gf.mul))
+    if q * q <= CHUNK:  # else element by element, with no array of order q^2
+        tables = [f(*np.ogrid[:q, :q]).astype(np.int64) for f in (sub, mul)]
+        sub, mul = (lambda a, b, t=t: t[a, b] for t in tables)
+
+    def moved(mask, v, unit, pivots, block):
+        digits, p = [v // u % q for u in units], pivots[block]
+        def share(i, row):
+            a, w = row // unit % q, weights[mask, p[:, i, None]]
+            return sum(sub(row // u % q, mul(a, y)) * w[..., j]
+                       for j, (u, y) in enumerate(zip(units, digits))).astype(np.int64)
+        return share
+    return moved
 
 
 class SubspaceTable:
-    """Every subspace of F_2^n by dimension: rows, pivot blocks and the
+    """Every subspace of F_q^n by dimension: rows, pivot blocks and the
     tables of the index."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self._place = place_table(n)
-        self._first = np.zeros(1 << n, np.int64)
-        self.rows, self.blocks, self._tables = [], [], []
-        for s in range(n + 1):
-            blocks, rows = binary_subspace_rows(n, s)
-            self.rows.append(rows)
-            self.blocks.append(blocks)
-            self._tables.append(self._block_tables(s))
-            first, masks, _ = self._tables[s]
-            self._first[masks] = first
+    def __init__(self, gf: GF, n: int):
+        self.gf, self.n, self.q = gf, n, gf.size
+        weights = weight_table(n, self.q)
+        self._moved = _moved_share(gf, n, weights)
+        self.blocks, self.rows = zip(*(subspace_rows(n, s, self.q) for s in range(n + 1)))
+        first = np.zeros(1 << n, np.int64)  # the first index of each pivot mask's block
+        for pivots, lo, _ in (block for blocks in self.blocks for block in blocks):
+            first[sum(1 << j for j in pivots)] = lo
+        self._tables = [self._block_tables(s, first, weights) for s in range(n + 1)]
         # a pointer names a subspace by its index plus base[s]
         self.base = np.cumsum([0] + [len(rows) for rows in self.rows])
+        self.widths = [table[2].shape[1] for table in self._tables]
 
-    @staticmethod
-    def check(n: int, cap: int | None) -> None:
-        """The subspace cap of every dimension."""
-        for s in range(n + 1):
-            check_subspace_count(n, s, 2, cap)
-
-    def subspaces(self, gf: GF, s: int, indices=None):
+    def subspaces(self, s: int, indices=None):
         """``Subspace`` objects of dimension s, all or at the given indices."""
         blocks = self.blocks[s]
         if indices is None:
             indices = np.arange(len(self.rows[s]))
         at = self._block_of(s, indices)
-        for b, row in zip(at.tolist(), self.rows[s][indices].tolist()):
-            yield Subspace(gf, self.n, tuple(row), blocks[b][0])
+        rows = self.rows[s][indices]
+        if self.q > 2:  # tuples of coordinates, the row form of ``linalg``
+            rows = rows[..., None] // self.q ** np.arange(self.n) % self.q
+        for b, row in zip(at.tolist(), rows.tolist()):
+            row = tuple(map(tuple, row)) if self.q > 2 else tuple(row)
+            yield Subspace(self.gf, self.n, row, blocks[b][0])
 
-    def _block_tables(self, s: int):
-        """Per pivot block of dimension s: its first index, its pivot mask
-        and its cover vectors, the nonzero v zero at its pivots, the t-th
-        with the bits of t at the free columns, as rows are enumerated."""
-        blocks = self.blocks[s]
-        free = np.array([[j for j in range(self.n) if j not in p] for p, _, _ in blocks],
-                        np.int64).reshape(len(blocks), self.n - s)
-        t = np.arange(1, 1 << (self.n - s))
+    def _block_tables(self, s: int, first: np.ndarray, weights: np.ndarray):
+        """Per pivot block of dimension s: its first index and pivots, and
+        per cover vector v: the pivot mask of X + v, v, q^c for its column
+        c, and the index of X + v less the shares of the rows of X.  v holds
+        the digits of a t in [q^j, 2 q^j) at the free columns, highest lowest."""
+        q, n, blocks = self.q, self.n, self.blocks[s]
+        free = np.array([[j for j in range(n - 1, -1, -1) if j not in p] for p, _, _ in blocks],
+                        np.int64).reshape(len(blocks), n - s)
+        t, top = np.array([(x, j) for j in range(n - s) for x in range(q ** j, 2 * q ** j)],
+                          np.int64).reshape(-1, 2).T
         v = np.zeros((len(blocks), len(t)), np.int64)
-        for j, col in enumerate(free.T[::-1]):
-            v |= (t >> j & 1) << col[:, None]
-        masks = np.array([sum(1 << j for j in p) for p, _, _ in blocks], np.int64)
-        return [lo for _, lo, _ in blocks], masks, v
+        for j in range(n - s):
+            v += t // q ** j % q * q ** free[:, j, None]
+        pivots = np.array([p for p, _, _ in blocks], np.int64).reshape(len(blocks), s)
+        c = np.ascontiguousarray(free[:, top])  # gathers read rows
+        up = np.sum(1 << pivots, 1)[:, None] | 1 << c
+        start = first[up] + sum(v // q ** j % q * weights[up, c, j] for j in range(n))
+        return [lo for _, lo, _ in blocks], up, v, q ** c, pivots, start
 
     def _block_of(self, s: int, at: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._tables[s][0], at, side="right") - 1
@@ -164,17 +185,12 @@ class SubspaceTable:
         """Indices in dimension s + 1 of X + v, for X at indices ``at`` of
         dimension s: one row per X, one column per cover vector v of the
         block of X (``_block_tables``), columns ``cols`` of them."""
-        _, masks, vectors = self._tables[s]
+        _, up, v, unit, pivots, start = self._tables[s]
         block = self._block_of(s, at)
-        v = vectors[:, cols][block]
-        low = v & -v
-        mask = masks[block, None] | low
-        up = mask << self.n
-        index = self._first[mask] + self._place[up | v]
-        rows = self.rows[s][at]
+        up, v, unit, index = (table[:, cols][block] for table in (up, v, unit, start))
+        rows, share = self.rows[s][at], self._moved(up, v, unit, pivots, block)
         for i in range(s):
-            row = rows[:, i, None]
-            index += self._place[up | np.where(row & low, row ^ v, row)]
+            index += share(i, rows[:, i, None])
         return index
 
     def flats(self, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -198,7 +214,7 @@ class SubspaceTable:
         # pointers hold table positions until the flats are numbered
         base = self.base
         for s in range(n, -1, -1):
-            width = (1 << (n - s)) - 1
+            width = self.widths[s]
             live = np.arange(len(self.rows[s]))
             point = (live + base[s]).astype(np.int32)
             a = 0
@@ -239,7 +255,7 @@ class SubspaceTable:
         for s, index in enumerate(flats[:-1]):
             covers = [[top] for _ in range(len(index))]
             lower = np.flatnonzero(ranks[s][index] < full - 1)
-            step = max(1, CHUNK // ((1 << (self.n - s)) - 1))
+            step = max(1, CHUNK // self.widths[s])
             for i in range(0, len(lower), step):
                 part = lower[i:i + step]
                 up = ptr[s + 1][self.cover_index(s, index[part])]
@@ -272,7 +288,7 @@ class SubspaceTable:
             ptr[s] = (np.arange(size) + self.base[s]).astype(np.int32)
             if s == self.n:
                 continue
-            step = max(1, CHUNK // ((1 << (self.n - s)) - 1))
+            step = max(1, CHUNK // self.widths[s])
             for i in range(0, size, step):
                 part = np.arange(i, min(i + step, size))
                 cover = self.cover_index(s, part)

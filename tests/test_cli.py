@@ -11,7 +11,7 @@ import pytest
 
 import rankspectra
 from rankspectra import (
-    QMatroid, ResourceLimitError, StructuralError, cli, qmatroid, subspace_table,
+    CycleLattice, QMatroid, ResourceLimitError, StructuralError, cli, qmatroid, subspace_table,
 )
 from rankspectra.cli import main
 from rankspectra.subspace_table import SubspaceTable
@@ -20,18 +20,24 @@ DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "example_code.json")
 UNIFORM = str(DATA / "uniform_2_4.json")
 MRD = str(DATA / "mrd_2_4.json")
+UNIFORM_Q3 = str(DATA / "uniform_2_4_q3.json")
+CODE_Q3 = str(DATA / "code_q3_k2_n4.json")
 
 # sha256 of the `analyze` stdout for every input in tests/data
 ANALYZE_SHA256 = {
+    "code_q3_k2_n4.json": "6ff95bf01247fb9ea15618861ff79a9399f96069210ed6f9debe7b1ba9e17d9f",
     "example_code.json": "b744bb71c9d4737a0b73f2721dbaeeaf55fc4c3e64e15ca110d0529bf918e17a",
     "mrd_2_4.json": "64203e0f29e9ea56902d1a795b6044a0572405b38a331eb380c3e46f84865624",
     "uniform_2_4.json": "29d03e901485261566a94573d6f5429b619c55eb558fd58c2b0ff183faaeeab1",
+    "uniform_2_4_q3.json": "4b4e819b5c3e7446fd7f65658a3fa443a05d8e0588139093f54a5f59d3740e49",
 }
 # sha256 of the `verify --level quick` stdout for every input in tests/data
 VERIFY_QUICK_SHA256 = {
+    "code_q3_k2_n4.json": "0cd24c553dc0c4c49040dde1c8f184ae62d3063de7f55916c420728590b25a9f",
     "example_code.json": "dba9e5a71f051ab64d6427925d2481b70208c7f6d90b982cf90833ab9b279930",
     "mrd_2_4.json": "1257f966d0b8c3b919960a11d34f13f0a2508594b06d380f4c72d210ce3a496d",
     "uniform_2_4.json": "5f94e9a082df7274787e5bdb8793416482dcc13850ad6fbbb13eefc0212c0633",
+    "uniform_2_4_q3.json": "43b194bad38f32106f93745c2291d09ac7418d2b7eb5547aaff8abd8be334ad8",
 }
 
 
@@ -81,7 +87,8 @@ def test_verify_quick_report_pinned(capsys, name):
 def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
     calls = Counter()
     for owner, name in ((QMatroid, "dual"), (QMatroid, "qcycles"), (QMatroid, "is_qflat"),
-                        (SubspaceTable, "flats")):
+                        (SubspaceTable, "flats"), (CycleLattice, "_contained_below"),
+                        (qmatroid, "all_subspaces")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -89,13 +96,17 @@ def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    status, _ = run_cli(capsys, *argv[:1], EXAMPLE, *argv[1:])
-    assert status == 0
-    assert calls["dual"] == calls["qcycles"] == 0
-    # over F_2 one pass over the subspace table decides every q-flat: a
-    # single scan, with no line walk per subspace
-    assert calls["flats"] == 1
-    assert calls["is_qflat"] == 0
+    for path in (EXAMPLE, UNIFORM_Q3, CODE_Q3):
+        calls.clear()
+        status, _ = run_cli(capsys, *argv[:1], path, *argv[1:])
+        assert status == 0
+        assert calls["dual"] == calls["qcycles"] == 0
+        # over every field one pass over the subspace table decides every
+        # q-flat, and the lattice order comes from its cover edges: no line
+        # walk per subspace, no scalar subspace scan, no point masks
+        assert calls["flats"] == 1, path
+        assert calls["is_qflat"] == calls["all_subspaces"] == 0, path
+        assert calls["_contained_below"] == 0, path
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
@@ -118,7 +129,7 @@ def test_analyze_skips_closure_pass(monkeypatch, capsys, name):
 def test_rank_profile_built_once(monkeypatch, capsys):
     calls = Counter()
     for owner, name in ((QMatroid, "rank_profile"), (qmatroid, "all_subspaces"),
-                        (subspace_table, "binary_subspace_rows")):
+                        (subspace_table, "subspace_rows")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -134,7 +145,28 @@ def test_rank_profile_built_once(monkeypatch, capsys):
     # table, enumerated once per dimension of F_2^4, for the axioms, the
     # q-flats and the profile
     assert calls["all_subspaces"] == 0
-    assert calls["binary_subspace_rows"] == 5
+    assert calls["subspace_rows"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["analyze"],
+    ["analyze", EXAMPLE, "--bogus"],
+    ["verify", EXAMPLE, "--level", "bad"],
+    ["mrd", "--q", "2"],
+    ["spectrum", EXAMPLE, "--r", "2", "--format", "csv"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv if a != EXAMPLE))
+def test_command_parser_matches_full_parser(capsys, argv):
+    # main builds the subparser of the named command alone; it parses and
+    # reports as the parser of every command does, usage line included
+    def outcome(parser):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            args = exc.code
+        return args, capsys.readouterr()
+
+    assert outcome(cli.build_parser(argv[0])) == outcome(cli.build_parser())
 
 
 def test_deterministic_output(capsys):

@@ -211,6 +211,16 @@ def test_corrupted_rank_oracle_rejected_by_lattice(dim, rank):
         build_cycle_lattice(M)
 
 
+@pytest.mark.parametrize("dim,rank", [(1, 0), (3, 1)], ids=["line-rank-0", "3-space-rank-1"])
+def test_corrupted_rank_oracle_rejected_by_lattice_q3(dim, rank):
+    # over F_3 the lattice runs the same closure pass and fails the same way
+    base = uniform_qmatroid(2, 4, 3)
+    target = next(enumerate_subspaces(base.gf, 4, dim))
+    M = QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))
+    with pytest.raises(StructuralError, match="q-matroid axioms"):
+        build_cycle_lattice(M)
+
+
 def _random_f16_matroid(tower16, k, seed):
     rng = random.Random(seed)
     while True:

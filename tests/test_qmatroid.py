@@ -217,8 +217,9 @@ def _deserialize(gf, n, codes):
 
 
 def _base_matroid(tower16, kind, n, seed):
-    if kind == "F_3^2":
-        return uniform_qmatroid(seed % 3, 2, 3)
+    if kind.startswith("F_3^"):
+        n = int(kind[-1])
+        return uniform_qmatroid(seed % (n + 1), n, 3)
     if kind == "uniform":
         return uniform_qmatroid(seed % (n + 1), n, 2)
     rng = random.Random(seed)
@@ -231,13 +232,14 @@ def _base_matroid(tower16, kind, n, seed):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(kind=st.sampled_from(["uniform", "F_16-code", "F_3^2"]),
+@given(kind=st.sampled_from(["uniform", "F_16-code", "F_3^2", "F_3^3"]),
        n=st.sampled_from([3, 4]),
        seed=st.integers(0, 2**16),
        changes=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 1, 2])),
                         max_size=3))
 def test_axiom_check_matches_pairwise_definition(tower16, kind, n, seed, changes):
-    # perturbed uniform and F_16-code q-matroids over F_2^3, F_2^4, F_3^2:
+    # perturbed uniform and F_16-code q-matroids over F_2^3, F_2^4, and
+    # uniform ones over F_3^2 and F_3^3:
     # each change moves one subspace's rank by +-delta, inside [0, dim] when
     # one of the two fits, so most perturbations keep (P1)
     base = _base_matroid(tower16, kind, n, seed)
@@ -256,49 +258,55 @@ def test_axiom_check_matches_pairwise_definition(tower16, kind, n, seed, changes
         assert _violates(M, v["axiom"], X, Y)
 
 
+_SUM = Subspace.sum
+
+
+def _no_sum(self, other):
+    raise AssertionError("verify_axioms called Subspace.sum")
+
+
+def _walk_sum_calls(monkeypatch, M, bound):
+    """The ``sum`` calls of the scalar walk that names the witness of a
+    failing verdict, run on M however the closure pass decides."""
+    calls = 0
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise AssertionError(f"the axiom walk made more than {bound} sum calls")
+        return _SUM(self, other)
+
+    monkeypatch.setattr(Subspace, "sum", counted)
+    assert M._axiom_walk(None) == {"ok": True, "violation": None}
+    return calls
+
+
 def test_verify_axioms_sum_calls_bounded(monkeypatch):
-    # one ``sum`` per (subspace, line) and at most n per closure;
-    # checking P3 on every pair of the 374 subspaces needs about 70k
+    # the closure pass decides without a ``sum`` call; the walk makes one
+    # per (subspace, line) and at most n per closure; checking P3 on every
+    # pair of the 374 subspaces needs about 70k
     M = uniform_qmatroid(2, 5, 2)
     subs = sum(1 for _ in all_subspaces(M.gf, 5))
     lines = sum(1 for _ in enumerate_subspaces(M.gf, 5, 1))
     bound = subs * (lines + 5)
     assert bound == 374 * 36
-    calls = 0
-    original = Subspace.sum
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        if calls > bound:
-            raise AssertionError(f"verify_axioms made more than {bound} sum calls")
-        return original(self, other)
-
-    monkeypatch.setattr(Subspace, "sum", counted)
-    assert M.verify_axioms()["ok"]
+    monkeypatch.setattr(Subspace, "sum", _no_sum)
+    assert M.verify_axioms() == {"ok": True, "violation": None}
+    assert _walk_sum_calls(monkeypatch, M, bound) > subs
 
 
 def test_verify_axioms_sum_calls_bounded_q3(monkeypatch):
-    # the same bound where the scalar walk decides: over F_2 the closure
-    # pass makes no ``sum`` calls at all
+    # the same over F_3: the closure pass over the subspace table decides
+    # the axioms there too, and the walk keeps its bound
     M = uniform_qmatroid(2, 4, 3)
     subs = sum(1 for _ in all_subspaces(M.gf, 4))
     lines = sum(1 for _ in enumerate_subspaces(M.gf, 4, 1))
     bound = subs * (lines + 4)
     assert bound == 212 * 44
-    calls = 0
-    original = Subspace.sum
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        if calls > bound:
-            raise AssertionError(f"verify_axioms made more than {bound} sum calls")
-        return original(self, other)
-
-    monkeypatch.setattr(Subspace, "sum", counted)
-    assert M.verify_axioms()["ok"]
-    assert calls > subs
+    monkeypatch.setattr(Subspace, "sum", _no_sum)
+    assert M.verify_axioms() == {"ok": True, "violation": None}
+    assert _walk_sum_calls(monkeypatch, M, bound) > subs
 
 
 class Enumerated(Exception):
@@ -312,7 +320,7 @@ def test_line_steps_capped_before_enumeration(monkeypatch, scan):
         raise Enumerated
 
     monkeypatch.setattr(qmatroid, "all_subspaces", enumerate_nothing)
-    monkeypatch.setattr(subspace_table, "binary_subspace_rows", enumerate_nothing)
+    monkeypatch.setattr(subspace_table, "subspace_rows", enumerate_nothing)
     # 67 subspaces of F_2^4 times 15 lines: the cap is exact
     with pytest.raises(ResourceLimitError) as err:
         getattr(uniform_qmatroid(2, 4, 2), scan)(cap=67 * 15 - 1)

@@ -1,8 +1,9 @@
-"""The indexed F_2 subspace table against the scalar subspace walk."""
+"""The indexed subspace table of F_q^n against the scalar subspace walk."""
 
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -38,8 +39,8 @@ def binary_tower(m):
 
 
 @cache
-def table(n):
-    return SubspaceTable(n)
+def table(n, q=2):
+    return SubspaceTable(GF.of_order(q), n)
 
 
 def scalar_reference(M):
@@ -50,27 +51,68 @@ def scalar_reference(M):
             Counter((X.dim, R.rank(X)) for X in subs))
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_rows_follow_enumeration_order(n):
-    gf = GF.of_order(2)
-    T = table(n)
+# F_2^n for n <= 6, F_3^n for n <= 4 and F_4^n for n <= 3; the bare n of F_2
+# keeps the test ids it had when the table was binary only
+def field_ladder(low):
+    return [pytest.param(q, n, id=str(n) if q == 2 else f"q{q}-{n}")
+            for q, top in ((2, 6), (3, 4), (4, 3)) for n in range(low, top + 1)]
+
+
+@pytest.mark.parametrize("q,n", field_ladder(0))
+def test_rows_follow_enumeration_order(q, n):
+    gf = GF.of_order(q)
+    T = table(n, q)
     for s in range(n + 1):
         expected = [(X.rows, X.pivots) for X in enumerate_subspaces(gf, n, s)]
-        assert [(X.rows, X.pivots) for X in T.subspaces(gf, s)] == expected
+        assert [(X.rows, X.pivots) for X in T.subspaces(s)] == expected
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_covers_are_the_sums_with_lines(n):
+@pytest.mark.parametrize("q,n", field_ladder(1))
+def test_covers_are_the_sums_with_lines(q, n):
     # the computed index of every cover against the scalar sum X + L
-    gf = GF.of_order(2)
-    T = table(n)
+    gf = GF.of_order(q)
+    T = table(n, q)
     lines = list(enumerate_subspaces(gf, n, 1))
     for s in range(n):
-        above = list(T.subspaces(gf, s + 1))
+        above = list(T.subspaces(s + 1))
         covers = T.cover_index(s, np.arange(len(T.rows[s]))).tolist()
-        for X, cover in zip(T.subspaces(gf, s), covers, strict=True):
+        for X, cover in zip(T.subspaces(s), covers, strict=True):
             expected = {X.sum(L) for L in lines} - {X}
             assert len(cover) == len(expected) and {above[i] for i in cover} == expected
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (4, 3)])
+def test_covers_without_q_squared_tables(monkeypatch, q, n):
+    # once q^2 > CHUNK the row update calls the field's arithmetic element
+    # by element, with no q x q tables: the same covers as from the tables
+    tabled = table(n, q)
+    monkeypatch.setattr(subspace_table, "CHUNK", q * q - 1)
+    T = SubspaceTable(GF.of_order(q), n)
+    for s in range(n):
+        at = np.arange(len(T.rows[s]))
+        assert np.array_equal(T.cover_index(s, at), tabled.cover_index(s, at))
+
+
+@pytest.mark.parametrize("q,n", [(2**31, 1), (1024, 2)])
+def test_large_field_allocates_nothing_of_field_size(q, n):
+    # the tables grow with the subspaces, not with q: a 2^n q^n table of
+    # row shares would take 32 GiB over F_2^31 and 32 MiB over F_1024^2,
+    # and q x q tables of the field 8 MiB over F_1024
+    gf = GF.of_order(q)
+    tracemalloc.start()
+    try:
+        T = SubspaceTable(gf, n)
+        covers = [T.cover_index(s, np.arange(len(T.rows[s]))) for s in range(n)]
+        if n == 1:
+            M = uniform_qmatroid(1, 1, q)
+            assert M.verify_axioms()["ok"] and len(M.qflats()) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the zero subspace is covered by every line, the lines by F_q^n
+    assert sorted(covers[0].ravel().tolist()) == list(range((q**n - 1) // (q - 1)))
+    assert set(covers[-1].ravel().tolist()) == {0}
 
 
 def random_binary_code(m, n, k, rng):
@@ -157,7 +199,7 @@ def test_default_cap_refused_before_enumeration(monkeypatch):
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("enumerated past the default cap")
 
-    monkeypatch.setattr(subspace_table, "binary_subspace_rows", enumerate_nothing)
+    monkeypatch.setattr(subspace_table, "subspace_rows", enumerate_nothing)
     # the table has no width limit of its own: at n = 11 the default cap
     # refuses the line steps of the flat scan and the subspaces of the profile
     for scan in ("qflats", "rank_profile"):
@@ -225,14 +267,14 @@ def test_closure_pass_matches_scalar_walk():
     assert 50 < sum(verdicts) < 350
 
 
-def seed1_code(label, m_extension, n):
-    """The seed-1 k=3 benchmark code, parsed as the CLI parses it."""
+def seed1_code(label, m_extension, n, p=2, k=3):
+    """A seed-1 benchmark code, parsed as the CLI parses it."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         from workloads import random_code
     finally:
         sys.path.pop(0)
-    spec = random_code(1, label, 2, m_extension, 3, n)
+    spec = random_code(1, label, p, m_extension, k, n)
     return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
 
 
@@ -240,7 +282,8 @@ SEED1_LADDER = pytest.mark.parametrize("make", [
     lambda: uniform_qmatroid(3, 6, 2),
     lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
     lambda: seed1_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7),
-], ids=["U(3,6)", "code_q2_n6", "code_q2_n7"])
+    lambda: seed1_code("code_q3_n5", [1, 2, 0, 0, 0, 1], 5, p=3, k=2),
+], ids=["U(3,6)", "code_q2_n6", "code_q2_n7", "code_q3_n5"])
 
 
 @SEED1_LADDER
@@ -249,7 +292,7 @@ def test_closure_fixed_points_are_qflats(make):
     T, ranks = M._ranked_table(None)
     ptr = T.closures(ranks)
     fixed = tuple(X for s, (p, b) in enumerate(zip(ptr, T.base))
-                  for X in T.subspaces(M.gf, s, np.flatnonzero(p == np.arange(len(p)) + b)))
+                  for X in T.subspaces(s, np.flatnonzero(p == np.arange(len(p)) + b)))
     assert fixed == M.qflats()
     assert M.verify_axioms() == {"ok": True, "violation": None}
 
