@@ -11,12 +11,13 @@ The order is built from cover edges.  The flats that cover a flat F are
 the closures cl(F + v) of its covers F + v in F_q^n (Byrne, Ceria and
 Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022), and
 X |-> X^perp reverses inclusion, so node F^perp covers the nodes G^perp of
-those closures.  ``QMatroid.flat_covers`` reads them off the closure
-pointers of the flat scan, and the down-sets follow in one pass in
-nullity order.  Those pointers are closures only on a q-matroid: codes
-and U(k, n) are q-matroids by theorem (Jurrius and Pellikaan), and any
-other rank function must pass the closure pass of ``verify_axioms``
-first, run once per matroid, or the lattice raises StructuralError.  For
+those closures.  ``QMatroid.flat_covers`` returns them from the walk
+over the covers that found the flats (``SubspaceTable.cover_walk``), and
+the down-sets follow in one pass in nullity order.  Those pointers are
+closures only on a q-matroid: codes and U(k, n) are q-matroids by theorem
+(Jurrius and Pellikaan) and take the unchecked walk; any other rank
+function takes the checked walk, which ``verify_axioms`` shares, and the
+lattice raises StructuralError if it fails.  For
 nodes passed in directly the order is point-mask containment, which
 stays the test reference.  Either way the lattice is checked on its
 cover edges, and by the top node of each bitset of common lower bounds,

@@ -372,10 +372,11 @@ def verify_lattice_isomorphism(M: QMatroid,
     if len(mapping) != len(dual_cycles):
         raise StructuralError(
             f"{len(mapping)} q-cycles vs {len(dual_cycles)} classical dual cycles")
-    cycles = [X for X, _ in qcycles]
-    for X in cycles:
-        for Y in cycles:
-            if X.contains(Y) != (mapping[X] & mapping[Y] == mapping[Y]):
+    # X contains Y iff the points of Y lie in X
+    points = {X: point_mask(X) for X, _ in qcycles}
+    for X, x in points.items():
+        for Y, y in points.items():
+            if (x & y == y) != (mapping[X] & mapping[Y] == mapping[Y]):
                 raise StructuralError(
                     "inclusion order not preserved by the cycle correspondence")
     return {

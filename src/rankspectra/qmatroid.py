@@ -9,16 +9,16 @@ which is memoized per canonical subspace; the lines of F_q^n, the
 q-flats and the rank profile are kept after their first scan.
 
 A code ranks one subspace through ``mat_mul`` and ``mat_rank`` over its
-field, the same for every q.  The q-flats with their closure pointers and
-cover edges, the rank profile and the axiom check read the ranks off one
+field, the same for every q.  The rank profile reads the ranks off one
 ``SubspaceTable`` per matroid: the packed RREF rows of every subspace as
-arrays, with a rank array per dimension.  A binary code over F_Q with
-Q <= 4096 ranks a whole dimension at once, eliminating the images G y^T
-of all its row sets together through the exp/log tables of F_Q, and
-U(k, n) fills in min(d, k); every other rank function fills the arrays
-through ``rank``, one subspace at a time.  The line steps of ``is_qflat``,
-the scalar axiom walk, which also finds the witness of a failure, and the
-single-subspace ``rho`` stay the reference.
+arrays, with a rank array per dimension.  One walk over the covers of
+that table yields the q-flats, their cover edges and the axiom verdict.
+A binary code over F_Q with Q <= 4096 ranks a whole dimension at once,
+eliminating the images G y^T of all its row sets together through the
+exp/log tables of F_Q, and U(k, n) fills in min(d, k); every other rank
+function fills the arrays through ``rank``, one subspace at a time.  The
+line steps of ``is_qflat``, the scalar axiom walk, which also finds the
+witness of a failure, and the single-subspace ``rho`` stay the reference.
 """
 
 from __future__ import annotations
@@ -163,19 +163,17 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
-        # per dimension, the table indices of the flats and the closure
-        # pointer of every subspace, from the same scan
-        self._flat_pointers = None
+        # (checked, flats, covers) of ``SubspaceTable.cover_walk``; covers
+        # None when the checked walk failed and the flats are unchecked
+        self._walk = None
         self._profile: Counter | None = None
         self._lines: tuple[Subspace, ...] | None = None
         # ranks of an (N, d) array of packed RREF rows, when the source
         # has a batched form; and the ranked subspace table
         self._rank_rows = None
         self._table = None
-        # True when the source is a q-matroid by theorem (codes, U(k, n));
-        # else the verdict of the closure pass, None until it has run
+        # True when the source is a q-matroid by theorem (codes, U(k, n))
         self._qmatroid_by_theorem = False
-        self._closure_verdict = None
         self.name = name
 
     # -- rank and derived functions ------------------------------------
@@ -238,21 +236,26 @@ class QMatroid:
                 covers[v] = cover = (XL, self.rank(XL) - rX)
             yield L, *cover
 
-    def _check_step_count(self, cap: int | None) -> None:
-        """Raise ResourceLimitError when |subspaces| * |lines| exceeds cap.
+    def _check_step_count(self, cap: int | None, lines: bool = False) -> None:
+        """Raise ResourceLimitError when the covers of all subspaces exceed cap.
 
-        A scan over every subspace X walks the steps X -> X + L over every
-        line L, so the subspace cap bounds those steps before any
-        enumeration starts.
+        The cover walk visits the [n - s, 1]_q covers of each s-subspace,
+        so the subspace cap bounds them before any enumeration starts.
+        With ``lines`` it bounds instead the steps X -> X + L of
+        ``_axiom_walk``, one per subspace X and line L.
         """
         if cap is None:
             return
         n, q = self.n, self.q
-        steps = gaussian_binomial(n, 1, q) * sum(
-            gaussian_binomial(n, s, q) for s in range(n + 1))
+        if lines:
+            steps, unit = gaussian_binomial(n, 1, q) * sum(
+                gaussian_binomial(n, s, q) for s in range(n + 1)), "line steps"
+        else:
+            steps, unit = sum(gaussian_binomial(n, s, q) * gaussian_binomial(n - s, 1, q)
+                              for s in range(n)), "covers"
         if steps > cap:
             raise ResourceLimitError(
-                f"{steps} line steps over all subspaces exceed cap {cap}",
+                f"{steps} {unit} over all subspaces exceed cap {cap}",
                 required=steps, cap=cap,
             )
 
@@ -279,21 +282,39 @@ class QMatroid:
             self._table = table, ranks
         return self._table
 
-    def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
-        """All q-flats by increasing (dimension, basis); scanned once, then kept.
+    def _cover_walk(self, cap: int | None, check: bool):
+        """(checked, flats, covers) of ``SubspaceTable.cover_walk``; walked
+        once per matroid, and again only to check an unchecked result.
 
-        The line steps of the scan are counted against ``cap`` first.  The
+        When the checked walk fails, covers is None and the flats come
+        from an unchecked walk.
+        """
+        if self._walk is None or check and not self._walk[0]:
+            table, ranks = self._ranked_table(cap)
+            walk = table.cover_walk(ranks, check)
+            if walk is None:
+                walk = table.cover_walk(ranks)[0], None
+            self._walk = check, *walk
+        return self._walk
+
+    def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
+        """All q-flats by increasing (dimension, basis); found once, then kept.
+
+        The covers of the walk are counted against ``cap`` first.  The
         flats are read off the ranked subspace table: X is a flat iff each
-        cover of X has a rank other than rho(X), which is ``is_qflat``.  Only
-        the flats become ``Subspace`` objects, their ranks go into the memo,
-        and the closure pointers of the scan are kept for ``flat_covers``.
+        cover of X has a rank other than rho(X), which is ``is_qflat``.
+        They come from the cover walk of ``verify_axioms`` when it has run;
+        else from a new walk, checked unless the source is a q-matroid by
+        theorem, so that its cover edges are closures for ``flat_covers``.
+        Only the flats become ``Subspace`` objects, and their ranks go into
+        the memo.
         """
         if self._flats is None:
             self._check_step_count(cap)
             table, ranks = self._ranked_table(cap)
-            self._flat_pointers = table.flats(ranks)
+            walk = self._cover_walk(cap, check=not self._qmatroid_by_theorem)
             flats = []
-            for s, index in enumerate(self._flat_pointers[0]):
+            for s, index in enumerate(walk[1]):
                 for X, r in zip(table.subspaces(s, index), ranks[s][index].tolist()):
                     self._memo[X] = r
                     flats.append(X)
@@ -305,16 +326,16 @@ class QMatroid:
         q-flats that cover it.
 
         These are the distinct closures cl(F + v) of the covers of F, read
-        off the pointers of the flat scan (``SubspaceTable``).  Those
-        pointers are closures only on a q-matroid, so unless the source is
-        one by theorem the closure pass of ``verify_axioms`` runs first,
-        once per matroid, and StructuralError is raised if it fails.
+        off the pointers of the walk that found the flats
+        (``SubspaceTable.cover_walk``).  Those pointers are closures only on
+        a q-matroid, so StructuralError is raised if the walk was checked
+        and failed.
         """
         self.qflats(cap)
-        if not (self._qmatroid_by_theorem or self._closures_pass(cap)):
+        covers = self._walk[2]
+        if covers is None:
             raise StructuralError("the rank function fails the q-matroid axioms")
-        table, ranks = self._ranked_table(cap)
-        return table.flat_covers(ranks, *self._flat_pointers)
+        return covers
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
         """c(d, r): the number of subspaces of dimension d and rank r; counted
@@ -400,17 +421,18 @@ class QMatroid:
         rho(A + y) <= rho(A + x + y) <= rho(A + x) + 1.  Summing steps
         along matched chains (A meet B -> A and B -> A + B) gives P3.
 
-        The walk above runs only when the closure-pointer pass of
-        ``SubspaceTable.closures`` over the ranked table fails, so that it
-        reports its witness; the pass decides, and its verdict is kept on
-        the matroid for ``flat_covers``.  Its checks are (P1), steps in
-        {0, 1} on every cover X + v, and ptr[X + v] = ptr[X] on every cover
-        with step 0, ptr[X] being X when there is none and else ptr of the
-        first.  By induction from the top, ptr[X] contains X and, through a
-        chain of step-0 covers, has the rank of X.  The pass accepts exactly
-        when the walk does:
+        The line walk above runs only when the checked cover walk of
+        ``SubspaceTable.cover_walk`` over the ranked table fails, so that
+        it reports its witness; the cover walk decides, and its flats and
+        cover edges are kept on the matroid for ``qflats`` and
+        ``flat_covers``.  Its checks are (P1), steps in {0, 1} on every
+        cover X + v, and ptr[X + v] = ptr[X] on every cover with step 0,
+        ptr[X] being X when there is none and else ptr of the first.  By
+        induction from the top, ptr[X] contains X and, through a chain of
+        step-0 covers, has the rank of X.  The cover walk accepts exactly
+        when the line walk does:
 
-        - If the walk accepts, M is a q-matroid and cl is its closure
+        - If the line walk accepts, M is a q-matroid and cl is its closure
           operator (Byrne, Ceria and Jurrius, "Constructions of new
           q-cryptomorphisms", JCTB 2022).  For a step-0 cover X + v,
           cl(X + v) = cl X: by diminishing returns each step-0 line of X
@@ -420,34 +442,30 @@ class QMatroid:
           cl(X + v) <= cl X.  By induction from the top ptr[X] = cl X, as
           a subspace with no step-0 cover is a flat and points to itself,
           and the closure test passes.
-        - If the pass accepts, each step-0 line L of X lies in X + L <=
+        - If the cover walk accepts, each step-0 line L of X lies in X + L <=
           ptr[X + L] = ptr[X], so every S and T of the fold lies between X
           and ptr[X].  Steps >= 0 on every cover make rho monotone, so
-          rho(X) <= rho(T) <= rho(ptr[X]) = rho(X), and the walk accepts.
+          rho(X) <= rho(T) <= rho(ptr[X]) = rho(X), and the line walk
+          accepts.
 
-        The line steps are counted against ``cap`` before any enumeration.
+        The covers are counted against ``cap`` before any enumeration, and
+        the line steps before the line walk starts.
 
         Returns {"ok": bool, "violation": description-or-None}.
         """
         self._check_step_count(cap)
-        if self._closures_pass(cap):
+        if self._cover_walk(cap, check=True)[2] is not None:
             return {"ok": True, "violation": None}
         return self._axiom_walk(cap)
 
-    def _closures_pass(self, cap: int | None) -> bool:
-        """Whether ``SubspaceTable.closures`` passes on the ranked table;
-        run once per matroid, then kept."""
-        table, ranks = self._ranked_table(cap)
-        if self._closure_verdict is None:
-            self._closure_verdict = table.closures(ranks) is not None
-        return self._closure_verdict
-
     def _axiom_walk(self, cap: int | None) -> dict:
-        """The scalar walk of ``verify_axioms`` over ``Subspace`` objects.
+        """The scalar line walk of ``verify_axioms`` over ``Subspace`` objects.
 
-        It reads the ranks of the table, whose rows follow the order of
-        ``all_subspaces``, so it judges the ranks the closure pass judged.
+        Its line steps are counted against ``cap`` first.  It reads the
+        ranks of the table, whose rows follow the order of
+        ``all_subspaces``, so it judges the ranks the cover walk judged.
         """
+        self._check_step_count(cap, lines=True)
         ranks = np.concatenate(self._ranked_table(cap)[1]).tolist()
         subs = list(all_subspaces(self.gf, self.n, cap=cap))
         self._memo.update(zip(subs, ranks, strict=True))

@@ -27,19 +27,21 @@ the updated rows.  Small tables hold these per pivot block, so every
 pass takes a whole dimension at once.
 
 Flats and closure pointers.  X is a flat when every cover has another
-rank.  The flat scan walks the dimensions from n down, and a non-flat
-leaves at the first cover of its own rank that it meets; it points where
-that cover points, and a flat points to itself.  On a q-matroid a cover
-of the same rank keeps the closure (``QMatroid.verify_axioms``), so by
-induction from the top the pointer of X is cl X, and the flats that
-cover a flat F are the distinct pointers of its covers, the closures
-cl(F + v) (Byrne, Ceria and Jurrius, "Constructions of new
-q-cryptomorphisms", JCTB 2022).  On a rank function that is no q-matroid
-the flats are still the flats, but the pointers need not be closures:
-``QMatroid.flat_covers`` reads them only from a source that is a
-q-matroid by theorem (a code, U(k, n)) or after ``closures``, the full
-pass of the axiom check, has passed.  That pass visits every cover, so
-codes never run it to build a lattice.
+rank.  One walk over the covers, from dimension n down and with pointers
+for two dimensions at a time, finds the flats and their cover edges: a
+subspace with a cover of its own rank points where that cover points,
+and a flat points to itself.  On a q-matroid a cover of the same rank
+keeps the closure (``QMatroid.verify_axioms``), so by induction from the
+top the pointer of X is cl X, and the flats that cover a flat F are the
+distinct pointers of its covers, the closures cl(F + v) (Byrne, Ceria
+and Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022).  A
+flat reads all its covers anyway, so it keeps their pointers, and no
+second pass is made.  The checked walk of the axiom check visits every
+cover; the unchecked walk, for a source that is a q-matroid by theorem
+(a code, U(k, n)), lets a non-flat leave early.  On a rank function that
+is no q-matroid the flats are still the flats, but the pointers need not
+be closures, so ``QMatroid.flat_covers`` takes edges only from an
+unchecked walk on a q-matroid by theorem or a checked walk that passed.
 """
 
 from __future__ import annotations
@@ -193,117 +195,83 @@ class SubspaceTable:
             index += share(i, rows[:, i, None])
         return index
 
-    def flats(self, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The flats and the closure pointers, given the rank array of each
-        dimension.
+    def cover_walk(self, ranks, check: bool = False):
+        """The flats and their cover edges, given the rank array of each
+        dimension, in one walk over the covers from dimension n down.
 
-        Returns, per dimension, the indices of the subspaces whose every
-        cover has another rank, and an int32 pointer for every subspace:
-        the id of a flat, flats numbered by dimension and then index.  The
-        covers are tried in slices of 1, 4, 16, ... vectors, and a
-        subspace leaves after the first slice with a cover of its own
-        rank: most non-flats leave after the first.  The dimensions are
-        scanned from n down, so a non-flat points where the first cover of
-        its own rank in that slice points, and a flat to itself.  On a
-        q-matroid that is its closure (module docstring); on any other
-        rank function the flats are still the flats, but the pointers
-        mean nothing.
+        Returns, per dimension, the indices of the flats, and for each flat
+        numbered by dimension and then index, the sorted ids of the distinct
+        pointers of its covers: on a q-matroid, the flats that cover it.  A
+        pointer is the table position of a subspace, its index plus
+        ``base`` of its dimension, and only dimensions s + 1 and s hold
+        them at a time.  ptr[X] is X when no cover of X has the rank of X,
+        and else ptr[X + v] for the first cover X + v that has.  Each flat
+        keeps the pointers of its covers as its rows are read, except a
+        flat of rank rho(E) - 1: on a q-matroid its covers have rank
+        rho(E), whose closure is E, the top flat.
+
+        With ``check`` every cover is visited, and None is returned at the
+        first failure of 0 <= rho(X) <= dim X, d = rho(X + v) - rho(X) in
+        {0, 1} on every cover, and ptr[X + v] == ptr[X] on every cover with
+        d = 0.  ``QMatroid.verify_axioms`` proves that these checks pass
+        exactly on the q-matroids.  Without it the covers are tried in
+        slices of 1, 4, 16, ... vectors, and a subspace leaves after the
+        first slice with a cover of its own rank: most non-flats leave
+        after the first.  Either way the flats are the flats, and on a
+        q-matroid the pointers are closures (module docstring).
         """
-        n = self.n
-        flats, ptr = [None] * (n + 1), [None] * (n + 1)
-        # pointers hold table positions until the flats are numbered
-        base = self.base
-        for s in range(n, -1, -1):
-            width = self.widths[s]
-            live = np.arange(len(self.rows[s]))
-            point = (live + base[s]).astype(np.int32)
-            a = 0
+        n, base = self.n, self.base
+        full = ranks[n][0]
+        if check and not 0 <= full <= n:
+            return None
+        flats, edges = [np.zeros(1, np.int32)], []
+        above = base[n:n + 1].astype(np.int32)  # E points to itself
+        for s in range(n - 1, -1, -1):
+            rank = ranks[s]
+            if check and ((rank < 0) | (rank > s)).any():
+                return None
+            point = np.arange(base[s], base[s + 1], dtype=np.int32)
+            live, width, a = np.arange(len(rank), dtype=np.int32), self.widths[s], 0
+            low = rank < full - 1
+            seen = []  # per slice, the cover pointers of the live X that are low
             while a < width and len(live):
-                cols = slice(a, 4 * a + 1)
-                a = min(4 * a + 1, width)
+                cols = slice(a, width if check else min(4 * a + 1, width))
+                a = cols.stop
                 step = max(1, CHUNK // (cols.stop - cols.start))
-                keep = []
+                stay, kept = [], []
                 for i in range(0, len(live), step):
                     part = live[i:i + step]
                     cover = self.cover_index(s, part, cols)
-                    same = ranks[s + 1][cover] == ranks[s][part, None]
-                    first = same.argmax(axis=1)
-                    left = same[np.arange(len(part)), first]
-                    point[part[left]] = ptr[s + 1][cover[left, first[left]]]
-                    keep.append(part[~left])
-                live = np.concatenate(keep)
-            flats[s] = live
-            ptr[s] = point
-        ids = np.zeros(base[-1], np.int32)
+                    d = ranks[s + 1][cover] - rank[part, None]
+                    up = above[cover]
+                    zero = d == 0
+                    first = zero.argmax(axis=1)
+                    at = np.arange(len(part))
+                    left = zero[at, first]
+                    own = np.where(left, up[at, first], point[part])
+                    if check and not ((zero | (d == 1)).all()
+                                      and ((up == own[:, None]) | ~zero).all()):
+                        return None
+                    point[part] = own
+                    stay.append(~left)
+                    kept.append(up[stay[-1] & low[part]])
+                stay = np.concatenate(stay)
+                seen = [x[stay[low[live]]] for x in seen] + [np.concatenate(kept)]
+                live = live[stay]
+            up = np.sort(np.hstack(seen), axis=1)
+            new = np.ones(up.shape, bool)
+            new[:, 1:] = up[:, 1:] != up[:, :-1]
+            flats.append(live)
+            edges.append((low[live], up[new], new.sum(axis=1)))
+            above = point
+        flats.reverse()
         at = np.concatenate([index + b for index, b in zip(flats, base)])
-        ids[at] = np.arange(len(at), dtype=np.int32)
-        for s, point in enumerate(ptr):
-            ptr[s] = ids[point]
-        return flats, ptr
-
-    def flat_covers(self, ranks, flats, ptr) -> list[list[int]]:
-        """For each flat by id, the distinct pointers of its covers, given
-        the rank arrays and the output of ``flats``: on a q-matroid, the
-        ids of the flats that cover it.
-
-        A cover of a flat of rank rho(E) - 1 has rank rho(E), and so has
-        closure E, the top flat: those flats are not looked up.
-        """
-        top = sum(map(len, flats)) - 1
-        full = ranks[self.n][0]
-        out = []
-        for s, index in enumerate(flats[:-1]):
-            covers = [[top] for _ in range(len(index))]
-            lower = np.flatnonzero(ranks[s][index] < full - 1)
-            step = max(1, CHUNK // self.widths[s])
-            for i in range(0, len(lower), step):
-                part = lower[i:i + step]
-                up = ptr[s + 1][self.cover_index(s, index[part])]
-                for j, row in zip(part.tolist(), up.tolist()):
-                    covers[j] = sorted(set(row))
-            out += covers
-        return out + [[]]
-
-    def closures(self, ranks) -> list[np.ndarray] | None:
-        """Per dimension, the closure pointer of each subspace, given the
-        rank array of each dimension; None as soon as a check fails.
-
-        The dimensions are walked from n down to 0, all covers X + v of a
-        dimension at once, in chunks of ``CHUNK`` pairs.  With
-        d = rho(X + v) - rho(X), the checks are 0 <= rho(X) <= dim X, d in
-        {0, 1} on every cover, and ptr[X + v] == ptr[X] on every cover with
-        d = 0, where ptr[X] is X itself when no cover has d = 0 and else
-        ptr[X + v] for the first cover that has.  ``QMatroid.verify_axioms``
-        proves that these checks pass exactly on the q-matroids, and then
-        ptr[X] is the closure of X, so its fixed points are the q-flats.
-        A pointer is int32, the index of a subspace plus ``base`` of its
-        dimension, as in ``flats``.
-        """
-        ptr = [None] * (self.n + 1)
-        for s in range(self.n, -1, -1):
-            rank = ranks[s]
-            if ((rank < 0) | (rank > s)).any():
-                return None
-            size = len(rank)
-            ptr[s] = (np.arange(size) + self.base[s]).astype(np.int32)
-            if s == self.n:
-                continue
-            step = max(1, CHUNK // self.widths[s])
-            for i in range(0, size, step):
-                part = np.arange(i, min(i + step, size))
-                cover = self.cover_index(s, part)
-                d = ranks[s + 1][cover] - rank[part, None]
-                zero = d == 0
-                if not (zero | (d == 1)).all():
-                    return None
-                up = ptr[s + 1][cover]
-                first = zero.argmax(axis=1)
-                at = np.arange(len(part))
-                own = np.where(zero[at, first], up[at, first], ptr[s][part])
-                if not ((up == own[:, None]) | ~zero).all():
-                    return None
-                ptr[s][part] = own
-        return ptr
+        top, covers = len(at) - 1, []
+        for low, up, counts in reversed(edges):
+            ids, ends = np.searchsorted(at, up).tolist(), np.cumsum(counts).tolist()
+            rows = map(ids.__getitem__, map(slice, [0] + ends, ends))
+            covers += [next(rows) if x else [top] for x in low.tolist()]
+        return flats, covers + [[]]
 
     @staticmethod
     def profile(ranks) -> Counter:

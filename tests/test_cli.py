@@ -87,7 +87,7 @@ def test_verify_quick_report_pinned(capsys, name):
 def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
     calls = Counter()
     for owner, name in ((QMatroid, "dual"), (QMatroid, "qcycles"), (QMatroid, "is_qflat"),
-                        (SubspaceTable, "flats"), (CycleLattice, "_contained_below"),
+                        (SubspaceTable, "cover_walk"), (CycleLattice, "_contained_below"),
                         (qmatroid, "all_subspaces")):
         original = getattr(owner, name)
 
@@ -101,10 +101,10 @@ def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
         status, _ = run_cli(capsys, *argv[:1], path, *argv[1:])
         assert status == 0
         assert calls["dual"] == calls["qcycles"] == 0
-        # over every field one pass over the subspace table decides every
+        # over every field one walk over the subspace table decides every
         # q-flat, and the lattice order comes from its cover edges: no line
         # walk per subspace, no scalar subspace scan, no point masks
-        assert calls["flats"] == 1, path
+        assert calls["cover_walk"] == 1, path
         assert calls["is_qflat"] == calls["all_subspaces"] == 0, path
         assert calls["_contained_below"] == 0, path
 
@@ -112,18 +112,52 @@ def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
 def test_analyze_skips_closure_pass(monkeypatch, capsys, name):
     # codes and U(k, n) are q-matroids by theorem: the lattice reads the
-    # pointers of the flat scan, and the full closure pass never runs
+    # pointers of one unchecked cover walk, and the checked walk never runs
     calls = []
-    original = SubspaceTable.closures
+    original = SubspaceTable.cover_walk
 
-    def closures(self, ranks):
-        calls.append(self.n)
-        return original(self, ranks)
+    def cover_walk(self, ranks, check=False):
+        calls.append(check)
+        return original(self, ranks, check)
 
-    monkeypatch.setattr(SubspaceTable, "closures", closures)
+    monkeypatch.setattr(SubspaceTable, "cover_walk", cover_walk)
     status, _ = run_cli(capsys, "analyze", str(DATA / name))
     assert status == 0
-    assert calls == []
+    assert calls == [False]
+
+
+def _counted_cover_pairs(monkeypatch):
+    """A Counter of the (dimension, subspace index, cover column) triples
+    passed to ``SubspaceTable.cover_index``."""
+    pairs = Counter()
+    original = SubspaceTable.cover_index
+
+    def cover_index(self, s, at, cols=slice(None)):
+        columns = range(self.widths[s])[cols]
+        pairs.update((s, i, j) for i in at.tolist() for j in columns)
+        return original(self, s, at, cols)
+
+    monkeypatch.setattr(SubspaceTable, "cover_index", cover_index)
+    return pairs
+
+
+def test_verify_walks_each_cover_once(monkeypatch, capsys):
+    # the axiom check, the q-flats and the lattice's cover edges share one
+    # walk: every (subspace, cover) pair of F_2^4 is read exactly once,
+    # sum_s [4, s]_2 [4 - s, 1]_2 = 15 + 105 + 105 + 15 = 240 of them
+    pairs = _counted_cover_pairs(monkeypatch)
+    status, _ = run_cli(capsys, "verify", EXAMPLE, "--level", "quick")
+    assert status == 0
+    assert len(pairs) == sum(pairs.values()) == 240
+
+
+def test_analyze_reads_no_cover_twice(monkeypatch, capsys):
+    # the early-exit walk keeps the cover pointers of each flat as it reads
+    # them, so the cover edges need no second pass over the flats
+    pairs = _counted_cover_pairs(monkeypatch)
+    status, _ = run_cli(capsys, "analyze", EXAMPLE)
+    assert status == 0
+    assert 0 < len(pairs) == sum(pairs.values()) < 240
 
 
 def test_rank_profile_built_once(monkeypatch, capsys):
@@ -430,14 +464,15 @@ def test_brute_higher_bounded(tmp_path):
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--level", "quick"]],
                          ids=["analyze", "verify-quick"])
 def test_line_steps_over_cap_fail_fast(tmp_path, command):
-    # U(3,9) over F_2: 8283458 subspaces pass the subspace cap, but the q-flat
-    # scan and the axiom check walk 511 lines from each of them
+    # U(3,9) over F_2: 8283458 subspaces pass the subspace cap, but the
+    # cover walk of the q-flats and the axiom check visits
+    # sum_s [9, s]_2 [9 - s, 1]_2 = 213188689 covers
     spec = tmp_path / "n9.json"
     spec.write_text(json.dumps({"uniform": {"q": 2, "k": 3, "n": 9}}))
     proc = run_module(*command, str(spec), timeout=30)
     assert proc.returncode == 3
     assert proc.stdout == b""
-    assert str(8283458 * 511) in proc.stderr.decode()
+    assert str(213188689) in proc.stderr.decode()
 
 
 def test_missing_file(capsys):

@@ -160,15 +160,16 @@ def test_corrupted_rank_oracle_rejected(dim, rank, axiom):
         cross_checked_weights(M, table, weight_polys_betti(table))
 
 
-def _counted_closures(monkeypatch):
+def _counted_walks(monkeypatch):
+    """The ``check`` argument of each ``SubspaceTable.cover_walk`` call."""
     calls = []
-    original = SubspaceTable.closures
+    original = SubspaceTable.cover_walk
 
-    def closures(self, ranks):
-        calls.append(self.n)
-        return original(self, ranks)
+    def cover_walk(self, ranks, check=False):
+        calls.append(check)
+        return original(self, ranks, check)
 
-    monkeypatch.setattr(SubspaceTable, "closures", closures)
+    monkeypatch.setattr(SubspaceTable, "cover_walk", cover_walk)
     return calls
 
 
@@ -179,31 +180,31 @@ def _counted_closures(monkeypatch):
 ], ids=["U(2,4)", "U(3,5)*", "U(2,5)|U"])
 @pytest.mark.parametrize("axioms_first", [True, False], ids=["axioms-first", "lattice-first"])
 def test_plain_rank_function_runs_closure_pass_once(monkeypatch, make, axioms_first):
-    # the pointers of the flat scan are closures only on a q-matroid: a rank
-    # function that is not one by theorem is checked once, and the verdict is
-    # shared by verify_axioms and the lattice
-    calls = _counted_closures(monkeypatch)
+    # the cover pointers are closures only on a q-matroid: a rank function
+    # that is not one by theorem gets one checked cover walk, whose flats,
+    # edges and verdict verify_axioms and the lattice share
+    calls = _counted_walks(monkeypatch)
     source = make()
     M = QMatroid(source.gf, source.n, source._rank_fn)
     if axioms_first:
         assert M.verify_axioms()["ok"]
     L = build_cycle_lattice(M)
     assert M.verify_axioms()["ok"]
-    assert calls == [M.n]
+    assert calls == [True]
     ref = build_cycle_lattice(source)
     assert (L.nodes, L.nullity, L.below) == (ref.nodes, ref.nullity, ref.below)
 
 
 def test_codes_and_uniform_skip_closure_pass(monkeypatch, example_code):
-    calls = _counted_closures(monkeypatch)
+    calls = _counted_walks(monkeypatch)
     build_cycle_lattice(example_code.qmatroid())
     build_cycle_lattice(uniform_qmatroid(3, 5, 2))
-    assert calls == []
+    assert calls == [False, False]
 
 
 @pytest.mark.parametrize("dim,rank", [(1, 0), (3, 1)], ids=["line-rank-0", "3-space-rank-1"])
 def test_corrupted_rank_oracle_rejected_by_lattice(dim, rank):
-    # without verify_axioms first, the lattice runs the closure pass itself
+    # without verify_axioms first, the lattice runs the checked cover walk itself
     base = uniform_qmatroid(2, 4, 2)
     target = next(enumerate_subspaces(base.gf, 4, dim))
     M = QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))
@@ -213,7 +214,7 @@ def test_corrupted_rank_oracle_rejected_by_lattice(dim, rank):
 
 @pytest.mark.parametrize("dim,rank", [(1, 0), (3, 1)], ids=["line-rank-0", "3-space-rank-1"])
 def test_corrupted_rank_oracle_rejected_by_lattice_q3(dim, rank):
-    # over F_3 the lattice runs the same closure pass and fails the same way
+    # over F_3 the lattice runs the same checked cover walk and fails the same way
     base = uniform_qmatroid(2, 4, 3)
     target = next(enumerate_subspaces(base.gf, 4, dim))
     M = QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))

@@ -434,6 +434,22 @@ def test_lattice_isomorphism_example(example_matroid):
     assert report["cycles"] == 46
 
 
+def test_lattice_isomorphism_rejects_order_breaking_correspondence(monkeypatch, example_code):
+    # swap the complements of two dual q-cycles of one dimension and nullity
+    # whose down-sets differ: each image is still a classical dual cycle of
+    # the right nullity, and the images still biject, but inclusion is not
+    # preserved
+    eta = dict(example_code.qmatroid().dual().qcycles())
+    X, Y = next((X, Y) for X in eta for Y in eta
+                if X.dim == Y.dim and eta[X] == eta[Y]
+                and any(X.contains(Z) != Y.contains(Z) for Z in eta))
+    swap = {X: Y, Y: X}
+    complement = Subspace.complement
+    monkeypatch.setattr(Subspace, "complement", lambda Z: complement(swap.get(Z, Z)))
+    with pytest.raises(StructuralError, match="inclusion order not preserved"):
+        verify_lattice_isomorphism(example_code.qmatroid())
+
+
 def test_inclusion_exclusion_zero_space(example_matroid):
     U = next(enumerate_subspaces(example_matroid.gf, 4, 0))
     assert inclusion_exclusion_poly(example_matroid, U).coeffs == (1,)

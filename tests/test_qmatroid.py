@@ -267,7 +267,7 @@ def _no_sum(self, other):
 
 def _walk_sum_calls(monkeypatch, M, bound):
     """The ``sum`` calls of the scalar walk that names the witness of a
-    failing verdict, run on M however the closure pass decides."""
+    failing verdict, run on M however the cover walk decides."""
     calls = 0
 
     def counted(self, other):
@@ -283,7 +283,7 @@ def _walk_sum_calls(monkeypatch, M, bound):
 
 
 def test_verify_axioms_sum_calls_bounded(monkeypatch):
-    # the closure pass decides without a ``sum`` call; the walk makes one
+    # the cover walk decides without a ``sum`` call; the line walk makes one
     # per (subspace, line) and at most n per closure; checking P3 on every
     # pair of the 374 subspaces needs about 70k
     M = uniform_qmatroid(2, 5, 2)
@@ -297,8 +297,8 @@ def test_verify_axioms_sum_calls_bounded(monkeypatch):
 
 
 def test_verify_axioms_sum_calls_bounded_q3(monkeypatch):
-    # the same over F_3: the closure pass over the subspace table decides
-    # the axioms there too, and the walk keeps its bound
+    # the same over F_3: the cover walk over the subspace table decides
+    # the axioms there too, and the line walk keeps its bound
     M = uniform_qmatroid(2, 4, 3)
     subs = sum(1 for _ in all_subspaces(M.gf, 4))
     lines = sum(1 for _ in enumerate_subspaces(M.gf, 4, 1))
@@ -314,23 +314,43 @@ class Enumerated(Exception):
     its checks."""
 
 
-@pytest.mark.parametrize("scan", ["qflats", "verify_axioms"])
-def test_line_steps_capped_before_enumeration(monkeypatch, scan):
+def _enumerate_nothing(monkeypatch):
     def enumerate_nothing(*args, **kwargs):
         raise Enumerated
 
     monkeypatch.setattr(qmatroid, "all_subspaces", enumerate_nothing)
     monkeypatch.setattr(subspace_table, "subspace_rows", enumerate_nothing)
-    # 67 subspaces of F_2^4 times 15 lines: the cap is exact
+
+
+@pytest.mark.parametrize("scan", ["qflats", "verify_axioms"])
+def test_line_steps_capped_before_enumeration(monkeypatch, scan):
+    _enumerate_nothing(monkeypatch)
+    # the cover walk visits sum_s [4, s]_2 [4 - s, 1]_2 = 240 covers of the
+    # subspaces of F_2^4: the cap is exact
     with pytest.raises(ResourceLimitError) as err:
-        getattr(uniform_qmatroid(2, 4, 2), scan)(cap=67 * 15 - 1)
-    assert (err.value.required, err.value.cap) == (67 * 15, 67 * 15 - 1)
+        getattr(uniform_qmatroid(2, 4, 2), scan)(cap=240 - 1)
+    assert (err.value.required, err.value.cap) == (240, 240 - 1)
     with pytest.raises(Enumerated):
-        getattr(uniform_qmatroid(2, 4, 2), scan)(cap=67 * 15)
-    # n = 7 over F_2 stays under the default cap: 29212 subspaces x 127 lines
+        getattr(uniform_qmatroid(2, 4, 2), scan)(cap=240)
+    # n = 8 over F_2 runs under the default cap: 7449060 covers
     with pytest.raises(Enumerated):
-        getattr(uniform_qmatroid(3, 7, 2), scan)()
-    # n = 9: 8283458 subspaces pass the per-dimension cap, 511x as many steps do not
+        getattr(uniform_qmatroid(3, 8, 2), scan)()
+    # n = 9: 8283458 subspaces pass the per-dimension cap, their covers do not
     with pytest.raises(ResourceLimitError) as err:
         getattr(uniform_qmatroid(3, 9, 2), scan)()
-    assert (err.value.required, err.value.cap) == (8283458 * 511, DEFAULT_SUBSPACE_CAP)
+    assert (err.value.required, err.value.cap) == (213188689, DEFAULT_SUBSPACE_CAP)
+
+
+def test_axiom_walk_line_steps_capped_before_enumeration(monkeypatch):
+    # the line walk that names a witness takes one step per subspace and
+    # line: 67 subspaces of F_2^4 times 15 lines, the cap exact
+    _enumerate_nothing(monkeypatch)
+    with pytest.raises(ResourceLimitError) as err:
+        uniform_qmatroid(2, 4, 2)._axiom_walk(67 * 15 - 1)
+    assert (err.value.required, err.value.cap) == (67 * 15, 67 * 15 - 1)
+    with pytest.raises(Enumerated):
+        uniform_qmatroid(2, 4, 2)._axiom_walk(67 * 15)
+    # at n = 8 the covers pass the default cap, the 417199 x 255 line steps not
+    with pytest.raises(ResourceLimitError) as err:
+        uniform_qmatroid(3, 8, 2)._axiom_walk(DEFAULT_SUBSPACE_CAP)
+    assert (err.value.required, err.value.cap) == (417199 * 255, DEFAULT_SUBSPACE_CAP)

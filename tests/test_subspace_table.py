@@ -201,7 +201,7 @@ def test_default_cap_refused_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(subspace_table, "subspace_rows", enumerate_nothing)
     # the table has no width limit of its own: at n = 11 the default cap
-    # refuses the line steps of the flat scan and the subspaces of the profile
+    # refuses the covers of the cover walk and the subspaces of the profile
     for scan in ("qflats", "rank_profile"):
         with pytest.raises(ResourceLimitError) as err:
             getattr(uniform_qmatroid(3, 11, 2), scan)()
@@ -217,7 +217,7 @@ def test_profile_cap_checked_after_table_built():
     assert (err.value.required, err.value.cap) == (15, 5)
 
 
-# -- the closure-pointer axiom pass against the scalar walk -----------------
+# -- the checked cover walk against the scalar walk -------------------------
 
 
 @cache
@@ -253,17 +253,17 @@ def test_closure_pass_matches_scalar_walk():
     for seed in range(400):
         M = perturbed_matroid(seed)
         T, ranks = M._table
-        ptr = T.closures(ranks)
-        verdicts.append(ptr is not None)
+        walk = T.cover_walk(ranks, check=True)
+        verdicts.append(walk is not None)
         assert verdicts[-1] == M._axiom_walk(None)["ok"], seed
-        if ptr is not None:
-            # on a q-matroid the fixed points are the q-flats, and the
-            # early-exit pointers of the flat scan name the same flats
-            flats, scan_ptr = T.flats(ranks)
-            fixed = [np.flatnonzero(p == np.arange(len(p)) + b) for p, b in zip(ptr, T.base)]
-            assert all(np.array_equal(a, b) for a, b in zip(fixed, flats))
-            flat_at = np.concatenate([f + b for f, b in zip(flats, T.base)])
-            assert all(np.array_equal(flat_at[a], b) for a, b in zip(scan_ptr, ptr)), seed
+        if walk is not None:
+            # on a q-matroid the checked walk and the early-exit walk find
+            # the same flats and the same cover edges
+            flats, covers = walk
+            early_flats, early_covers = T.cover_walk(ranks)
+            assert len(flats) == len(early_flats) == M.n + 1, seed
+            assert all(np.array_equal(a, b) for a, b in zip(flats, early_flats)), seed
+            assert covers == early_covers, seed
     assert 50 < sum(verdicts) < 350
 
 
@@ -290,10 +290,9 @@ SEED1_LADDER = pytest.mark.parametrize("make", [
 def test_closure_fixed_points_are_qflats(make):
     M = make()
     T, ranks = M._ranked_table(None)
-    ptr = T.closures(ranks)
-    fixed = tuple(X for s, (p, b) in enumerate(zip(ptr, T.base))
-                  for X in T.subspaces(s, np.flatnonzero(p == np.arange(len(p)) + b)))
-    assert fixed == M.qflats()
+    flats, _ = T.cover_walk(ranks, check=True)
+    walked = tuple(X for s, index in enumerate(flats) for X in T.subspaces(s, index))
+    assert walked == M.qflats()
     assert M.verify_axioms() == {"ok": True, "violation": None}
 
 
