@@ -11,17 +11,20 @@ The order is built from cover edges.  The flats that cover a flat F are
 the closures cl(F + v) of its covers F + v in F_q^n (Byrne, Ceria and
 Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022), and
 X |-> X^perp reverses inclusion, so node F^perp covers the nodes G^perp of
-those closures.  ``QMatroid.flat_covers`` returns them from the walk
-over the covers that found the flats (``SubspaceTable.cover_walk``), and
-the down-sets follow in one pass in nullity order.  Those pointers are
-closures only on a q-matroid: codes and U(k, n) are q-matroids by theorem
-(Jurrius and Pellikaan) and take the unchecked walk; any other rank
-function takes the checked walk, which ``verify_axioms`` shares, and the
-lattice raises StructuralError if it fails.  For
-nodes passed in directly the order is point-mask containment, which
-stays the test reference.  Either way the lattice is checked on its
-cover edges, and by the top node of each bitset of common lower bounds,
-which must be the whole set below that node.
+those closures.  ``QMatroid.flat_covers`` returns them with the table
+positions and ranks of the flats, from the walk over the covers that
+found the flats (``SubspaceTable.cover_walk``).  Node i is flat i, of
+dimension n - dim F and nullity k - rho(F); the nodes are ordered by
+(nullity, dimension, flat id), the down-sets follow in one pass in that
+order, and the subspaces F^perp are formed only when ``nodes`` is read.
+Those pointers are closures only on a q-matroid: codes and U(k, n) are
+q-matroids by theorem (Jurrius and Pellikaan) and take the unchecked
+walk; any other rank function takes the checked walk, which
+``verify_axioms`` shares, and the lattice raises StructuralError if it
+fails.  For nodes passed in directly the order is point-mask
+containment, which stays the test reference.  Either way the lattice is
+checked on its cover edges, and by the top node of each bitset of common
+lower bounds, which must be the whole set below that node.
 Moebius values on the lattice, and on its collapsed versions
 (all nodes of rank <= l identified with the bottom), stand in for the
 graded Betti numbers of the associated simplicial-complex resolutions:
@@ -31,6 +34,7 @@ l + i and dimension j, which is nonnegative for geometric lattices.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .errors import StructuralError
@@ -61,9 +65,12 @@ def _point_mask(X, index) -> int:
 class CycleLattice:
     """q-cycles of M* ordered by inclusion; rank of a node = its nullity.
 
-    ``covers[i]``, when given, lists the nodes that node i covers, and the
-    order is the transitive closure of these edges.  Without them it is
-    point-mask containment, which the test suite keeps as the reference.
+    Nodes are ordered by (nullity, dimension, place in the input).  With
+    ``covers``, node i is F^perp for the i-th q-flat F of ``qflats()``,
+    ``nodes[i]`` its dimension and ``covers[i]`` the nodes it covers, whose
+    transitive closure is the order; the subspaces are formed when
+    ``nodes`` is first read.  Without covers, ``nodes`` are the subspaces
+    and the order is point-mask containment, the test reference.
     """
 
     def __init__(self, matroid: QMatroid, nodes, nullities, covers=None):
@@ -71,23 +78,23 @@ class CycleLattice:
         self.n = matroid.n
         self.q = matroid.q
         self.k = matroid.full_rank
-        if self.q == 2:
-            # bit-reversed int rows compare as the coordinate rows do
-            rev = [int(f"{v:0{self.n}b}"[::-1], 2) for v in range(1 << self.n)]
-            order = sorted(range(len(nodes)), key=lambda i: (
-                nullities[i], nodes[i].dim, tuple(map(rev.__getitem__, nodes[i].rows))))
-        else:
-            order = sorted(range(len(nodes)), key=lambda i: (
-                nullities[i], nodes[i].dim, nodes[i].coordinate_rows()))
-        self.nodes = [nodes[i] for i in order]
+        dims = [X.dim for X in nodes] if covers is None else nodes
+        order = sorted(range(len(dims)), key=lambda i: (nullities[i], dims[i]))
         self.nullity = [nullities[i] for i in order]
-        self.dims = [X.dim for X in self.nodes]
+        self.dims = [dims[i] for i in order]
+        self._order = order
         if covers is None:
+            self.nodes = [nodes[i] for i in order]
             self.below = self._contained_below(matroid)
         else:
             self.below = self._closed_below([covers[i] for i in order], order)
         self._mobius = {}
         self._validate()
+
+    @cached_property
+    def nodes(self):
+        flats = self.matroid.qflats(cap=None)  # the walk is kept: no cap applies
+        return [flats[i].complement() for i in self._order]
 
     def _contained_below(self, matroid):
         """below[i] from point-mask containment.
@@ -117,9 +124,7 @@ class CycleLattice:
         Each edge must drop the nullity by one, so a covered node comes
         first in the index order and its down-set is already known.
         """
-        at = [0] * len(order)
-        for i, old in enumerate(order):
-            at[old] = i
+        at = sorted(range(len(order)), key=order.__getitem__)
         below = []
         for i, edges in enumerate(covers):
             lower = [at[j] for j in edges]
@@ -149,7 +154,7 @@ class CycleLattice:
         down-set of a node m of nullity <= 1 is m and at most the bottom,
         bit 0, so it is formed only while c with top bit m is compared.
         """
-        if not self.nodes or self.nodes[0].dim != 0 or self.nullity[0] != 0:
+        if not self.dims or self.dims[0] != 0 or self.nullity[0] != 0:
             raise StructuralError("lattice must have the zero subspace as unique bottom")
         if sum(1 for r in self.nullity if r == 0) != 1:
             raise StructuralError("more than one rank-0 node")
@@ -202,7 +207,7 @@ class CycleLattice:
         return value
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.dims)
 
 
 class BettiTable:
@@ -260,14 +265,17 @@ class BettiTable:
 def build_cycle_lattice(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP) -> CycleLattice:
     """Lattice of q-cycles of M* (the caller passes the primal matroid).
 
-    The nodes come from the q-flats of M: each flat F gives the q-cycle
-    F^perp of M*, of nullity k - rho(F).  ``M.dual().qcycles()`` finds the
-    same nodes by the definition and serves as the test reference.
+    The nodes come from the q-flats of M as table positions: each flat F
+    of dimension s gives the q-cycle F^perp of M*, of dimension n - s and
+    nullity k - rho(F).  ``M.dual().qcycles()`` finds the same nodes by the
+    definition and serves as the test reference.
     """
+    flats, ranks, covers = M.flat_covers(cap=cap)
+    if covers is None:
+        raise StructuralError("the rank function fails the q-matroid axioms")
     k = M.full_rank
-    flats = M.qflats(cap=cap)
-    return CycleLattice(M, [F.complement() for F in flats],
-                        [k - M.rank(F) for F in flats], M.flat_covers(cap=cap))
+    return CycleLattice(M, [M.n - s for s, index in enumerate(flats) for _ in range(len(index))],
+                        [k - r for rank in ranks for r in rank.tolist()], covers)
 
 
 def virtual_betti_table(L: CycleLattice) -> BettiTable:
@@ -279,7 +287,7 @@ def virtual_betti_table(L: CycleLattice) -> BettiTable:
     """
     entries: dict[tuple[int, int, int], int] = {}
     for l in range(L.k + 1):
-        for idx in range(len(L.nodes)):
+        for idx in range(len(L)):
             r = L.nullity[idx]
             if r <= l:
                 continue

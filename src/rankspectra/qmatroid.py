@@ -28,7 +28,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, StructuralError
+from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
 from .linalg import (
     DEFAULT_SUBSPACE_CAP,
@@ -298,44 +298,36 @@ class QMatroid:
         return self._walk
 
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
-        """All q-flats by increasing (dimension, basis); found once, then kept.
-
-        The covers of the walk are counted against ``cap`` first.  The
-        flats are read off the ranked subspace table: X is a flat iff each
-        cover of X has a rank other than rho(X), which is ``is_qflat``.
-        They come from the cover walk of ``verify_axioms`` when it has run;
-        else from a new walk, checked unless the source is a q-matroid by
-        theorem, so that its cover edges are closures for ``flat_covers``.
-        Only the flats become ``Subspace`` objects, and their ranks go into
-        the memo.
-        """
+        """All q-flats by increasing (dimension, basis) as ``Subspace``
+        objects, their ranks in the memo; formed once, for the oracles and
+        the tests, from the table positions of ``flat_covers``."""
         if self._flats is None:
-            self._check_step_count(cap)
-            table, ranks = self._ranked_table(cap)
-            walk = self._cover_walk(cap, check=not self._qmatroid_by_theorem)
-            flats = []
-            for s, index in enumerate(walk[1]):
-                for X, r in zip(table.subspaces(s, index), ranks[s][index].tolist()):
-                    self._memo[X] = r
-                    flats.append(X)
-            self._flats = tuple(flats)
+            flats, ranks, _ = self.flat_covers(cap)
+            table = self._table[0]
+            pairs = [pair for s, (index, rank) in enumerate(zip(flats, ranks))
+                     for pair in zip(table.subspaces(s, index), rank.tolist())]
+            self._memo.update(pairs)
+            self._flats = tuple(X for X, _ in pairs)
         return self._flats
 
-    def flat_covers(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> list[list[int]]:
-        """For each q-flat by its index in ``qflats``, the indices of the
-        q-flats that cover it.
+    def flat_covers(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
+        """(flats, ranks, covers): per dimension, the table indices of the
+        q-flats and their ranks, and for each flat, numbered by dimension
+        and then index, the ids of the flats that cover it.
 
-        These are the distinct closures cl(F + v) of the covers of F, read
-        off the pointers of the walk that found the flats
-        (``SubspaceTable.cover_walk``).  Those pointers are closures only on
-        a q-matroid, so StructuralError is raised if the walk was checked
-        and failed.
+        The covers of the walk are counted against ``cap`` first.  X is a
+        flat iff each cover of X has a rank other than rho(X), which is
+        ``is_qflat``.  The walk is that of ``verify_axioms`` when it has
+        run; else a new one, checked unless the source is a q-matroid by
+        theorem.  The covering flats are the distinct closures cl(F + v),
+        read off its pointers (``SubspaceTable.cover_walk``).  Those are
+        closures only on a q-matroid, so covers is None if the walk was
+        checked and failed.
         """
-        self.qflats(cap)
-        covers = self._walk[2]
-        if covers is None:
-            raise StructuralError("the rank function fails the q-matroid axioms")
-        return covers
+        self._check_step_count(cap)
+        ranks = self._ranked_table(cap)[1]
+        _, flats, covers = self._cover_walk(cap, check=not self._qmatroid_by_theorem)
+        return flats, [rank[index] for rank, index in zip(ranks, flats)], covers
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
         """c(d, r): the number of subspaces of dimension d and rank r; counted

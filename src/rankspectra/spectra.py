@@ -150,13 +150,12 @@ def weights_betti(table: BettiTable):
 
 
 def weights_flats(M: QMatroid, cap: int | None = DEFAULT_SUBSPACE_CAP):
-    """d_r = n - (largest dimension of a q-flat of rank k - r)."""
+    """d_r = n - (largest dimension of a q-flat of rank k - r), read off
+    the ranks of the flats of each dimension (``QMatroid.flat_covers``)."""
     k = M.full_rank
     max_dim = {}
-    for F in M.qflats(cap=cap):
-        r = M.rank(F)
-        if r not in max_dim or F.dim > max_dim[r]:
-            max_dim[r] = F.dim
+    for s, rank in enumerate(M.flat_covers(cap=cap)[1]):
+        max_dim.update(dict.fromkeys(rank.tolist(), s))  # s ascends
     out = []
     for r in range(1, k + 1):
         if k - r not in max_dim:

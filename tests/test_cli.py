@@ -40,6 +40,16 @@ VERIFY_QUICK_SHA256 = {
     "uniform_2_4_q3.json": "43b194bad38f32106f93745c2291d09ac7418d2b7eb5547aaff8abd8be334ad8",
 }
 
+# sha256 of the `analyze` stdout for U(k, n) over F_q, keyed (q, k, n): the
+# lattices of U(0,0) and U(0,3) have one node, that of U(1,1) over F_3 two,
+# and that of the free U(3,3) every subspace of F_2^3
+DEGENERATE_SHA256 = {
+    (2, 0, 0): "45bd46e61dfb0937e4e84ca5f5099783738b4f09a787453c82d46f1af76b66fb",
+    (2, 0, 3): "b8754bc9c5d6d908faae0d32240a349cceb1257fd8f2a38e963faa6ac7b8161a",
+    (2, 3, 3): "1cdfdebd1af686407cddadae1c609018d61dae4f09994ec0d0900dfac078bb1a",
+    (3, 1, 1): "60074cdc937a5e4af59596cc29aab880dbc3655c1d77d62ac4260b3c5bcf2cce",
+}
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
@@ -80,6 +90,16 @@ def test_verify_quick_report_pinned(capsys, name):
     status, out = run_cli(capsys, "verify", "--level", "quick", str(DATA / name))
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_QUICK_SHA256[name]
+
+
+@pytest.mark.parametrize("q,k,n", sorted(DEGENERATE_SHA256),
+                         ids=[f"U({k},{n})-q{q}" for q, k, n in sorted(DEGENERATE_SHA256)])
+def test_degenerate_lattice_reports_pinned(capsys, tmp_path, q, k, n):
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps({"uniform": {"q": q, "k": k, "n": n}}))
+    status, out = run_cli(capsys, "analyze", str(path))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEGENERATE_SHA256[q, k, n]
 
 
 @pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick")],

@@ -67,6 +67,22 @@ def test_mobius_bottom_uniform():
     assert L.mobius_bottom(0, 0) == 1
 
 
+def test_what_the_perfbench_tracer_reads():
+    # perfbench/tracer.py wraps these attributes by name, counts len(L.nodes)
+    # and takes unions and differences of the down-sets L.below[i]
+    from rankspectra import lattice, spectra
+    assert callable(CycleLattice.__dict__["__init__"])
+    assert callable(QMatroid.__dict__["qflats"])
+    assert callable(spectra.weights_flats)
+    assert callable(lattice.virtual_betti_table)
+    L = build_cycle_lattice(uniform_qmatroid(2, 4, 2))
+    assert len(L.nodes) == len(L) == 17
+    for below in L.below:
+        assert isinstance(below, frozenset)
+        assert all(type(j) is int for j in below)
+        assert below - set() == below == set().union(below)
+
+
 def test_mobius_collapsed_level_out_of_range(example_lattice):
     with pytest.raises(StructuralError):
         example_lattice.mobius_bottom(0, 7)
@@ -222,6 +238,14 @@ def test_corrupted_rank_oracle_rejected_by_lattice_q3(dim, rank):
         build_cycle_lattice(M)
 
 
+def labelled_poset(L):
+    """Node -> (nullity, the set of nodes below it), over distinct nodes."""
+    poset = {X: (L.nullity[i], frozenset(L.nodes[j] for j in L.below[i]))
+             for i, X in enumerate(L.nodes)}
+    assert len(poset) == len(L)
+    return poset
+
+
 def _random_f16_matroid(tower16, k, seed):
     rng = random.Random(seed)
     while True:
@@ -251,9 +275,9 @@ def test_lattice_from_flats_matches_dual_qcycles(request, tower16, kind, params)
     L = build_cycle_lattice(M)
     cycles = M.dual().qcycles()
     ref = CycleLattice(M, [X for X, _ in cycles], [eta for _, eta in cycles])
-    assert L.nodes == ref.nodes
-    assert L.nullity == ref.nullity
-    assert L.below == ref.below
+    # both order their nodes by (nullity, dimension, place in the input),
+    # and the inputs list the nodes in different orders
+    assert labelled_poset(L) == labelled_poset(ref)
     # the point-mask order is the inclusion order
     assert L.below == [
         frozenset(j for j, Y in enumerate(L.nodes) if j != i and X.contains(Y))

@@ -20,13 +20,18 @@ from rankspectra import (
     InputError,
     QMatroid,
     ResourceLimitError,
+    StructuralError,
+    Subspace,
     all_subspaces,
     build_cycle_lattice,
     cli,
+    cross_checked_weights,
     enumerate_subspaces,
     prime_field,
     subspace_table,
     uniform_qmatroid,
+    virtual_betti_table,
+    weight_polys_betti,
 )
 from rankspectra.linalg import DEFAULT_SUBSPACE_CAP, exp_log
 from rankspectra.subspace_table import SubspaceTable
@@ -296,14 +301,70 @@ def test_closure_fixed_points_are_qflats(make):
     assert M.verify_axioms() == {"ok": True, "violation": None}
 
 
+def _point_mask_lattice(M):
+    """The point-mask containment lattice over the complements of the flats."""
+    flats = M.qflats()
+    return CycleLattice(M, [F.complement() for F in flats],
+                        [M.full_rank - M.rank(F) for F in flats])
+
+
 @SEED1_LADDER
 def test_cover_lattice_matches_point_masks(make):
     # the lattice built from the closure pointers of the flat scan against
     # point-mask containment over the scalar complements of the flats
     M = make()
     L = build_cycle_lattice(M)
-    ref = CycleLattice(M, [F.complement() for F in M.qflats()],
-                       [M.full_rank - M.rank(F) for F in M.qflats()])
+    ref = _point_mask_lattice(M)
     assert L.nodes == ref.nodes
     assert L.nullity == ref.nullity
     assert L.below == ref.below
+
+
+def _forms_no_flat_subspace(monkeypatch):
+    """Refuse every flat ``Subspace``, every complement and every rank but
+    rho(E) = k; the ranked table is built before, as a q > 2 code ranks it
+    one subspace at a time."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a Subspace for a flat or a node")
+
+    rank = QMatroid.rank
+
+    def full_rank_only(self, X):
+        assert X.dim == self.n, "ranked a subspace other than E"
+        return rank(self, X)
+
+    monkeypatch.setattr(Subspace, "complement", refuse)
+    monkeypatch.setattr(SubspaceTable, "subspaces", refuse)
+    monkeypatch.setattr(QMatroid, "qflats", refuse)
+    monkeypatch.setattr(QMatroid, "rank", full_rank_only)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_qmatroid(3, 6, 2),
+    lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
+    lambda: cli.parse_spec_source(
+        (Path(__file__).parent / "data" / "code_q3_k2_n4.json").read_bytes())[0].matroid,
+], ids=["U(3,6)", "code_q2_n6", "code_q3_k2_n4"])
+def test_lattice_and_weights_form_no_flat_subspace(monkeypatch, make):
+    # the analyze path reads the flats as table positions: the lattice,
+    # its Betti table and the weights form no Subspace for a flat or a node
+    M = make()
+    M.rank_profile()
+    with monkeypatch.context() as patched:
+        _forms_no_flat_subspace(patched)
+        L = build_cycle_lattice(M)
+        table = virtual_betti_table(L)
+        weights = cross_checked_weights(M, table, weight_polys_betti(table))
+    assert len(weights) == M.full_rank
+    ref = _point_mask_lattice(M)
+    assert L.nodes == ref.nodes
+    assert L.nullity == ref.nullity
+    assert L.below == ref.below
+
+
+def test_failing_rank_function_rejected_with_no_flat_subspace(monkeypatch):
+    M = _corrupted(1, 0)
+    M.rank_profile()
+    _forms_no_flat_subspace(monkeypatch)
+    with pytest.raises(StructuralError, match="the rank function fails the q-matroid axioms"):
+        build_cycle_lattice(M)
