@@ -23,8 +23,8 @@ Exits non-zero if a uniform Betti table differs from its closed form, if
 the axiom check fails, or if on an n <= 7 rung the q-flats differ from
 the scalar ``is_qflat`` scan over all subspaces or the lattice, built
 from the cover edges of the walk, differs from the point-mask containment
-lattice over the complements of the same flats.  Run from the repository
-root:
+lattice over the complements of the same flats (both references from
+``tests/point_mask.py``).  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
 """
@@ -34,7 +34,6 @@ import resource
 import sys
 
 from rankspectra import (
-    CycleLattice,
     QMatroid,
     all_subspaces,
     build_cycle_lattice,
@@ -46,6 +45,8 @@ from rankspectra import (
 from run_meta import HERE, measured, run_metadata
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
+sys.path.insert(0, str(HERE.parent / "tests"))
+from point_mask import PointMaskLattice, is_qflat  # noqa: E402
 from workloads import random_code  # noqa: E402
 
 SEED = 1
@@ -64,10 +65,10 @@ def cross_check(label, M, lattice, mismatches):
     complements of the flats, against the walk and its lattice."""
     flats = M.qflats()
     R = QMatroid(M.gf, M.n, M._rank_fn)
-    if flats != tuple(X for X in all_subspaces(R.gf, R.n) if R.is_qflat(X)):
+    if flats != tuple(X for X in all_subspaces(R.gf, R.n) if is_qflat(R, X)):
         mismatches.append(f"{label}: q-flats differ from the is_qflat scan")
-    ref = CycleLattice(M, [F.complement() for F in flats],
-                       [M.full_rank - M.rank(F) for F in flats])
+    ref = PointMaskLattice(M, [F.complement() for F in flats],
+                           [M.full_rank - M.rank(F) for F in flats])
     if (lattice.nodes, lattice.nullity, lattice.below) != (ref.nodes, ref.nullity, ref.below):
         mismatches.append(f"{label}: the cover lattice differs from point-mask containment")
 

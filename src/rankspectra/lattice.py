@@ -21,74 +21,50 @@ Those pointers are closures only on a q-matroid: codes and U(k, n) are
 q-matroids by theorem (Jurrius and Pellikaan) and take the unchecked
 walk; any other rank function takes the checked walk, which
 ``verify_axioms`` shares, and the lattice raises StructuralError if it
-fails.  For nodes passed in directly the order is point-mask
-containment, which stays the test reference.  Either way the lattice is
-checked on its cover edges, and by the top node of each bitset of common
+fails.  The lattice is checked on its cover edges, each of which must
+add one to the nullity, and by the top node of each bitset of common
 lower bounds, which must be the whole set below that node.
-Moebius values on the lattice, and on its collapsed versions
-(all nodes of rank <= l identified with the bottom), stand in for the
-graded Betti numbers of the associated simplicial-complex resolutions:
-the (l, i, j) entry aggregates (-1)^i mu^(l)(0, P) over nodes P of rank
-l + i and dimension j, which is nonnegative for geometric lattices.
+Moebius values on the lattice, and on its collapsed versions (all nodes
+of rank <= l identified with the bottom), each found in one forward
+sweep over the nodes, stand in for the graded Betti numbers of the
+associated simplicial-complex resolutions: the (l, i, j) entry
+aggregates (-1)^i mu^(l)(0, P) over nodes P of rank l + i and dimension
+j, which is nonnegative for geometric lattices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
-from itertools import product
 
 from .errors import StructuralError
 from .linalg import DEFAULT_SUBSPACE_CAP
 from .qmatroid import QMatroid
 
 
-def _point_mask(X, index) -> int:
-    """The projective points of X as bits of ``index`` (RREF line row -> bit).
-
-    Over F_2 every nonzero vector of the XOR-span of X's int rows is the
-    row of its own line.  Over larger fields the line rows are the vectors
-    with a leading 1: the leading entry of a combination of RREF rows is
-    its first nonzero coefficient, at that row's pivot, so these are the
-    combinations whose first nonzero coefficient is 1.
-    """
-    if X.gf.size == 2:
-        span = [0]
-        for row in X.rows:
-            span += [v ^ row for v in span]
-        return sum(1 << index[v] for v in span[1:])
-    elements = X.gf.elements()
-    return sum(1 << index[X.embed_vector((0,) * lead + (1,) + tail)]
-               for lead in range(X.dim)
-               for tail in product(elements, repeat=X.dim - lead - 1))
-
-
 class CycleLattice:
     """q-cycles of M* ordered by inclusion; rank of a node = its nullity.
 
-    Nodes are ordered by (nullity, dimension, place in the input).  With
-    ``covers``, node i is F^perp for the i-th q-flat F of ``qflats()``,
-    ``nodes[i]`` its dimension and ``covers[i]`` the nodes it covers, whose
-    transitive closure is the order; the subspaces are formed when
-    ``nodes`` is first read.  Without covers, ``nodes`` are the subspaces
-    and the order is point-mask containment, the test reference.
+    Node i is F^perp for the i-th q-flat F of ``qflats()``: ``dims[i]`` is
+    its dimension, ``nullities[i]`` its nullity and ``covers[i]`` the nodes
+    it covers, whose transitive closure is the order.  The nodes are
+    reordered by (nullity, dimension, place in the input), ``covers`` and
+    ``below`` hold that order's indices, and the subspaces are formed when
+    ``nodes`` is first read.
     """
 
-    def __init__(self, matroid: QMatroid, nodes, nullities, covers=None):
+    def __init__(self, matroid: QMatroid, dims, nullities, covers):
         self.matroid = matroid
         self.n = matroid.n
         self.q = matroid.q
         self.k = matroid.full_rank
-        dims = [X.dim for X in nodes] if covers is None else nodes
         order = sorted(range(len(dims)), key=lambda i: (nullities[i], dims[i]))
+        at = sorted(range(len(order)), key=order.__getitem__)
         self.nullity = [nullities[i] for i in order]
         self.dims = [dims[i] for i in order]
+        self.covers = [[at[j] for j in covers[i]] for i in order]
         self._order = order
-        if covers is None:
-            self.nodes = [nodes[i] for i in order]
-            self.below = self._contained_below(matroid)
-        else:
-            self.below = self._closed_below([covers[i] for i in order], order)
-        self._mobius = {}
+        self.below = self._closed_below()
         self._validate()
 
     @cached_property
@@ -96,53 +72,26 @@ class CycleLattice:
         flats = self.matroid.qflats(cap=None)  # the walk is kept: no cap applies
         return [flats[i].complement() for i in self._order]
 
-    def _contained_below(self, matroid):
-        """below[i] from point-mask containment.
+    def _closed_below(self):
+        """below[i], the nodes strictly below i, in one pass in index order.
 
-        X contains Y iff every projective point of Y lies in X; points are
-        bits, indexed by their RREF rows in the matroid's line tuple.
-        Strictly below i: a smaller node whose points lie in i's, or an
-        equal copy of i, which Jordan-Dedekind then rejects.
+        A valid edge drops the nullity by one, so it points to an earlier
+        node, whose down-set is already known.  An edge to a later node
+        fails Jordan-Dedekind, which ``_validate`` reports, so only its
+        own index joins the down-set here.
         """
-        index = {P.rows[0]: t for t, P in enumerate(matroid.lines())}
-        masks = [_point_mask(X, index) for X in self.nodes]
-        copies: dict[int, list[int]] = {}
-        by_dim: dict[int, list[int]] = {}
-        for j, (mj, dj) in enumerate(zip(masks, self.dims)):
-            copies.setdefault(mj, []).append(j)
-            by_dim.setdefault(dj, []).append(j)
         below = []
-        for i, (mi, di) in enumerate(zip(masks, self.dims)):
-            lower = [j for d in range(di) for j in by_dim.get(d, ())
-                     if masks[j] & mi == masks[j]]
-            below.append(frozenset(lower + [j for j in copies[mi] if j != i]))
-        return below
-
-    def _closed_below(self, covers, order):
-        """below[i] from the cover edges, in one pass in index order.
-
-        Each edge must drop the nullity by one, so a covered node comes
-        first in the index order and its down-set is already known.
-        """
-        at = sorted(range(len(order)), key=order.__getitem__)
-        below = []
-        for i, edges in enumerate(covers):
-            lower = [at[j] for j in edges]
-            for j in lower:
-                if self.nullity[j] != self.nullity[i] - 1:
-                    raise StructuralError(
-                        "Jordan-Dedekind violated between nodes of ranks "
-                        f"{self.nullity[j]} and {self.nullity[i]}")
-            below.append(frozenset(lower).union(*(below[j] for j in lower)))
+        for i, edges in enumerate(self.covers):
+            below.append(frozenset(edges).union(*(below[j] for j in edges if j < i)))
         return below
 
     # -- structure checks ----------------------------------------------
 
     def _validate(self):
-        """Zero bottom, Jordan-Dedekind on covers, unique meets, height.
+        """Zero bottom, Jordan-Dedekind on the cover edges, unique meets, height.
 
-        j is covered by i iff j is in below[i] and in no below[t], t in
-        below[i].  If each cover adds one to the nullity, a chain of covers
+        If each cover edge adds one to the nullity, every edge points to an
+        earlier node, below[i] closes the edges of i, and a chain of covers
         gives nullity[j] < nullity[i] for every j below i: the index order
         is a linear extension, and a node of nullity 1 covers the bottom
         alone.  So the top bit m of the common lower bounds c = down[i] &
@@ -158,10 +107,9 @@ class CycleLattice:
             raise StructuralError("lattice must have the zero subspace as unique bottom")
         if sum(1 for r in self.nullity if r == 0) != 1:
             raise StructuralError("more than one rank-0 node")
-        for i, below_i in enumerate(self.below):
-            deeper = set().union(*(self.below[t] for t in below_i))
-            for j in below_i:
-                if j not in deeper and self.nullity[i] != self.nullity[j] + 1:
+        for i, edges in enumerate(self.covers):
+            for j in edges:
+                if self.nullity[i] != self.nullity[j] + 1:
                     raise StructuralError(
                         "Jordan-Dedekind violated between nodes of ranks "
                         f"{self.nullity[j]} and {self.nullity[i]}"
@@ -186,25 +134,22 @@ class CycleLattice:
 
     # -- Moebius functions ----------------------------------------------
 
-    def mobius_bottom(self, node_index: int, l: int = 0) -> int:
-        """mu of the l-collapsed lattice from the bottom to a node.
+    def mobius(self, l: int) -> list[int]:
+        """mu of the l-collapsed lattice from the bottom to every node.
 
-        Nodes of rank <= l are identified with the bottom (mu = 1 there);
-        the recursion runs over surviving nodes in increasing rank order.
+        Nodes of rank <= l are identified with the bottom (mu = 1 there),
+        and mu(0, P) = -1 - sum of mu(0, Y) over the surviving Y below P.
+        The nullities are sorted, so the survivors are the nodes from
+        ``start`` on, and the index order is a linear extension: one
+        forward sweep meets every Y before P.
         """
         if not (0 <= l <= self.k):
             raise StructuralError(f"elongation level {l} out of range")
-        if self.nullity[node_index] <= l:
-            return 1
-        key = (node_index, l)
-        value = self._mobius.get(key)
-        if value is None:
-            acc = -1  # collapsed bottom contributes mu = 1
-            for j in self.below[node_index]:
-                if self.nullity[j] > l:
-                    acc -= self.mobius_bottom(j, l)
-            self._mobius[key] = value = acc
-        return value
+        start = bisect_right(self.nullity, l)
+        mu = [1] * len(self)
+        for i in range(start, len(self)):
+            mu[i] = -1 - sum(mu[j] for j in self.below[i] if j >= start)
+        return mu
 
     def __len__(self):
         return len(self.dims)
@@ -287,12 +232,13 @@ def virtual_betti_table(L: CycleLattice) -> BettiTable:
     """
     entries: dict[tuple[int, int, int], int] = {}
     for l in range(L.k + 1):
+        mu = L.mobius(l)
         for idx in range(len(L)):
             r = L.nullity[idx]
             if r <= l:
                 continue
             i = r - l
-            value = (-1) ** i * L.mobius_bottom(idx, l)
+            value = (-1) ** i * mu[idx]
             if value < 0 or (l == 0 and value == 0):
                 raise StructuralError(
                     f"Moebius sign alternation failed at node dim={L.dims[idx]}, "

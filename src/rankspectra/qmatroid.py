@@ -17,8 +17,9 @@ A binary code over F_Q with Q <= 4096 ranks a whole dimension at once,
 eliminating the images G y^T of all its row sets together through the
 exp/log tables of F_Q, and U(k, n) fills in min(d, k); every other rank
 function fills the arrays through ``rank``, one subspace at a time.  The
-line steps of ``is_qflat``, the scalar axiom walk, which also finds the
-witness of a failure, and the single-subspace ``rho`` stay the reference.
+line steps of the scalar axiom walk, which also finds the witness of a
+failure, and the single-subspace ``rho`` stay the reference; the tests'
+``is_qflat`` (``tests/point_mask.py``) reads the same line steps.
 """
 
 from __future__ import annotations
@@ -259,10 +260,6 @@ class QMatroid:
                 required=steps, cap=cap,
             )
 
-    def is_qflat(self, F: Subspace) -> bool:
-        """True iff adjoining any outside line changes the rank."""
-        return all(step for _, _, step in self._steps(F))
-
     def _ranked_table(self, cap: int | None):
         """The subspace table and a rank array per dimension; built once.
 
@@ -317,9 +314,9 @@ class QMatroid:
 
         The covers of the walk are counted against ``cap`` first.  X is a
         flat iff each cover of X has a rank other than rho(X), which is
-        ``is_qflat``.  The walk is that of ``verify_axioms`` when it has
-        run; else a new one, checked unless the source is a q-matroid by
-        theorem.  The covering flats are the distinct closures cl(F + v),
+        ``is_qflat`` of ``tests/point_mask.py``.  The walk is that of
+        ``verify_axioms`` when it has run; else a new one, checked unless
+        the source is a q-matroid by theorem.  The covering flats are the distinct closures cl(F + v),
         read off its pointers (``SubspaceTable.cover_walk``).  Those are
         closures only on a q-matroid, so covers is None if the walk was
         checked and failed.

@@ -23,8 +23,10 @@ from rankspectra import (
     virtual_betti_table,
     weight_polys_betti,
 )
-from rankspectra.lattice import _point_mask
 from rankspectra.subspace_table import SubspaceTable
+
+from point_mask import PointMaskLattice, point_mask
+from test_subspace_table import seed1_code
 
 # Betti table of the session example code: (l, i, dim) -> value
 EXAMPLE_BETTI = {
@@ -62,9 +64,9 @@ def test_mobius_bottom_uniform():
     L = build_cycle_lattice(uniform_qmatroid(2, 4, 2))
     top = max(range(len(L)), key=lambda i: L.nullity[i])
     # mu(0, top) = -1 - 15 * (-1) = 14
-    assert L.mobius_bottom(top, 0) == 14
-    assert L.mobius_bottom(top, 1) == -1
-    assert L.mobius_bottom(0, 0) == 1
+    assert L.mobius(0)[top] == 14
+    assert L.mobius(1)[top] == -1
+    assert L.mobius(0)[0] == 1
 
 
 def test_what_the_perfbench_tracer_reads():
@@ -85,7 +87,58 @@ def test_what_the_perfbench_tracer_reads():
 
 def test_mobius_collapsed_level_out_of_range(example_lattice):
     with pytest.raises(StructuralError):
-        example_lattice.mobius_bottom(0, 7)
+        example_lattice.mobius(7)
+
+
+def mobius_reference(L, l):
+    """mu of the l-collapsed lattice from the bottom to every node, by the
+    memoised recursion over the surviving nodes below each node."""
+    memo = {}
+
+    def mu(node):
+        if L.nullity[node] <= l:
+            return 1
+        if node not in memo:
+            memo[node] = -1 - sum(mu(j) for j in L.below[node] if L.nullity[j] > l)
+        return memo[node]
+
+    return [mu(node) for node in range(len(L))]
+
+
+@pytest.mark.parametrize("make", [
+    "example",
+    lambda: uniform_qmatroid(2, 4, 3),
+    lambda: uniform_qmatroid(3, 6, 2),
+    lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
+], ids=["example", "U(2,4)-q3", "U(3,6)", "code_q2_n6"])
+def test_mobius_sweep_matches_recursion(example_matroid, make):
+    L = build_cycle_lattice(example_matroid if make == "example" else make())
+    for l in range(L.k + 1):
+        assert L.mobius(l) == mobius_reference(L, l), l
+
+
+# nodes (dimension, nullity) of a small lattice over U(2,4): the bottom, two
+# nullity-1 nodes and the top; covers[i] lists the nodes node i covers
+_EDGE_DIMS, _EDGE_NULLITIES = [0, 3, 3, 4], [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("dims,nullities,covers,message", [
+    (_EDGE_DIMS, _EDGE_NULLITIES, [[], [0], [0], [1, 0]],
+     "Jordan-Dedekind violated between nodes of ranks 0 and 2"),
+    (_EDGE_DIMS, _EDGE_NULLITIES, [[], [0], [1], [1, 2]],
+     "Jordan-Dedekind violated between nodes of ranks 1 and 1"),
+    (_EDGE_DIMS, _EDGE_NULLITIES, [[], [0, 3], [0], [1, 2]],
+     "Jordan-Dedekind violated between nodes of ranks 2 and 1"),
+    ([3, 3, 4], [1, 1, 2], [[2], [], [0, 1]],
+     "lattice must have the zero subspace as unique bottom"),
+], ids=["skips-a-level", "equal-nullity", "later-node", "no-zero-bottom"])
+def test_cover_edges_checked_by_the_lattice(uniform24, dims, nullities, covers, message):
+    # the package's own check on the cover edges it is given: an edge to a
+    # later node is a Jordan-Dedekind failure, and a missing bottom is
+    # reported before any edge is read
+    with pytest.raises(StructuralError) as raised:
+        CycleLattice(uniform24, dims, nullities, covers)
+    assert str(raised.value) == message
 
 
 def test_virtual_betti_example(example_table):
@@ -133,13 +186,12 @@ def test_to_records_sorted(example_table):
 
 def test_jordan_dedekind_detects_gap(uniform24):
     # dropping the middle layer must break the rank-step validation
-    from rankspectra.lattice import CycleLattice
     dual = uniform24.dual()
     cycles = dual.qcycles()
     nodes = [X for X, eta in cycles if eta != 1]
     etas = [eta for _, eta in cycles if eta != 1]
     with pytest.raises(StructuralError):
-        CycleLattice(uniform24, nodes, etas)
+        PointMaskLattice(uniform24, nodes, etas)
 
 
 def test_betti_nonnegative_across_uniforms():
@@ -274,7 +326,7 @@ def test_lattice_from_flats_matches_dual_qcycles(request, tower16, kind, params)
         M = _random_f16_matroid(tower16, *params)
     L = build_cycle_lattice(M)
     cycles = M.dual().qcycles()
-    ref = CycleLattice(M, [X for X, _ in cycles], [eta for _, eta in cycles])
+    ref = PointMaskLattice(M, [X for X, _ in cycles], [eta for _, eta in cycles])
     # both order their nodes by (nullity, dimension, place in the input),
     # and the inputs list the nodes in different orders
     assert labelled_poset(L) == labelled_poset(ref)
@@ -292,14 +344,15 @@ def test_meet_check_rejects_bowtie(uniform24):
     nodes = [Subspace.from_rows(uniform24.gf, 4, rows) for rows in
              ([], [e[0]], [e[1]], [e[0], e[1], e[2]], [e[0], e[1], e[3]])]
     with pytest.raises(StructuralError, match="lattice meet is not unique"):
-        CycleLattice(uniform24, nodes, [0, 1, 1, 2, 2])
+        PointMaskLattice(uniform24, nodes, [0, 1, 1, 2, 2])
 
 
 # -- the cover and top-element check against the pairwise scans -----------
 
 
-class ReferenceLattice(CycleLattice):
-    """``CycleLattice`` checked by the O(N^3) pairwise scans it replaced."""
+class ReferenceLattice(PointMaskLattice):
+    """The point-mask order checked by the O(N^3) pairwise scans that the
+    package's check replaced."""
 
     def _validate(self):
         if not self.nodes or self.nodes[0].dim != 0 or self.nullity[0] != 0:
@@ -382,7 +435,7 @@ def test_lattice_check_matches_pairwise_reference(example_matroid, kind, dropped
         if X not in nodes:
             nodes.append(X)
             nullities.append(eta)
-    assert (_verdict(CycleLattice, M, nodes, nullities)
+    assert (_verdict(PointMaskLattice, M, nodes, nullities)
             == _verdict(ReferenceLattice, M, nodes, nullities))
 
 
@@ -390,7 +443,7 @@ def test_duplicate_node_rejected(uniform24):
     # a node passed twice lies below its copy, and that cover keeps the nullity
     L = build_cycle_lattice(uniform24)
     nodes, nullities = L.nodes + [L.nodes[1]], L.nullity + [L.nullity[1]]
-    verdict = _verdict(CycleLattice, uniform24, nodes, nullities)
+    verdict = _verdict(PointMaskLattice, uniform24, nodes, nullities)
     assert verdict == _verdict(ReferenceLattice, uniform24, nodes, nullities)
     assert verdict == "Jordan-Dedekind violated between nodes of ranks 1 and 1"
 
@@ -402,4 +455,4 @@ def test_point_mask_matches_all_vectors(q, n):
     index = {P.rows[0]: t for t, P in enumerate(M.lines())}
     for X in all_subspaces(M.gf, n):
         expected = sum(1 << index[v] for v in X.vectors() if v in index)
-        assert _point_mask(X, index) == expected
+        assert point_mask(X, index) == expected

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankspectra import (
-    CycleLattice,
     GF,
     GabidulinCode,
     InputError,
@@ -36,6 +35,8 @@ from rankspectra import (
 from rankspectra.linalg import DEFAULT_SUBSPACE_CAP, exp_log
 from rankspectra.subspace_table import SubspaceTable
 
+from point_mask import PointMaskLattice, is_qflat
+
 
 @cache
 def binary_tower(m):
@@ -52,7 +53,7 @@ def scalar_reference(M):
     """q-flats by ``is_qflat`` and the profile by ``rank``, on a fresh memo."""
     R = QMatroid(M.gf, M.n, M._rank_fn)
     subs = list(all_subspaces(R.gf, R.n))
-    return (tuple(X for X in subs if R.is_qflat(X)),
+    return (tuple(X for X in subs if is_qflat(R, X)),
             Counter((X.dim, R.rank(X)) for X in subs))
 
 
@@ -304,8 +305,8 @@ def test_closure_fixed_points_are_qflats(make):
 def _point_mask_lattice(M):
     """The point-mask containment lattice over the complements of the flats."""
     flats = M.qflats()
-    return CycleLattice(M, [F.complement() for F in flats],
-                        [M.full_rank - M.rank(F) for F in flats])
+    return PointMaskLattice(M, [F.complement() for F in flats],
+                            [M.full_rank - M.rank(F) for F in flats])
 
 
 @SEED1_LADDER
