@@ -16,8 +16,6 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .errors import InputError, StructuralError
 
 # Constructed fields are capped at 2**31 elements; this is a desk-scale
@@ -330,19 +328,16 @@ class FieldTower:
     def _has_root(self, f, level):
         """Whether the polynomial f (little-endian) vanishes at some element.
 
-        A level small enough for the dense tables of ``linalg`` evaluates
-        through them; a larger one through the tower arithmetic.
+        It evaluates through the arithmetic of ``linalg.GF``: the dense
+        tables for a small enough level, else the tower arithmetic.
         """
         if f[0] == 0:
             return True
         # imported here: linalg imports this module
-        from .linalg import _TABLE_LIMIT, _table_ops
+        from .linalg import GF
 
-        if self.sizes[level] <= _TABLE_LIMIT:
-            add, _, _, mul, _ = _table_ops(self, level)
-        else:
-            add = partial(self.add, level=level)
-            mul = partial(self.mul, level=level)
+        gf = GF(self, level)
+        add, mul = gf.add, gf.mul
         for x in range(1, self.sizes[level]):
             value = 0
             for c in reversed(f):

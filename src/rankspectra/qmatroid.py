@@ -5,21 +5,21 @@ monotone and submodular.  The two sources used here are Gabidulin
 rank-metric codes (rho(U) = rank of G Y^T over the extension field) and
 the uniform q-matroid rho(X) = min(dim X, k).  Duality, conullity,
 q-flats, q-cycles and restriction are all derived from the rank oracle,
-which is memoized per canonical subspace; the lines of F_q^n, the
-q-flats and the rank profile are kept after their first scan.
+which is memoized per canonical subspace; the q-flats and the rank
+profile are kept after their first scan.
 
 A code ranks one subspace through ``mat_mul`` and ``mat_rank`` over its
 field, the same for every q.  The rank profile reads the ranks off one
 ``SubspaceTable`` per matroid: the packed RREF rows of every subspace as
 arrays, with a rank array per dimension.  One walk over the covers of
-that table yields the q-flats, their cover edges and the axiom verdict.
+that table yields the q-flats, their cover edges and the axiom verdict
+with its witness.
 A binary code over F_Q with Q <= 4096 ranks a whole dimension at once,
 eliminating the images G y^T of all its row sets together through the
 exp/log tables of F_Q, and U(k, n) fills in min(d, k); every other rank
 function fills the arrays through ``rank``, one subspace at a time.  The
-line steps of the scalar axiom walk, which also finds the witness of a
-failure, and the single-subspace ``rho`` stay the reference; the tests'
-``is_qflat`` (``tests/point_mask.py``) reads the same line steps.
+single-subspace ``rho`` stays the reference; the tests' ``is_qflat``
+(``tests/point_mask.py``) decides a flat by its line steps.
 """
 
 from __future__ import annotations
@@ -164,11 +164,10 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
-        # (checked, flats, covers) of ``SubspaceTable.cover_walk``; covers
-        # None when the checked walk failed and the flats are unchecked
+        # (checked, flats, covers, failure) of ``SubspaceTable.cover_walk``;
+        # covers None and the flats unchecked when the checked walk failed
         self._walk = None
         self._profile: Counter | None = None
-        self._lines: tuple[Subspace, ...] | None = None
         # ranks of an (N, d) array of packed RREF rows, when the source
         # has a batched form; and the ranked subspace table
         self._rank_rows = None
@@ -207,57 +206,23 @@ class QMatroid:
     def dual(self) -> "QMatroid":
         return QMatroid(self.gf, self.n, self.dual_rank, name=f"dual({self.name})")
 
-    # -- line steps, flats and cycles ----------------------------------
+    # -- flats and cycles ------------------------------------------------
 
-    def lines(self) -> tuple[Subspace, ...]:
-        """The one-dimensional subspaces of F_q^n in enumeration order; built once."""
-        if self._lines is None:
-            self._lines = tuple(enumerate_subspaces(self.gf, self.n, 1, cap=None))
-        return self._lines
-
-    def _steps(self, X: Subspace):
-        """Yield (L, X + L, rho(X + L) - rho(X)) for each line L outside X.
-
-        X + L depends only on the line spanned by L reduced modulo X (the
-        reduction is linear and zero at the pivots of X), so each
-        cover X + L is built and ranked once, keyed by that reduced row
-        scaled to a leading 1.
-        """
-        rX = self.rank(X)
-        reduce, lead = X.gf.reduce_row, X.gf.lead_row
-        rows, pivots = X.rows, X.pivots
-        covers = {}
-        for L in self.lines():
-            col, v = lead(reduce(rows, pivots, L.rows[0]))
-            if col < 0:
-                continue
-            cover = covers.get(v)
-            if cover is None:
-                XL = X.sum(L)
-                covers[v] = cover = (XL, self.rank(XL) - rX)
-            yield L, *cover
-
-    def _check_step_count(self, cap: int | None, lines: bool = False) -> None:
+    def _check_cover_count(self, cap: int | None) -> None:
         """Raise ResourceLimitError when the covers of all subspaces exceed cap.
 
         The cover walk visits the [n - s, 1]_q covers of each s-subspace,
         so the subspace cap bounds them before any enumeration starts.
-        With ``lines`` it bounds instead the steps X -> X + L of
-        ``_axiom_walk``, one per subspace X and line L.
         """
         if cap is None:
             return
         n, q = self.n, self.q
-        if lines:
-            steps, unit = gaussian_binomial(n, 1, q) * sum(
-                gaussian_binomial(n, s, q) for s in range(n + 1)), "line steps"
-        else:
-            steps, unit = sum(gaussian_binomial(n, s, q) * gaussian_binomial(n - s, 1, q)
-                              for s in range(n)), "covers"
-        if steps > cap:
+        covers = sum(gaussian_binomial(n, s, q) * gaussian_binomial(n - s, 1, q)
+                     for s in range(n))
+        if covers > cap:
             raise ResourceLimitError(
-                f"{steps} {unit} over all subspaces exceed cap {cap}",
-                required=steps, cap=cap,
+                f"{covers} covers over all subspaces exceed cap {cap}",
+                required=covers, cap=cap,
             )
 
     def _ranked_table(self, cap: int | None):
@@ -280,17 +245,19 @@ class QMatroid:
         return self._table
 
     def _cover_walk(self, cap: int | None, check: bool):
-        """(checked, flats, covers) of ``SubspaceTable.cover_walk``; walked
-        once per matroid, and again only to check an unchecked result.
+        """(checked, flats, covers, failure) of ``SubspaceTable.cover_walk``;
+        walked once per matroid, and again only to check an unchecked result.
 
-        When the checked walk fails, covers is None and the flats come
-        from an unchecked walk.
+        When the checked walk fails, failure is its record, covers is None
+        and the flats come from an unchecked walk; else failure is None.
         """
         if self._walk is None or check and not self._walk[0]:
             table, ranks = self._ranked_table(cap)
             walk = table.cover_walk(ranks, check)
-            if walk is None:
-                walk = table.cover_walk(ranks)[0], None
+            if isinstance(walk, dict):
+                walk = table.cover_walk(ranks)[0], None, walk
+            else:
+                walk = *walk, None
             self._walk = check, *walk
         return self._walk
 
@@ -321,9 +288,9 @@ class QMatroid:
         closures only on a q-matroid, so covers is None if the walk was
         checked and failed.
         """
-        self._check_step_count(cap)
+        self._check_cover_count(cap)
         ranks = self._ranked_table(cap)[1]
-        _, flats, covers = self._cover_walk(cap, check=not self._qmatroid_by_theorem)
+        _, flats, covers, _ = self._cover_walk(cap, check=not self._qmatroid_by_theorem)
         return flats, [rank[index] for rank, index in zip(ranks, flats)], covers
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
@@ -392,104 +359,69 @@ class QMatroid:
     # -- axiom verification ---------------------------------------------
 
     def verify_axioms(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> dict:
-        """Check (P1) on all subspaces and (P2), (P3) on line steps.
+        """Check (P1)-(P3) with the checked walk of ``SubspaceTable.cover_walk``.
 
-        For every X, each step X -> X + L over a line L outside X must
-        raise the rank by 0 or 1, and the closure cl X, grown from X one
-        step-0 line at a time (S -> T = S + L), must keep the rank of X.
-        Witnesses: step < 0 gives P2 (X, X + L); step > 1 gives P3 (X, L),
-        as X meet L = 0; rho(T) < rho(X) gives P2 (S, T); rho(T) > rho(X)
-        gives P3 (S, X + L), whose meet is X since L is not in S.
+        The covers are counted against ``cap`` first.  The walk checks (P1)
+        on every subspace, then, from dimension n - 1 down, that each step
+        d = rho(X + v) - rho(X) over a cover X + v lies in {0, 1}, and that
+        ptr[X + v] = ptr[X] on every cover with d = 0, ptr[X] being X when
+        there is none and else ptr of the first.  Its flats and cover edges
+        are kept on the matroid for ``qflats`` and ``flat_covers``.  A
+        step-0 line L of X is a line outside X with rho(X + L) = rho(X);
+        cl X is the sum of X and its step-0 lines.
 
-        Given (P1) this accepts exactly the q-matroids.  P1-P3 imply steps
-        in {0, 1} and rho(cl X) = rho(X) (P3 on (S, X + L)).  Conversely,
-        steps >= 0 give P2 along chains of lines, and steps <= 1 with
-        rho(cl X) = rho(X) give diminishing returns: for A <= B and a line
-        x not in B, a step 0 at A stays 0 at B.  Induct over one line y at
-        a time: if y is a step 0 at A, then A + x + y <= cl A; otherwise
-        rho(A + y) <= rho(A + x + y) <= rho(A + x) + 1.  Summing steps
-        along matched chains (A meet B -> A and B -> A + B) gives P3.
+        The walk accepts exactly the q-matroids:
 
-        The line walk above runs only when the checked cover walk of
-        ``SubspaceTable.cover_walk`` over the ranked table fails, so that
-        it reports its witness; the cover walk decides, and its flats and
-        cover edges are kept on the matroid for ``qflats`` and
-        ``flat_covers``.  Its checks are (P1), steps in {0, 1} on every
-        cover X + v, and ptr[X + v] = ptr[X] on every cover with step 0,
-        ptr[X] being X when there is none and else ptr of the first.  By
-        induction from the top, ptr[X] contains X and, through a chain of
-        step-0 covers, has the rank of X.  The cover walk accepts exactly
-        when the line walk does:
+        - On a q-matroid (P1) holds, and (P2) and (P3) on (X, L) with
+          rho(L) <= 1 give d in {0, 1}.  cl X is the closure of X, the
+          largest subspace over X of rank rho(X) (Byrne, Ceria and
+          Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022).
+          For a step-0 cover X + v, cl X and cl(X + v) both contain X + v
+          and have rank rho(X), so they are equal.  By induction from the
+          top ptr[X] = cl X, as a subspace with no step-0 cover is a flat
+          and points to itself, and the pointer checks pass.
+        - If the walk accepts, steps >= 0 on every cover give (P2) along
+          chains of covers.  By induction from the top ptr[X] contains X
+          and, through a chain of step-0 covers, has the rank of X; each
+          step-0 line L of X lies in X + L <= ptr[X + L] = ptr[X], so
+          rho(X) <= rho(cl X) <= rho(ptr[X]) = rho(X).  That and steps <= 1
+          give diminishing returns: for A <= B and a line x not in B, a step
+          0 at A stays 0 at B.  Induct over one line y at a time: if y is a
+          step 0 at A, then A + x + y <= cl A; otherwise rho(A + y) <=
+          rho(A + x + y) <= rho(A + x) + 1.  Summing steps along matched
+          chains (A meet B -> A and B -> A + B) gives (P3).
 
-        - If the line walk accepts, M is a q-matroid and cl is its closure
-          operator (Byrne, Ceria and Jurrius, "Constructions of new
-          q-cryptomorphisms", JCTB 2022).  For a step-0 cover X + v,
-          cl(X + v) = cl X: by diminishing returns each step-0 line of X
-          is a step-0 line of X + v or lies in X + v, so cl X <= cl(X + v);
-          and cl(X + v) has rank rho(X + v) = rho(X), so by monotonicity
-          each of its lines is a step 0 at X or lies in X, so
-          cl(X + v) <= cl X.  By induction from the top ptr[X] = cl X, as
-          a subspace with no step-0 cover is a flat and points to itself,
-          and the closure test passes.
-        - If the cover walk accepts, each step-0 line L of X lies in X + L <=
-          ptr[X + L] = ptr[X], so every S and T of the fold lies between X
-          and ptr[X].  Steps >= 0 on every cover make rho monotone, so
-          rho(X) <= rho(T) <= rho(ptr[X]) = rho(X), and the line walk
-          accepts.
+        Every witness of a failure is genuine:
 
-        The covers are counted against ``cap`` before any enumeration, and
-        the line steps before the line walk starts.
+        - (P1) is checked on every dimension before any step is judged, so
+          rho(0) = 0 and rho(L) <= 1 on every line L when one is.
+        - A step d < 0 at a cover X + v breaks (P2) on (X, X + v).
+        - A step d > 1 breaks (P3) on (X, L), L the line of v: v is a
+          reduced RREF row, the table row of L, and X meet L = 0, so
+          rho(X + L) + 0 > rho(X) + 1 >= rho(X) + rho(L).
+        - A step-0 cover B = X + v whose pointer differs from that of the
+          first step-0 cover A breaks (P3) on (A, B).  Every dimension
+          above X passed its checks, so if rho(A + B) = r = rho(X), A + B
+          would be a step-0 cover of both A and B, and ptr[A] =
+          ptr[A + B] = ptr[B].  Hence rho(A + B) = r + 1, while A meet B
+          = X, and 2r + 1 > 2r.
 
-        Returns {"ok": bool, "violation": description-or-None}.
+        Returns {"ok": bool, "violation": None or a dict}, the violation
+        {"axiom", "X", "Y"} or {"axiom": "P1", "X", "rank"}, subspaces
+        serialized.
         """
-        self._check_step_count(cap)
-        if self._cover_walk(cap, check=True)[2] is not None:
+        self._check_cover_count(cap)
+        failure = self._cover_walk(cap, check=True)[3]
+        if failure is None:
             return {"ok": True, "violation": None}
-        return self._axiom_walk(cap)
-
-    def _axiom_walk(self, cap: int | None) -> dict:
-        """The scalar line walk of ``verify_axioms`` over ``Subspace`` objects.
-
-        Its line steps are counted against ``cap`` first.  It reads the
-        ranks of the table, whose rows follow the order of
-        ``all_subspaces``, so it judges the ranks the cover walk judged.
-        """
-        self._check_step_count(cap, lines=True)
-        ranks = np.concatenate(self._ranked_table(cap)[1]).tolist()
-        subs = list(all_subspaces(self.gf, self.n, cap=cap))
-        self._memo.update(zip(subs, ranks, strict=True))
-        for X in subs:
-            r = self.rank(X)
-            if not (0 <= r <= X.dim):
-                return {"ok": False, "violation": {
-                    "axiom": "P1", "X": X.serialize(), "rank": r}}
-
-        def violation(axiom, X, Y):
-            return {"ok": False, "violation": {
-                "axiom": axiom, "X": X.serialize(), "Y": Y.serialize()}}
-
-        for X in subs:
-            rX = self.rank(X)
-            zero_steps = []
-            for L, XL, step in self._steps(X):
-                if step < 0:
-                    return violation("P2", X, XL)
-                if step > 1:
-                    return violation("P3", X, L)
-                if step == 0:
-                    zero_steps.append((L, XL))
-            S = X
-            for L, XL in zero_steps:
-                T = S.sum(L)
-                if T is S:  # L already lies in S
-                    continue
-                rT = self.rank(T)
-                if rT < rX:
-                    return violation("P2", S, T)
-                if rT > rX:
-                    return violation("P3", S, XL)
-                S = T
-        return {"ok": True, "violation": None}
+        table, ranks = self._table
+        (s, i), Y = failure["X"], failure.get("Y")
+        violation = {"axiom": failure["axiom"], "X": next(table.subspaces(s, [i])).serialize()}
+        if Y is None:
+            violation["rank"] = int(ranks[s][i])
+        else:
+            violation["Y"] = next(table.subspaces(Y[0], [Y[1]])).serialize()
+        return {"ok": False, "violation": violation}
 
 
 def qmatroid_from_code(code: GabidulinCode) -> QMatroid:

@@ -37,11 +37,13 @@ distinct pointers of its covers, the closures cl(F + v) (Byrne, Ceria
 and Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022).  A
 flat reads all its covers anyway, so it keeps their pointers, and no
 second pass is made.  The checked walk of the axiom check visits every
-cover; the unchecked walk, for a source that is a q-matroid by theorem
-(a code, U(k, n)), lets a non-flat leave early.  On a rank function that
-is no q-matroid the flats are still the flats, but the pointers need not
-be closures, so ``QMatroid.flat_covers`` takes edges only from an
-unchecked walk on a q-matroid by theorem or a checked walk that passed.
+cover, and at its first failed check names the table positions of a
+witness against P1, P2 or P3; the unchecked walk, for a source that is a
+q-matroid by theorem (a code, U(k, n)), lets a non-flat leave early.  On
+a rank function that is no q-matroid the flats are still the flats, but
+the pointers need not be closures, so ``QMatroid.flat_covers`` takes
+edges only from an unchecked walk on a q-matroid by theorem or a checked
+walk that passed.
 """
 
 from __future__ import annotations
@@ -210,26 +212,32 @@ class SubspaceTable:
         flat of rank rho(E) - 1: on a q-matroid its covers have rank
         rho(E), whose closure is E, the top flat.
 
-        With ``check`` every cover is visited, and None is returned at the
-        first failure of 0 <= rho(X) <= dim X, d = rho(X + v) - rho(X) in
-        {0, 1} on every cover, and ptr[X + v] == ptr[X] on every cover with
-        d = 0.  ``QMatroid.verify_axioms`` proves that these checks pass
-        exactly on the q-matroids.  Without it the covers are tried in
+        With ``check`` it first checks 0 <= rho(X) <= dim X on every
+        dimension, then visits every cover and checks d = rho(X + v) -
+        rho(X) in {0, 1} on each and ptr[X + v] == ptr[X] on each with
+        d = 0.  At the first failure it returns, in place of the flats, a
+        failure record {"axiom", "X", "Y"} (no "Y" for P1) whose X and Y
+        are the (dimension, index) of a witness: P1 on X; P2 on (X, X + v)
+        for d < 0; P3 on (X, the line of v) for d > 1; P3 on (A, X + v),
+        A the first cover with d = 0, for a pointer that differs.
+        ``QMatroid.verify_axioms`` proves that these checks pass exactly on
+        the q-matroids and that each witness is genuine.  Without it the
+        covers are tried in
         slices of 1, 4, 16, ... vectors, and a subspace leaves after the
         first slice with a cover of its own rank: most non-flats leave
         after the first.  Either way the flats are the flats, and on a
         q-matroid the pointers are closures (module docstring).
         """
         n, base = self.n, self.base
+        for s, rank in enumerate(ranks if check else ()):
+            bad = np.flatnonzero((rank < 0) | (rank > s))
+            if len(bad):
+                return {"axiom": "P1", "X": (s, int(bad[0]))}
         full = ranks[n][0]
-        if check and not 0 <= full <= n:
-            return None
         flats, edges = [np.zeros(1, np.int32)], []
         above = base[n:n + 1].astype(np.int32)  # E points to itself
         for s in range(n - 1, -1, -1):
             rank = ranks[s]
-            if check and ((rank < 0) | (rank > s)).any():
-                return None
             point = np.arange(base[s], base[s + 1], dtype=np.int32)
             live, width, a = np.arange(len(rank), dtype=np.int32), self.widths[s], 0
             low = rank < full - 1
@@ -249,9 +257,18 @@ class SubspaceTable:
                     at = np.arange(len(part))
                     left = zero[at, first]
                     own = np.where(left, up[at, first], point[part])
-                    if check and not ((zero | (d == 1)).all()
-                                      and ((up == own[:, None]) | ~zero).all()):
-                        return None
+                    bad = check and (d < 0) | (d > 1) | zero & (up != own[:, None])
+                    if check and bad.any():  # the first failure, row r, cover c
+                        r, c = divmod(int(bad.argmax()), bad.shape[1])
+                        X, Y = (s, int(part[r])), (s + 1, int(cover[r, c]))
+                        if d[r, c] < 0:
+                            return {"axiom": "P2", "X": X, "Y": Y}
+                        if d[r, c] > 1:  # v is reduced and led by 1: the row of its line
+                            v = self._tables[s][2][self._block_of(s, part[r]), c]
+                            line = np.flatnonzero(self.rows[1][:, 0] == v)[0]
+                            return {"axiom": "P3", "X": X, "Y": (1, int(line))}
+                        # two step-0 covers with different pointers
+                        return {"axiom": "P3", "X": (s + 1, int(cover[r, first[r]])), "Y": Y}
                     point[part] = own
                     stay.append(~left)
                     kept.append(up[stay[-1] & low[part]])

@@ -1,20 +1,46 @@
 """Test references for the q-flats and the cycle lattice.
 
-``is_qflat`` decides one subspace by its line steps, and
+``line_steps`` ranks the covers F + L of a subspace one line at a time,
+``is_qflat`` decides one subspace by those line steps, and
 ``PointMaskLattice`` orders given subspaces by containment of their
 projective points.  The package finds the same flats and the same order
 from one walk over the covers of its subspace table; the tests and
 ``benchmarks/bench_qflats.py`` compare the two.
 """
 
+from functools import cache
 from itertools import product
 
-from rankspectra import CycleLattice
+from rankspectra import CycleLattice, enumerate_subspaces
+
+
+def lines(M) -> tuple:
+    """The one-dimensional subspaces of F_q^n in enumeration order."""
+    return _lines(M.gf, M.n)
+
+
+@cache
+def _lines(gf, n):
+    return tuple(enumerate_subspaces(gf, n, 1, cap=None))
+
+
+def line_steps(M, F):
+    """(L, rho(F + L) - rho(F)) for one line L of each cover F + L of F.
+
+    F + L depends only on the row of L reduced modulo F, so each cover is
+    ranked once, keyed by that row scaled to a leading 1.
+    """
+    rF, seen = M.rank(F), set()
+    for L in lines(M):
+        col, v = F.gf.lead_row(F.gf.reduce_row(F.rows, F.pivots, L.rows[0]))
+        if col >= 0 and v not in seen:
+            seen.add(v)
+            yield L, M.rank(F.sum(L)) - rF
 
 
 def is_qflat(M, F) -> bool:
     """True iff adjoining any outside line changes the rank of F in M."""
-    return all(step for _, _, step in M._steps(F))
+    return all(step for _, step in line_steps(M, F))
 
 
 def point_mask(X, index) -> int:
@@ -51,7 +77,7 @@ class PointMaskLattice(CycleLattice):
     def __init__(self, matroid, nodes, nullities):
         order = sorted(range(len(nodes)), key=lambda i: (nullities[i], nodes[i].dim))
         self.nodes = [nodes[i] for i in order]
-        index = {P.rows[0]: t for t, P in enumerate(matroid.lines())}
+        index = {P.rows[0]: t for t, P in enumerate(lines(matroid))}
         masks = [point_mask(X, index) for X in self.nodes]
         copies: dict[int, list[int]] = {}
         by_dim: dict[int, list[int]] = {}

@@ -25,7 +25,7 @@ from rankspectra import (
 )
 from rankspectra.subspace_table import SubspaceTable
 
-from point_mask import PointMaskLattice, point_mask
+from point_mask import PointMaskLattice, lines, point_mask
 from test_subspace_table import seed1_code
 
 # Betti table of the session example code: (l, i, dim) -> value
@@ -452,7 +452,7 @@ def test_duplicate_node_rejected(uniform24):
 def test_point_mask_matches_all_vectors(q, n):
     # the leading-1 coefficient vectors give the same points as all q^dim vectors
     M = uniform_qmatroid(1, n, q)
-    index = {P.rows[0]: t for t, P in enumerate(M.lines())}
+    index = {P.rows[0]: t for t, P in enumerate(lines(M))}
     for X in all_subspaces(M.gf, n):
         expected = sum(1 << index[v] for v in X.vectors() if v in index)
         assert point_mask(X, index) == expected

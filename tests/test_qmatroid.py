@@ -182,7 +182,7 @@ def test_uniform_requires_valid_params():
         uniform_qmatroid(5, 4, 2)
 
 
-# -- the line-step axiom check against the pairwise definition ------------
+# -- the axiom check against the pairwise definition ---------------------
 
 
 def _meet(A, B):
@@ -196,6 +196,13 @@ def _violates(M, axiom, X, Y=None):
     if axiom == "P2":
         return Y.contains(X) and M.rank(X) > M.rank(Y)
     return M.rank(X.sum(Y)) + M.rank(_meet(X, Y)) > M.rank(X) + M.rank(Y)
+
+
+def _witness(M, violation):
+    """(axiom, X, Y) of a violation of ``verify_axioms``, Y None for P1."""
+    Y = violation.get("Y")
+    return (violation["axiom"], _deserialize(M.gf, M.n, violation["X"]),
+            None if Y is None else _deserialize(M.gf, M.n, Y))
 
 
 def _pairwise_ok(M):
@@ -260,55 +267,44 @@ def test_axiom_check_matches_pairwise_definition(tower16, kind, n, seed, changes
         assert _violates(M, v["axiom"], X, Y)
 
 
-_SUM = Subspace.sum
-
-
 def _no_sum(self, other):
     raise AssertionError("verify_axioms called Subspace.sum")
 
 
-def _walk_sum_calls(monkeypatch, M, bound):
-    """The ``sum`` calls of the scalar walk that names the witness of a
-    failing verdict, run on M however the cover walk decides."""
-    calls = 0
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        if calls > bound:
-            raise AssertionError(f"the axiom walk made more than {bound} sum calls")
-        return _SUM(self, other)
-
-    monkeypatch.setattr(Subspace, "sum", counted)
-    assert M._axiom_walk(None) == {"ok": True, "violation": None}
-    return calls
-
-
 def test_verify_axioms_sum_calls_bounded(monkeypatch):
-    # the cover walk decides without a ``sum`` call; the line walk makes one
-    # per (subspace, line) and at most n per closure; checking P3 on every
-    # pair of the 374 subspaces needs about 70k
+    # the cover walk decides the axioms and names a witness without a
+    # ``sum`` call; checking P3 on every pair of the 374 subspaces needs
+    # about 70k
     M = uniform_qmatroid(2, 5, 2)
-    subs = sum(1 for _ in all_subspaces(M.gf, 5))
-    lines = sum(1 for _ in enumerate_subspaces(M.gf, 5, 1))
-    bound = subs * (lines + 5)
-    assert bound == 374 * 36
     monkeypatch.setattr(Subspace, "sum", _no_sum)
     assert M.verify_axioms() == {"ok": True, "violation": None}
-    assert _walk_sum_calls(monkeypatch, M, bound) > subs
 
 
 def test_verify_axioms_sum_calls_bounded_q3(monkeypatch):
     # the same over F_3: the cover walk over the subspace table decides
-    # the axioms there too, and the line walk keeps its bound
+    # the axioms there too
     M = uniform_qmatroid(2, 4, 3)
-    subs = sum(1 for _ in all_subspaces(M.gf, 4))
-    lines = sum(1 for _ in enumerate_subspaces(M.gf, 4, 1))
-    bound = subs * (lines + 4)
-    assert bound == 212 * 44
     monkeypatch.setattr(Subspace, "sum", _no_sum)
     assert M.verify_axioms() == {"ok": True, "violation": None}
-    assert _walk_sum_calls(monkeypatch, M, bound) > subs
+
+
+def test_failing_n8_rank_function_gets_a_witness():
+    # U(3,8) over F_2 with one 4-space of rank 2: its 7449060 covers pass
+    # the default cap, and the checked walk names a genuine witness
+    base = uniform_qmatroid(3, 8, 2)
+    target = next(enumerate_subspaces(base.gf, 8, 4))
+    M = QMatroid(base.gf, 8, lambda X: 2 if X == target else base.rank(X))
+
+    def rank_rows(rows):
+        rank = base._rank_rows(rows)
+        if rows.shape[1] == 4:
+            rank[(rows == target.rows).all(axis=1)] = 2
+        return rank
+
+    M._rank_rows = rank_rows
+    result = M.verify_axioms()
+    assert not result["ok"]
+    assert _violates(M, *_witness(M, result["violation"]))
 
 
 class Enumerated(Exception):
@@ -341,18 +337,3 @@ def test_line_steps_capped_before_enumeration(monkeypatch, scan):
     with pytest.raises(ResourceLimitError) as err:
         getattr(uniform_qmatroid(3, 9, 2), scan)()
     assert (err.value.required, err.value.cap) == (213188689, DEFAULT_SUBSPACE_CAP)
-
-
-def test_axiom_walk_line_steps_capped_before_enumeration(monkeypatch):
-    # the line walk that names a witness takes one step per subspace and
-    # line: 67 subspaces of F_2^4 times 15 lines, the cap exact
-    _enumerate_nothing(monkeypatch)
-    with pytest.raises(ResourceLimitError) as err:
-        uniform_qmatroid(2, 4, 2)._axiom_walk(67 * 15 - 1)
-    assert (err.value.required, err.value.cap) == (67 * 15, 67 * 15 - 1)
-    with pytest.raises(Enumerated):
-        uniform_qmatroid(2, 4, 2)._axiom_walk(67 * 15)
-    # at n = 8 the covers pass the default cap, the 417199 x 255 line steps not
-    with pytest.raises(ResourceLimitError) as err:
-        uniform_qmatroid(3, 8, 2)._axiom_walk(DEFAULT_SUBSPACE_CAP)
-    assert (err.value.required, err.value.cap) == (417199 * 255, DEFAULT_SUBSPACE_CAP)

@@ -35,7 +35,8 @@ from rankspectra import (
 from rankspectra.linalg import DEFAULT_SUBSPACE_CAP, exp_log
 from rankspectra.subspace_table import SubspaceTable
 
-from point_mask import PointMaskLattice, is_qflat
+from point_mask import PointMaskLattice, is_qflat, line_steps
+from test_qmatroid import _violates, _witness
 
 
 @cache
@@ -249,20 +250,43 @@ def perturbed_matroid(seed):
         i = rng.randrange(len(flat))
         delta = rng.choice([-1, 1, 2])
         flat[i] += delta if 0 <= flat[i] + delta <= dims[i] else -delta
-    M = QMatroid(base.gf, n, dict(zip(subspace_list(n), flat.tolist())).__getitem__)
+    # over the field of the table and its subspaces, which the rank dict
+    # keys; a code's F_2 sits in a tower of its own
+    M = QMatroid(T.gf, n, dict(zip(subspace_list(n), flat.tolist())).__getitem__)
     M._table = T, np.split(flat, np.cumsum(sizes)[:-1])
     return M
 
 
+def line_walk_ok(M):
+    """The scalar line walk: (P1) on every subspace, every step X -> X + L
+    over a line L outside X in {0, 1}, and the closure of X, grown from X
+    one step-0 line at a time, of the rank of X.  Given (P1) it accepts
+    exactly the q-matroids (``QMatroid.verify_axioms``)."""
+    subs = subspace_list(M.n)
+    if not all(0 <= M.rank(X) <= X.dim for X in subs):
+        return False
+    for X in subs:
+        steps = list(line_steps(M, X))
+        if any(step not in (0, 1) for _, step in steps):
+            return False
+        S = X
+        for L, step in steps:
+            if step == 0:
+                S = S.sum(L)
+                if M.rank(S) != M.rank(X):
+                    return False
+    return True
+
+
 def test_closure_pass_matches_scalar_walk():
-    verdicts = []
+    verdicts, kinds = [], Counter()
     for seed in range(400):
         M = perturbed_matroid(seed)
         T, ranks = M._table
         walk = T.cover_walk(ranks, check=True)
-        verdicts.append(walk is not None)
-        assert verdicts[-1] == M._axiom_walk(None)["ok"], seed
-        if walk is not None:
+        verdicts.append(not isinstance(walk, dict))
+        assert verdicts[-1] == line_walk_ok(M), seed
+        if verdicts[-1]:
             # on a q-matroid the checked walk and the early-exit walk find
             # the same flats and the same cover edges
             flats, covers = walk
@@ -270,7 +294,15 @@ def test_closure_pass_matches_scalar_walk():
             assert len(flats) == len(early_flats) == M.n + 1, seed
             assert all(np.array_equal(a, b) for a, b in zip(flats, early_flats)), seed
             assert covers == early_covers, seed
+            continue
+        # every witness is genuine by the pairwise definition
+        axiom, X, Y = _witness(M, M.verify_axioms()["violation"])
+        assert _violates(M, axiom, X, Y), seed
+        if axiom == "P3":  # a step d > 1 to a line, or two step-0 covers
+            axiom += " line" if M.rank(X.sum(Y)) > M.rank(X) + 1 else " covers"
+        kinds[axiom] += 1
     assert 50 < sum(verdicts) < 350
+    assert set(kinds) == {"P1", "P2", "P3 line", "P3 covers"}, kinds
 
 
 def seed1_code(label, m_extension, n, p=2, k=3):
