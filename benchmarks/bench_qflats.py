@@ -9,13 +9,14 @@ its lattice released, a cold ``rank_profile()`` and a cold
 ``verify_axioms()`` (table and checked cover walk), each on a fresh copy
 of the matroid.  The rungs are U(3,6), U(3,7), U(3,8) and U(3,9) over
 F_2, U(3,6) over F_3, the seed-1 random k=3 binary codes of length 6 over
-F_64 and F_512, 7 over F_128 and 8 over F_256, and the seed-1 k=2 code of
-length 5 over F_243 with base field F_3 (``random_code`` of
-``perfbench/workloads.py``; the n=6 code over F_64 and the F_243 code are
-the ``code_q2_n6`` and ``code_q3_n5`` benchmark inputs, and F_512 is the
-smallest field past the Q x Q product tables of ``linalg``).  U(3,9) runs
-with a raised subspace cap, since its 213,188,689 covers pass the default
-cap; every other rung runs at the default cap.  Prints seconds, how far
+F_64 and F_512, 7 over F_128, 8 over F_256 and 9 over F_512, and the
+seed-1 k=2 code of length 5 over F_243 with base field F_3 (``random_code``
+of ``perfbench/workloads.py``; the n=6 code over F_64 and the F_243 code
+are the ``code_q2_n6`` and ``code_q3_n5`` benchmark inputs, and F_512 is
+the smallest field past the Q x Q product tables of ``linalg``).  U(3,9)
+and the n=9 code run with a raised subspace cap, ``N9_CAP``, since their
+213,188,689 covers pass the default cap; every other rung runs at the
+default cap.  Prints seconds, how far
 each stage raised the process's peak RSS (``VmHWM``, MiB), flat counts,
 the cover edges of the cycle lattice and the peak RSS of the process, and
 writes them to ``benchmarks/BENCH_qflats.json`` with the run metadata.
@@ -129,6 +130,7 @@ def main():
         bench_uniform(3, 8, mismatches),
         bench_code("code_q2_n8", [1, 0, 1, 1, 1, 0, 0, 0, 1], 8, mismatches),
         bench_uniform(3, 9, mismatches, N9_CAP),
+        bench_code("code_q2_n9", [1, 1, 0, 0, 0, 0, 0, 0, 0, 1], 9, mismatches, N9_CAP),
         bench_uniform(3, 6, mismatches, q=3),
         bench_code("code_q3_n5", [1, 2, 0, 0, 0, 1], 5, mismatches, p=3, k=2),
     ]

@@ -14,7 +14,11 @@ X -> X + L costs a few int operations instead of a tuple comprehension
 per basis row.  Every other field keeps rows as tuples of encodings, since
 there a row operation multiplies entry by entry through the field tables.
 The choice follows the field size alone, so one field never mixes the two
-forms, and ``coordinate_rows`` gives the tuples in either case.
+forms, and ``coordinate_rows`` gives the tuples in either case.  One
+elimination (``_insert``) and one row combination (``combine_rows``) serve
+both :class:`Subspace` and the matrix helpers ``rref``, ``mat_rank`` and
+``mat_mul``, which pack coordinate rows into the row form and unpack the
+result.
 
 Field arithmetic goes through :class:`GF`.  A field of at most
 ``_TABLE_LIMIT`` (256) elements computes from dense tables built once per
@@ -191,11 +195,11 @@ def _tuple_rows(add, sub, mul, inv):
         return v
 
     def lead(v):
-        col = next((j for j, x in enumerate(v) if x), -1)
-        if col >= 0:
-            c = inv(v[col])
-            v = tuple([mul(c, x) for x in v])
-        return col, v
+        for col, x in enumerate(v):
+            if x:
+                c = inv(x)
+                return col, tuple([mul(c, y) for y in v])
+        return -1, v
 
     def clear(rows, col, v):
         out = []
@@ -205,11 +209,15 @@ def _tuple_rows(add, sub, mul, inv):
         return out
 
     def combine(coeffs, rows, n):
-        vec = [0] * n
-        for c, row in zip(coeffs, rows):
-            if c:
-                vec = [add(x, mul(c, y)) for x, y in zip(vec, row)]
-        return tuple(vec)
+        terms = [(c, row) for c, row in zip(coeffs, rows) if c]
+        out = []
+        for j in range(n):  # per column, a sum over the nonzero coefficients
+            acc = 0
+            for c, row in terms:
+                if row[j]:
+                    acc = add(acc, mul(c, row[j]))
+            out.append(acc)
+        return tuple(out)
 
     return tuple, unpack, reduce, any, lead, clear, combine
 
@@ -272,52 +280,6 @@ class GF:
         return f"GF({self.size})"
 
 
-def rref(gf: GF, rows):
-    """Reduced row echelon form; returns (rows, rank, pivots)."""
-    mul, sub = gf.mul, gf.sub
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = gf.inv(work[r][col])
-        work[r] = [mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [sub(x, mul(c, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), r, tuple(pivots)
-
-
-def mat_rank(gf: GF, rows) -> int:
-    return rref(gf, rows)[1]
-
-
-def mat_mul(gf: GF, a, b):
-    """Product of row-tuple matrices over gf."""
-    add, mul = gf.add, gf.mul
-    bt = list(zip(*b)) if b else []
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def _insert(gf: GF, rows, pivots: list, vecs):
     """Fold rows ``vecs`` into the RREF rows and pivots of a span.
 
@@ -337,6 +299,27 @@ def _insert(gf: GF, rows, pivots: list, vecs):
         rows.insert(at, v)
         pivots.insert(at, col)
     return rows
+
+
+def rref(gf: GF, rows):
+    """Reduced row echelon form of coordinate rows of one length: (rows,
+    rank, pivots), the rows as tuples of field encodings, by ``_insert``."""
+    n = len(rows[0]) if rows else 0
+    pivots = []
+    reduced = _insert(gf, [], pivots, map(gf.pack_row, rows))
+    return tuple([gf.unpack_row(row, n) for row in reduced]), len(reduced), tuple(pivots)
+
+
+def mat_rank(gf: GF, rows) -> int:
+    return rref(gf, rows)[1]
+
+
+def mat_mul(gf: GF, a, b):
+    """Product of row-tuple matrices over gf: row i is ``combine_rows`` of
+    the rows of b, the coefficients row i of a."""
+    n = len(b[0]) if b else 0
+    unpack, combine, rows = gf.unpack_row, gf.combine_rows, list(map(gf.pack_row, b))
+    return tuple([unpack(combine(row, rows, n), n) for row in a])
 
 
 class Subspace:
@@ -567,27 +550,17 @@ def binom2(d: int) -> int:
     return comb(d, 2)
 
 
-# -- codeword expansion -----------------------------------------------
-
-
-def expand_codeword(tower: FieldTower, code_level: int, base_level: int, word):
-    """Matrix expansion of a word over the tower basis: column j = coords(word[j]).
-
-    Returns an (m x n) tuple-of-rows over the base level, where m is the
-    extension degree of the code level over the base level.
-    """
-    m = tower.ext_degree(code_level, base_level)
-    cols = [tower.coords(x, code_level, base_level) for x in word]
-    return tuple(tuple(col[i] for col in cols) for i in range(m))
+# -- rank supports -----------------------------------------------------
 
 
 def rank_support(tower: FieldTower, code_level: int, base_level: int, word,
                  gf_base: GF | None = None) -> Subspace:
-    """Row space over the base field of the matrix expansion of ``word``."""
+    """Row space over the base field of the matrix expansion of ``word``,
+    whose column j holds the coordinates of word[j] over the base level."""
     if gf_base is None:
         gf_base = GF(tower, base_level)
-    rows = expand_codeword(tower, code_level, base_level, word)
-    return Subspace.from_rows(gf_base, len(word), rows)
+    cols = [tower.coords(x, code_level, base_level) for x in word]
+    return Subspace.from_rows(gf_base, len(word), list(zip(*cols)))
 
 
 def rank_weight(tower: FieldTower, code_level: int, base_level: int, word) -> int:

@@ -14,10 +14,11 @@ field, the same for every q.  The rank profile reads the ranks off one
 arrays, with a rank array per dimension.  One walk over the covers of
 that table yields the q-flats, their cover edges and the axiom verdict
 with its witness.
-A binary code over F_Q with Q <= 4096 ranks a whole dimension at once,
-eliminating the images G y^T of all its row sets together through the
-exp/log tables of F_Q, and U(k, n) fills in min(d, k); every other rank
-function fills the arrays through ``rank``, one subspace at a time.  The
+A binary code over F_Q with Q <= 4096 ranks ``CHUNK`` subspaces of a
+dimension at once, eliminating the images G y^T of their row sets
+together through the exp/log tables of F_Q, and U(k, n) fills in
+min(d, k); every other rank function fills the int8 arrays through
+``rank``, one subspace at a time.  The
 single-subspace ``rho`` stays the reference; the tests' ``is_qflat``
 (``tests/point_mask.py``) decides a flat by its line steps.
 """
@@ -44,7 +45,7 @@ from .linalg import (
     mat_rank,
     rank_support,
 )
-from .subspace_table import SubspaceTable
+from .subspace_table import CHUNK, SubspaceTable
 
 # largest binary code field whose q-matroid ranks whole arrays of subspaces
 _BATCH_LIMIT = 4096
@@ -228,19 +229,23 @@ class QMatroid:
     def _ranked_table(self, cap: int | None):
         """The subspace table and a rank array per dimension; built once.
 
-        The ranks come from ``_rank_rows`` when the source has it, else
-        from ``rank`` one subspace at a time.  The caps are checked on
+        The ranks are int8.  They come from ``_rank_rows`` on slices of
+        ``CHUNK`` rows when the source has it, which bounds its temporaries,
+        else from ``rank`` one subspace at a time.  The caps are checked on
         every call, as an enumeration would check them.
         """
         for s in range(self.n + 1):
             check_subspace_count(self.n, s, self.q, cap)
         if self._table is None:
-            table = SubspaceTable(self.gf, self.n)
-            if self._rank_rows is not None:
-                ranks = [self._rank_rows(rows) for rows in table.rows]
-            else:
-                ranks = [np.array([self.rank(X) for X in table.subspaces(s)], np.int64)
-                         for s in range(self.n + 1)]
+            table, ranks = SubspaceTable(self.gf, self.n), []
+            for s, rows in enumerate(table.rows):
+                if self._rank_rows is None:
+                    rank = np.fromiter(map(self.rank, table.subspaces(s)), np.int8, len(rows))
+                else:
+                    rank = np.empty(len(rows), np.int8)
+                    for i in range(0, len(rows), CHUNK):
+                        rank[i:i + CHUNK] = self._rank_rows(rows[i:i + CHUNK])
+                ranks.append(rank)
             self._table = table, ranks
         return self._table
 

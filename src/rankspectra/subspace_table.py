@@ -2,11 +2,12 @@
 
 Each dimension d holds the RREF rows of its subspaces, packed base q
 (digit j = coordinate j, over F_2 the int row form of ``linalg``), as one
-(N, d) int64 array, in the order of ``enumerate_subspaces``: index i of
-dimension d is the i-th subspace that ``enumerate_subspaces(gf, n, d)``
-yields.  The rows come one pivot set at a time, a block of consecutive
-indices, so the pivots of a row are those of its block.  No ``Subspace``
-is built except on request.
+(N, d) array of the narrowest signed type that holds q^n (int8 over F_2
+up to n = 7, int16 up to n = 15), in the order of ``enumerate_subspaces``:
+index i of dimension d is the i-th subspace that
+``enumerate_subspaces(gf, n, d)`` yields.  The rows come one pivot set at
+a time, a block of consecutive indices, so the pivots of a row are those
+of its block.  No ``Subspace`` is built except on request.
 
 Index.  An RREF row with pivot p is zero below p and 1 at p, so a
 subspace is fixed by its pivot mask and the digits of its rows at the
@@ -56,17 +57,19 @@ import numpy as np
 
 from .linalg import GF, Subspace
 
-CHUNK = 1 << 16  # (subspace, cover) pairs per array pass
+CHUNK = 1 << 16  # (subspace, cover) pairs per array pass, rows per rank slice
 
 
 def subspace_rows(n: int, s: int, q: int):
     """(blocks, rows) of the s-subspaces of F_q^n.
 
-    ``rows`` is an (N, s) int64 array of packed RREF rows, in the order
-    of ``enumerate_subspaces``: pivot sets in lexicographic order, each a
-    block of consecutive rows listed in ``blocks`` as (pivots, lo, hi), and
-    within one the product of the choices for each row, the free entries
-    of a row read as a big-endian counter, the last row lowest.
+    ``rows`` is an (N, s) array of packed RREF rows, of the signed type
+    ``np.min_scalar_type(-q ** n)`` (numpy would mix an unsigned one with
+    int64 into float64), in the order of ``enumerate_subspaces``: pivot
+    sets in lexicographic order, each a block of consecutive rows listed in
+    ``blocks`` as (pivots, lo, hi), and within one the product of the
+    choices for each row, the free entries of a row read as a big-endian
+    counter, the last row lowest.
     """
     blocks, tables, lo = [], [], 0
     for pivots in combinations(range(n), s):
@@ -80,7 +83,7 @@ def subspace_rows(n: int, s: int, q: int):
         blocks.append((pivots, lo, lo + size))
         tables.append(choices)
         lo += size
-    rows = np.empty((lo, s), np.int64)
+    rows = np.empty((lo, s), np.min_scalar_type(-q ** n))
     for (_, lo, hi), choices in zip(blocks, tables):
         # a view with one axis per row's choice, the last row's fastest
         block = rows[lo:hi].reshape(*map(len, choices), s)

@@ -481,7 +481,7 @@ def test_brute_higher_bounded(tmp_path):
 
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--level", "quick"]],
                          ids=["analyze", "verify-quick"])
-def test_line_steps_over_cap_fail_fast(tmp_path, command):
+def test_cover_cap_exceeded_fails_fast(tmp_path, command):
     # U(3,9) over F_2: 8283458 subspaces pass the subspace cap, but the
     # cover walk of the q-flats and the axiom check visits
     # sum_s [9, s]_2 [9 - s, 1]_2 = 213188689 covers

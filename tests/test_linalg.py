@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -20,6 +21,46 @@ from rankspectra import (
     rank_weight,
 )
 from rankspectra.linalg import _TABLE_LIMIT, _table_ops, mat_mul, mat_rank, rref
+
+
+def _reference_rref(gf, rows):
+    """Gauss-Jordan elimination on coordinate tuples, column by column:
+    (rows, rank, pivots), the reference for ``rref`` and ``Subspace``, which
+    both eliminate in the row form of ``gf`` (``linalg._insert``)."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = gf.inv(work[r][col])
+        work[r] = [gf.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                c = work[i][col]
+                work[i] = [gf.sub(x, gf.mul(c, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), r, tuple(pivots)
+
+
+def _reference_product(gf, a, b):
+    """The matrix product a b over gf, one dot product per entry."""
+    return tuple(tuple(reduce(gf.add, map(gf.mul, row, col), 0) for col in zip(*b))
+                 for row in a)
+
+
+def _rows(n, q=2, size=None):
+    """Row lists over F_q^n, at most ``size`` (n + 1 by default) drawn rows,
+    with zero rows and up to two repeated rows mixed in."""
+    vector = st.one_of(st.just((0,) * n),
+                       st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple))
+    return st.lists(vector, max_size=n + 1 if size is None else size).flatmap(
+        lambda rows: st.lists(st.sampled_from(rows), max_size=2).map(rows.__add__)
+        if rows else st.just(rows))
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +96,20 @@ def test_mat_mul_identity(gf3):
     eye = ((1, 0), (0, 1))
     a = ((1, 2), (0, 2))
     assert mat_mul(gf3, a, eye) == a
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 9, 16]))
+def test_matrix_helpers_match_reference(data, q):
+    # up to 5 x 6 matrices: b has 1..5 rows of 1..6 entries, a as many
+    # columns as b has rows
+    gf = GF.of_order(q)
+    b = data.draw(_rows(data.draw(st.integers(1, 6)), q, 3).filter(bool))
+    a = data.draw(_rows(len(b), q, 3))
+    for rows in (a, b):
+        assert rref(gf, rows) == _reference_rref(gf, rows)
+        assert mat_rank(gf, rows) == _reference_rref(gf, rows)[1]
+    assert mat_mul(gf, a, b) == _reference_product(gf, a, b)
 
 
 def test_subspace_canonical_equality(gf2):
@@ -246,38 +301,29 @@ def test_incremental_sum_matches_rref(data, field):
         assert (A.sum(L).dim > A.dim) == (not A.contains(L))
 
 
-# -- F_2 rows packed into ints, against rref on coordinate tuples ---------
-
-
-def _f2_rows(n):
-    """Row lists over F_2^n with zero rows and repeated rows mixed in."""
-    vector = st.one_of(st.just((0,) * n),
-                       st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple))
-    return st.lists(vector, max_size=n + 1).flatmap(
-        lambda rows: st.lists(st.sampled_from(rows), max_size=2).map(rows.__add__)
-        if rows else st.just(rows))
+# -- F_2 rows packed into ints, against the reference elimination ---------
 
 
 def _f2_span(rows, n):
     """Every vector of the span of coordinate rows, by brute force over F_2^n."""
-    rank = rref(GF.of_order(2), rows)[1]
+    rank = _reference_rref(GF.of_order(2), rows)[1]
     return {v for v in product((0, 1), repeat=n)
-            if rref(GF.of_order(2), list(rows) + [v])[1] == rank}
+            if _reference_rref(GF.of_order(2), list(rows) + [v])[1] == rank}
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data(), n=st.integers(1, 9))
 def test_binary_rows_match_rref(gf2, data, n):
-    rows_a, rows_b = data.draw(_f2_rows(n)), data.draw(_f2_rows(n))
-    ref_a, rank_a, pivots_a = rref(gf2, rows_a)
+    rows_a, rows_b = data.draw(_rows(n)), data.draw(_rows(n))
+    ref_a, rank_a, pivots_a = _reference_rref(gf2, rows_a)
     A, B = Subspace.from_rows(gf2, n, rows_a), Subspace.from_rows(gf2, n, rows_b)
     assert (A.coordinate_rows(), A.dim, A.pivots) == (ref_a, rank_a, pivots_a)
     assert A.serialize() == [sum(x << j for j, x in enumerate(row)) for row in ref_a]
     # equality and hash follow the span, not the rows given
     same = Subspace.from_rows(gf2, n, list(reversed(ref_a)) + rows_a)
     assert same == A and hash(same) == hash(A)
-    assert (A == B) == (rref(gf2, rows_b)[0] == ref_a)
-    joint = rref(gf2, rows_a + rows_b)
+    assert (A == B) == (_reference_rref(gf2, rows_b)[0] == ref_a)
+    joint = _reference_rref(gf2, rows_a + rows_b)
     total = A.sum(B)
     assert (total.coordinate_rows(), total.pivots) == (joint[0], joint[2])
     assert A.contains(B) == (joint[1] == rank_a)
@@ -287,7 +333,7 @@ def test_binary_rows_match_rref(gf2, data, n):
     # the complement is every vector orthogonal to all of A
     perp = [v for v in product((0, 1), repeat=n)
             if all(sum(x * y for x, y in zip(v, row)) % 2 == 0 for row in ref_a)]
-    assert A.complement().coordinate_rows() == rref(gf2, perp)[0]
+    assert A.complement().coordinate_rows() == _reference_rref(gf2, perp)[0]
 
 
 # serialized order of enumerate_subspaces(GF(2), 4, s), taken from the

@@ -321,7 +321,7 @@ def _enumerate_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("scan", ["qflats", "verify_axioms"])
-def test_line_steps_capped_before_enumeration(monkeypatch, scan):
+def test_cover_cap_checked_before_enumeration(monkeypatch, scan):
     _enumerate_nothing(monkeypatch)
     # the cover walk visits sum_s [4, s]_2 [4 - s, 1]_2 = 240 covers of the
     # subspaces of F_2^4: the cap is exact

@@ -27,6 +27,7 @@ from rankspectra import (
     cross_checked_weights,
     enumerate_subspaces,
     prime_field,
+    qmatroid,
     subspace_table,
     uniform_qmatroid,
     virtual_betti_table,
@@ -72,6 +73,17 @@ def test_rows_follow_enumeration_order(q, n):
     for s in range(n + 1):
         expected = [(X.rows, X.pivots) for X in enumerate_subspaces(gf, n, s)]
         assert [(X.rows, X.pivots) for X in T.subspaces(s)] == expected
+
+
+@pytest.mark.parametrize("q,n,dtype", [
+    (2, 7, np.int8), (2, 8, np.int16), (3, 4, np.int8), (3, 5, np.int16), (4, 3, np.int8),
+    (1024, 2, np.int32), (2**31, 1, np.int32),
+])
+def test_rows_take_the_narrowest_signed_type(q, n, dtype):
+    # the smallest signed type that holds -q^n, so every packed row fits
+    T = SubspaceTable(GF.of_order(q), n)
+    assert np.min_scalar_type(-q ** n) == dtype
+    assert [rows.dtype for rows in T.rows] == [np.dtype(dtype)] * (n + 1)
 
 
 @pytest.mark.parametrize("q,n", field_ladder(1))
@@ -372,12 +384,35 @@ def _forms_no_flat_subspace(monkeypatch):
     monkeypatch.setattr(QMatroid, "rank", full_rank_only)
 
 
-@pytest.mark.parametrize("make", [
+# U(k, n) and a binary code rank arrays of rows; a q > 2 code ranks one
+# subspace at a time
+TABLE_SOURCES = pytest.mark.parametrize("make", [
     lambda: uniform_qmatroid(3, 6, 2),
     lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
     lambda: cli.parse_spec_source(
         (Path(__file__).parent / "data" / "code_q3_k2_n4.json").read_bytes())[0].matroid,
 ], ids=["U(3,6)", "code_q2_n6", "code_q3_k2_n4"])
+
+
+@TABLE_SOURCES
+def test_rank_slices_match_whole_dimensions(monkeypatch, make):
+    # with CHUNK = 7 a source with ``_rank_rows`` ranks every dimension in
+    # slices of at most 7 rows; the int8 ranks equal those of the default
+    # CHUNK, which holds each of these dimensions (at most 1395 rows) whole
+    whole = make()._ranked_table(None)[1]
+    M, slices = make(), []
+    if M._rank_rows is not None:
+        rank_rows = M._rank_rows
+        M._rank_rows = lambda rows: slices.append(len(rows)) or rank_rows(rows)
+    monkeypatch.setattr(qmatroid, "CHUNK", 7)
+    ranks = M._ranked_table(None)[1]
+    assert [rank.dtype for rank in ranks] == [np.dtype(np.int8)] * (M.n + 1)
+    assert all(map(np.array_equal, ranks, whole))
+    if M._rank_rows is not None:
+        assert slices == [min(7, len(r) - i) for r in ranks for i in range(0, len(r), 7)]
+
+
+@TABLE_SOURCES
 def test_lattice_and_weights_form_no_flat_subspace(monkeypatch, make):
     # the analyze path reads the flats as table positions: the lattice,
     # its Betti table and the weights form no Subspace for a flat or a node
