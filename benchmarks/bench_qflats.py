@@ -10,16 +10,19 @@ its lattice released, a cold ``rank_profile()`` and a cold
 of the matroid.  The rungs are U(3,6), U(3,7), U(3,8) and U(3,9) over
 F_2, U(3,6) over F_3, the seed-1 random k=3 binary codes of length 6 over
 F_64 and F_512, 7 over F_128, 8 over F_256 and 9 over F_512, and the
-seed-1 k=2 code of length 5 over F_243 with base field F_3 (``random_code``
-of ``perfbench/workloads.py``; the n=6 code over F_64 and the F_243 code
-are the ``code_q2_n6`` and ``code_q3_n5`` benchmark inputs, and F_512 is
-the smallest field past the Q x Q product tables of ``linalg``).  U(3,9)
-and the n=9 code run with a raised subspace cap, ``N9_CAP``, since their
-213,188,689 covers pass the default cap; every other rung runs at the
-default cap.  Prints seconds, how far
-each stage raised the process's peak RSS (``VmHWM``, MiB), flat counts,
-the cover edges of the cycle lattice and the peak RSS of the process, and
-writes them to ``benchmarks/BENCH_qflats.json`` with the run metadata.
+seed-1 k=2 codes of length 5 over F_243 and over F_729 with base field
+F_3 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over F_64
+and the F_243 code are the ``code_q2_n6`` and ``code_q3_n5`` benchmark
+inputs, F_512 is the smallest field past the Q x Q product tables of
+``linalg``, and the F_729 code ranks its subspaces one at a time on the
+tower arithmetic).  U(3,9) and the n=9 code run with a raised subspace
+cap, ``N9_CAP``, since their 213,188,689 covers pass the default cap;
+every other rung runs at the default cap.  Each rung runs in a child
+process of its own, so every stage's rise counts from that rung's start.
+Prints seconds, how far each stage raised the child's peak RSS
+(``VmHWM``, MiB), flat counts, the cover edges of the cycle lattice and
+the largest peak RSS of a child, and writes them to
+``benchmarks/BENCH_qflats.json`` with the run metadata.
 Exits non-zero if a uniform Betti table differs from its closed form, if
 the axiom check fails, or if on an n <= 7 rung the q-flats differ from
 the scalar ``is_qflat`` scan over all subspaces or the lattice, built
@@ -28,10 +31,14 @@ lattice over the complements of the same flats (both references from
 ``tests/point_mask.py``).  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_qflats.py
+
+With a rung number (0 for the first) it runs that rung alone in this
+process and prints its record as JSON on the last line.
 """
 
 import json
 import resource
+import subprocess
 import sys
 
 from rankspectra import (
@@ -119,23 +126,48 @@ def bench_code(label, m_extension, n, mismatches, cap=None, p=2, k=3):
                  mismatches, cap)
 
 
-def main():
+RUNGS = [
+    lambda m: bench_uniform(3, 6, m),
+    lambda m: bench_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6, m),
+    lambda m: bench_code("code_F512_n6", [1, 1, 0, 0, 0, 0, 0, 0, 0, 1], 6, m),
+    lambda m: bench_uniform(3, 7, m),
+    lambda m: bench_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7, m),
+    lambda m: bench_uniform(3, 8, m),
+    lambda m: bench_code("code_q2_n8", [1, 0, 1, 1, 1, 0, 0, 0, 1], 8, m),
+    lambda m: bench_uniform(3, 9, m, N9_CAP),
+    lambda m: bench_code("code_q2_n9", [1, 1, 0, 0, 0, 0, 0, 0, 0, 1], 9, m, N9_CAP),
+    lambda m: bench_uniform(3, 6, m, q=3),
+    lambda m: bench_code("code_q3_n5", [1, 2, 0, 0, 0, 1], 5, m, p=3, k=2),
+    lambda m: bench_code("code_F729_n5", [2, 1, 0, 0, 0, 0, 1], 5, m, p=3, k=2),
+]
+
+
+def run_rung(i):
+    """Rung i in this process; its record, mismatches and peak RSS as the
+    last line of stdout, in JSON."""
     mismatches = []
-    rungs = [
-        bench_uniform(3, 6, mismatches),
-        bench_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6, mismatches),
-        bench_code("code_F512_n6", [1, 1, 0, 0, 0, 0, 0, 0, 0, 1], 6, mismatches),
-        bench_uniform(3, 7, mismatches),
-        bench_code("code_q2_n7", [1, 1, 0, 0, 0, 0, 0, 1], 7, mismatches),
-        bench_uniform(3, 8, mismatches),
-        bench_code("code_q2_n8", [1, 0, 1, 1, 1, 0, 0, 0, 1], 8, mismatches),
-        bench_uniform(3, 9, mismatches, N9_CAP),
-        bench_code("code_q2_n9", [1, 1, 0, 0, 0, 0, 0, 0, 0, 1], 9, mismatches, N9_CAP),
-        bench_uniform(3, 6, mismatches, q=3),
-        bench_code("code_q3_n5", [1, 2, 0, 0, 0, 1], 5, mismatches, p=3, k=2),
-    ]
+    rung = RUNGS[i](mismatches)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS {peak:.1f} MiB")
+    print(json.dumps({"rung": rung, "mismatches": mismatches, "peak_rss_mib": peak}))
+
+
+def main():
+    mismatches, rungs, peak = [], [], 0.0
+    for i in range(len(RUNGS)):
+        child = subprocess.run([sys.executable, __file__, str(i)],
+                               capture_output=True, text=True)
+        lines = child.stdout.splitlines()
+        result = json.loads(lines.pop()) if child.returncode == 0 else None
+        for line in lines:
+            print(line)
+        if result is None:
+            sys.stderr.write(child.stderr)
+            mismatches.append(f"rung {i} exited with status {child.returncode}")
+            continue
+        rungs.append(result["rung"])
+        mismatches += result["mismatches"]
+        peak = max(peak, result["peak_rss_mib"])
+    print(f"peak RSS of a rung {peak:.1f} MiB")
     OUT.write_text(json.dumps({"benchmark": "qflats", "rungs": rungs,
                                "peak_rss_mib": round(peak, 1), **run_metadata()},
                               indent=2) + "\n")
@@ -145,4 +177,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) > 1:
+        run_rung(int(sys.argv[1]))
+    else:
+        main()

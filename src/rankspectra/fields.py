@@ -10,6 +10,13 @@ between level-``i`` elements and ``range(size(i))``; 0 encodes zero and
 1 encodes one, and embedding an element into a higher level preserves its
 encoding.
 
+So the encoding is the base-p digit string of the coefficients over F_p,
+and sums, negatives and differences are digit-wise mod p on the whole
+encoding at every level, XOR for p = 2 (Lidl and Niederreiter, *Finite
+Fields*).  A product at level ``i >= 1`` is one polynomial product over
+level ``i-1`` modulo the level's modulus: ``_poly_mulmod``, which the
+irreducibility test uses too.
+
 All operations are pure functions of the encodings; a tower is immutable
 after construction and safe to share between threads.
 """
@@ -38,7 +45,7 @@ class FieldTower:
     """A prime field together with a chain of extension steps.
 
     Level 0 is F_p; level ``i`` is obtained from level ``i-1`` by adjoining
-    a root of ``moduli[i]`` (a monic irreducible polynomial over level
+    a root of ``moduli[i-1]`` (a monic irreducible polynomial over level
     ``i-1``, stored as a little-endian tuple of level-``i-1`` encodings).
     """
 
@@ -150,19 +157,21 @@ class FieldTower:
 
     def add(self, a: int, b: int, level: int = -1) -> int:
         level = self._idx(level)
-        if level == 0:
-            return (a + b) % self.p
-        da, db = self._split(a, level), self._split(b, level)
-        return self._join([self.add(x, y, level - 1) for x, y in zip(da, db)], level)
+        if self.p == 2:
+            return a ^ b
+        return (a + b) % self.p if level == 0 else _digitwise(self.p, a, b, 1)
 
     def neg(self, a: int, level: int = -1) -> int:
-        level = self._idx(level)
-        if level == 0:
-            return (-a) % self.p
-        return self._join([self.neg(x, level - 1) for x in self._split(a, level)], level)
+        self._idx(level)
+        if self.p == 2:
+            return a
+        return _digitwise(self.p, 0, a, -1)
 
     def sub(self, a: int, b: int, level: int = -1) -> int:
-        return self.add(a, self.neg(b, level), level)
+        level = self._idx(level)
+        if self.p == 2:
+            return a ^ b
+        return (a - b) % self.p if level == 0 else _digitwise(self.p, a, b, -1)
 
     def mul(self, a: int, b: int, level: int = -1) -> int:
         level = self._idx(level)
@@ -170,33 +179,9 @@ class FieldTower:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        da, db = self._split(a, level), self._split(b, level)
-        deg = self.degrees[level - 1]
-        prod = [0] * (2 * deg - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if y == 0:
-                    continue
-                prod[i + j] = self.add(prod[i + j], self.mul(x, y, level - 1), level - 1)
-        self._reduce_inplace(prod, level)
-        return self._join(prod[:deg], level)
-
-    def _reduce_inplace(self, prod, level: int) -> None:
-        # x^deg = -(low-order modulus coefficients), applied from the top down
-        modulus = self.moduli[level - 1]
-        deg = self.degrees[level - 1]
-        for i in range(len(prod) - 1, deg - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(deg):
-                if modulus[j] == 0:
-                    continue
-                term = self.mul(c, modulus[j], level - 1)
-                prod[i - deg + j] = self.sub(prod[i - deg + j], term, level - 1)
+        prod = self._poly_mulmod(self._split(a, level), self._split(b, level),
+                                 self.moduli[level - 1], level - 1)
+        return self._join(prod, level)
 
     def pow(self, a: int, e: int, level: int = -1) -> int:
         level = self._idx(level)
@@ -259,16 +244,17 @@ class FieldTower:
         return f
 
     def _poly_mod(self, f, g, level):
-        """Remainder of f modulo g (g nonzero), little-endian lists."""
+        """Remainder of f modulo g (g nonzero and trimmed), little-endian
+        lists; zero coefficients of g are skipped, and a monic g is not scaled."""
         f = self._poly_trim(list(f))
-        g = self._poly_trim(list(g))
         dg = len(g) - 1
-        lead_inv = self.inv(g[-1], level)
-        while len(f) - 1 >= dg and f:
-            c = self.mul(f[-1], lead_inv, level)
-            shift = len(f) - 1 - dg
-            for j in range(dg + 1):
-                f[shift + j] = self.sub(f[shift + j], self.mul(c, g[j], level), level)
+        lead_inv = 1 if g[dg] == 1 else self.inv(g[dg], level)
+        while len(f) > dg:  # the top term of f is cancelled by c x^shift g
+            c = f.pop() if lead_inv == 1 else self.mul(f.pop(), lead_inv, level)
+            shift = len(f) - dg
+            for j in range(dg):
+                if g[j]:
+                    f[shift + j] = self.sub(f[shift + j], self.mul(c, g[j], level), level)
             self._poly_trim(f)
         return f
 
@@ -367,6 +353,17 @@ class FieldTower:
             if self._reducible_factor_degree(f, level) is None:
                 return f
         raise StructuralError("no irreducible polynomial found")  # pragma: no cover
+
+
+def _digitwise(p: int, a: int, b: int, c: int) -> int:
+    """a + c b digit by digit mod p on base-p encodings, with no carry."""
+    out, unit = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + c * y) % p * unit
+        unit *= p
+    return out
 
 
 def prime_field(p: int) -> FieldTower:

@@ -25,7 +25,7 @@ Field arithmetic goes through :class:`GF`.  A field of at most
 tower level and shared by every ``GF`` of that level: products and
 inverses from the exp/log tables of a primitive element, sums and
 negatives digit-wise mod p on the base-p encoding (XOR for p = 2).  A
-larger field calls the recursive :class:`FieldTower` arithmetic.
+larger field calls the :class:`FieldTower` arithmetic.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class GF:
     ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` are bound once here.  A
     field of at most ``_TABLE_LIMIT`` elements reads them from tables built
     on first use of its (tower, level) and cached; a larger one calls the
-    tower's recursive arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
+    tower's arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
     either way.  The row primitives of :class:`Subspace` are bound here
     too: int rows for F_2, tuple rows for every other field.
     """

@@ -167,7 +167,8 @@ def brute_higher(code: GabidulinCode, i: int,
             row = supports.get(message)
             if row is None:
                 row = supports[message] = rank_support(
-                    code.tower, code.code_level, code.q_level, code.codeword(message))
+                    code.tower, code.code_level, code.q_level, code.codeword(message),
+                    code.gf_q)
             support = support.sum(row)
         counts[support.dim] += 1
     return counts

@@ -166,7 +166,7 @@ class QMatroid:
         self._memo: dict[Subspace, int] = {}
         self._flats: tuple[Subspace, ...] | None = None
         # (checked, flats, covers, failure) of ``SubspaceTable.cover_walk``;
-        # covers None and the flats unchecked when the checked walk failed
+        # covers None when the checked walk failed
         self._walk = None
         self._profile: Counter | None = None
         # ranks of an (N, d) array of packed RREF rows, when the source
@@ -253,17 +253,13 @@ class QMatroid:
         """(checked, flats, covers, failure) of ``SubspaceTable.cover_walk``;
         walked once per matroid, and again only to check an unchecked result.
 
-        When the checked walk fails, failure is its record, covers is None
-        and the flats come from an unchecked walk; else failure is None.
+        The covers, which bound the subspaces of every dimension, are
+        counted against ``cap`` on every call.
         """
+        self._check_cover_count(cap)
         if self._walk is None or check and not self._walk[0]:
             table, ranks = self._ranked_table(cap)
-            walk = table.cover_walk(ranks, check)
-            if isinstance(walk, dict):
-                walk = table.cover_walk(ranks)[0], None, walk
-            else:
-                walk = *walk, None
-            self._walk = check, *walk
+            self._walk = check, *table.cover_walk(ranks, check)
         return self._walk
 
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
@@ -293,9 +289,8 @@ class QMatroid:
         closures only on a q-matroid, so covers is None if the walk was
         checked and failed.
         """
-        self._check_cover_count(cap)
-        ranks = self._ranked_table(cap)[1]
         _, flats, covers, _ = self._cover_walk(cap, check=not self._qmatroid_by_theorem)
+        ranks = self._table[1]
         return flats, [rank[index] for rank, index in zip(ranks, flats)], covers
 
     def rank_profile(self, cap: int | None = DEFAULT_SUBSPACE_CAP) -> Counter:
@@ -415,7 +410,6 @@ class QMatroid:
         {"axiom", "X", "Y"} or {"axiom": "P1", "X", "rank"}, subspaces
         serialized.
         """
-        self._check_cover_count(cap)
         failure = self._cover_walk(cap, check=True)[3]
         if failure is None:
             return {"ok": True, "violation": None}

@@ -38,13 +38,12 @@ distinct pointers of its covers, the closures cl(F + v) (Byrne, Ceria
 and Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022).  A
 flat reads all its covers anyway, so it keeps their pointers, and no
 second pass is made.  The checked walk of the axiom check visits every
-cover, and at its first failed check names the table positions of a
-witness against P1, P2 or P3; the unchecked walk, for a source that is a
-q-matroid by theorem (a code, U(k, n)), lets a non-flat leave early.  On
-a rank function that is no q-matroid the flats are still the flats, but
-the pointers need not be closures, so ``QMatroid.flat_covers`` takes
-edges only from an unchecked walk on a q-matroid by theorem or a checked
-walk that passed.
+cover, records at its first failed check the table positions of a
+witness against P1, P2 or P3, and walks on; the unchecked walk, for a
+source that is a q-matroid by theorem (a code, U(k, n)), lets a non-flat
+leave early.  On a rank function that is no q-matroid the flats are
+still the flats, but the pointers need not be closures, so a checked
+walk that failed returns no cover edges.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from math import prod
 
 import numpy as np
 
+from . import linalg
 from .linalg import GF, Subspace
 
 CHUNK = 1 << 16  # (subspace, cover) pairs per array pass, rows per rank slice
@@ -111,7 +111,8 @@ def _moved_share(gf: GF, n: int, weights: np.ndarray):
     of X + v, cover vectors v, q^c for their leading columns c and the
     blocks of X: ``share(i, row)``, the share in the index of row - row[c] v
     for row i of X.  Over F_2 an XOR and a lookup, else the field's
-    arithmetic, as tables if q^2 <= CHUNK, with the pivots of the block."""
+    arithmetic, as tables if q <= ``linalg._TABLE_LIMIT``, with the pivots
+    of the block."""
     if gf.size == 2:
         row, pivot = np.arange(1 << n), [(r & -r).bit_length() - 1 for r in range(1 << n)]
         place = sum(((row >> j & 1) * weights[:, pivot, j] for j in range(n)),
@@ -122,7 +123,7 @@ def _moved_share(gf: GF, n: int, weights: np.ndarray):
         return moved
     q, units = gf.size, (gf.size ** np.arange(n)).tolist()
     sub, mul = (np.frompyfunc(op, 2, 1) for op in (gf.sub, gf.mul))
-    if q * q <= CHUNK:  # else element by element, with no array of order q^2
+    if q <= linalg._TABLE_LIMIT:  # else element by element, with no array of order q^2
         tables = [f(*np.ogrid[:q, :q]).astype(np.int64) for f in (sub, mul)]
         sub, mul = (lambda a, b, t=t: t[a, b] for t in tables)
 
@@ -204,9 +205,10 @@ class SubspaceTable:
         """The flats and their cover edges, given the rank array of each
         dimension, in one walk over the covers from dimension n down.
 
-        Returns, per dimension, the indices of the flats, and for each flat
-        numbered by dimension and then index, the sorted ids of the distinct
-        pointers of its covers: on a q-matroid, the flats that cover it.  A
+        Returns (flats, covers, failure): per dimension, the indices of the
+        flats, and for each flat numbered by dimension and then index, the
+        sorted ids of the distinct pointers of its covers: on a q-matroid,
+        the flats that cover it.  failure is None unless a check failed.  A
         pointer is the table position of a subspace, its index plus
         ``base`` of its dimension, and only dimensions s + 1 and s hold
         them at a time.  ptr[X] is X when no cover of X has the rank of X,
@@ -218,24 +220,26 @@ class SubspaceTable:
         With ``check`` it first checks 0 <= rho(X) <= dim X on every
         dimension, then visits every cover and checks d = rho(X + v) -
         rho(X) in {0, 1} on each and ptr[X + v] == ptr[X] on each with
-        d = 0.  At the first failure it returns, in place of the flats, a
-        failure record {"axiom", "X", "Y"} (no "Y" for P1) whose X and Y
-        are the (dimension, index) of a witness: P1 on X; P2 on (X, X + v)
-        for d < 0; P3 on (X, the line of v) for d > 1; P3 on (A, X + v),
-        A the first cover with d = 0, for a pointer that differs.
+        d = 0.  At the first failure it records {"axiom", "X", "Y"} (no
+        "Y" for P1), whose X and Y are the (dimension, index) of a witness:
+        P1 on X; P2 on (X, X + v) for d < 0; P3 on (X, the line of v) for
+        d > 1; P3 on (A, X + v), A the first cover with d = 0, for a
+        pointer that differs.  It walks on, for the flats, and returns
+        that record as failure and None for covers.
         ``QMatroid.verify_axioms`` proves that these checks pass exactly on
-        the q-matroids and that each witness is genuine.  Without it the
-        covers are tried in
-        slices of 1, 4, 16, ... vectors, and a subspace leaves after the
-        first slice with a cover of its own rank: most non-flats leave
-        after the first.  Either way the flats are the flats, and on a
-        q-matroid the pointers are closures (module docstring).
+        the q-matroids and that each witness is genuine.  Without ``check``
+        the covers are tried in slices of 1, 4, 16, ... vectors, and a
+        subspace leaves after the first slice with a cover of its own rank:
+        most non-flats leave after the first.  Either way the flats are the
+        flats, and on a q-matroid the pointers are closures (module
+        docstring).
         """
-        n, base = self.n, self.base
+        n, base, failure = self.n, self.base, None
         for s, rank in enumerate(ranks if check else ()):
             bad = np.flatnonzero((rank < 0) | (rank > s))
             if len(bad):
-                return {"axiom": "P1", "X": (s, int(bad[0]))}
+                failure = {"axiom": "P1", "X": (s, int(bad[0]))}
+                break
         full = ranks[n][0]
         flats, edges = [np.zeros(1, np.int32)], []
         above = base[n:n + 1].astype(np.int32)  # E points to itself
@@ -260,18 +264,18 @@ class SubspaceTable:
                     at = np.arange(len(part))
                     left = zero[at, first]
                     own = np.where(left, up[at, first], point[part])
-                    bad = check and (d < 0) | (d > 1) | zero & (up != own[:, None])
-                    if check and bad.any():  # the first failure, row r, cover c
+                    if check and failure is None:  # the first failure, row r, cover c
+                        bad = (d < 0) | (d > 1) | zero & (up != own[:, None])
                         r, c = divmod(int(bad.argmax()), bad.shape[1])
                         X, Y = (s, int(part[r])), (s + 1, int(cover[r, c]))
                         if d[r, c] < 0:
-                            return {"axiom": "P2", "X": X, "Y": Y}
-                        if d[r, c] > 1:  # v is reduced and led by 1: the row of its line
+                            failure = {"axiom": "P2", "X": X, "Y": Y}
+                        elif d[r, c] > 1:  # v is reduced and led by 1: the row of its line
                             v = self._tables[s][2][self._block_of(s, part[r]), c]
                             line = np.flatnonzero(self.rows[1][:, 0] == v)[0]
-                            return {"axiom": "P3", "X": X, "Y": (1, int(line))}
-                        # two step-0 covers with different pointers
-                        return {"axiom": "P3", "X": (s + 1, int(cover[r, first[r]])), "Y": Y}
+                            failure = {"axiom": "P3", "X": X, "Y": (1, int(line))}
+                        elif bad[r, c]:  # two step-0 covers with different pointers
+                            failure = {"axiom": "P3", "X": (s + 1, int(cover[r, first[r]])), "Y": Y}
                     point[part] = own
                     stay.append(~left)
                     kept.append(up[stay[-1] & low[part]])
@@ -285,13 +289,15 @@ class SubspaceTable:
             edges.append((low[live], up[new], new.sum(axis=1)))
             above = point
         flats.reverse()
+        if failure is not None:
+            return flats, None, failure
         at = np.concatenate([index + b for index, b in zip(flats, base)])
         top, covers = len(at) - 1, []
         for low, up, counts in reversed(edges):
             ids, ends = np.searchsorted(at, up).tolist(), np.cumsum(counts).tolist()
             rows = map(ids.__getitem__, map(slice, [0] + ends, ends))
             covers += [next(rows) if x else [top] for x in low.tolist()]
-        return flats, covers + [[]]
+        return flats, covers + [[]], None
 
     @staticmethod
     def profile(ranks) -> Counter:

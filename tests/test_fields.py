@@ -82,12 +82,67 @@ def test_coords_roundtrip(f16):
     assert f16.coords(2, 1, 0) == (0, 1, 0, 0)
 
 
+class RecursiveTower:
+    """The arithmetic of a tower by its recursive definition, the reference
+    for ``FieldTower``: a level-``i`` element is its digits over level
+    ``i-1``, a sum is the digit-wise sum one level down, and a product is
+    the polynomial product over level ``i-1``, reduced from the top down by
+    x^deg = -(the low-order coefficients of the monic modulus)."""
+
+    def __init__(self, tower):
+        self.p, self.moduli, self.degrees, self.sizes = (
+            tower.p, tower.moduli, tower.degrees, tower.sizes)
+
+    def split(self, x, level):
+        base, digits = self.sizes[level - 1], []
+        for _ in range(self.degrees[level - 1]):
+            x, digit = divmod(x, base)
+            digits.append(digit)
+        return digits
+
+    def join(self, digits, level):
+        x = 0
+        for c in reversed(digits):
+            x = x * self.sizes[level - 1] + c
+        return x
+
+    def add(self, a, b, level):
+        if level == 0:
+            return (a + b) % self.p
+        pairs = zip(self.split(a, level), self.split(b, level))
+        return self.join([self.add(x, y, level - 1) for x, y in pairs], level)
+
+    def neg(self, a, level):
+        if level == 0:
+            return (-a) % self.p
+        return self.join([self.neg(x, level - 1) for x in self.split(a, level)], level)
+
+    def sub(self, a, b, level):
+        return self.add(a, self.neg(b, level), level)
+
+    def mul(self, a, b, level):
+        if level == 0:
+            return (a * b) % self.p
+        deg = self.degrees[level - 1]
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(self.split(a, level)):
+            for j, y in enumerate(self.split(b, level)):
+                prod[i + j] = self.add(prod[i + j], self.mul(x, y, level - 1), level - 1)
+        modulus = self.moduli[level - 1]
+        for i in range(len(prod) - 1, deg - 1, -1):
+            c, prod[i] = prod[i], 0
+            for j in range(deg):
+                term = self.mul(c, modulus[j], level - 1)
+                prod[i - deg + j] = self.sub(prod[i - deg + j], term, level - 1)
+        return self.join(prod[:deg], level)
+
+
 def coords_reference(tower, x, level, sublevel):
     """The recursive definition: split into level-1 digits, expand each."""
     if level == sublevel:
         return (x,)
     out = []
-    for digit in tower._split(x, level):
+    for digit in RecursiveTower(tower).split(x, level):
         out.extend(coords_reference(tower, digit, level - 1, sublevel))
     return tuple(out)
 
@@ -116,6 +171,40 @@ def test_coords_match_recursive_definition(tower):
                 tower.from_coords((0,), level, sublevel)
     with pytest.raises(InputError):
         tower.from_coords((0,) * 3, 2, 0)
+
+
+def _r2_extension():
+    # the tower of the r = 2 brute run of the golden F_16 code
+    f16 = prime_field(2).extend([1, 1, 0, 0, 1])
+    return f16.extend(f16.find_irreducible(2, 1))
+
+
+REFERENCE_TOWERS = {
+    "F256": linalg.GF.of_order(256).tower,
+    "F729": prime_field(3).extend([2, 1, 0, 0, 0, 0, 1]),
+    "F2^31": linalg.GF.of_order(2**31).tower,
+    "F2_F4_F16": _three_level(2, [1, 1, 1]),
+    "F3_F9_F81": _three_level(3, [1, 0, 1]),
+    "F16^2": _r2_extension(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TOWERS))
+@given(data=st.data())
+@settings(derandomize=True, deadline=None, max_examples=40)
+def test_tower_arithmetic_matches_recursive_reference(name, data):
+    # the digit-wise sums and the one polynomial product against the
+    # recursive definition, at every level of the tower
+    tower = REFERENCE_TOWERS[name]
+    ref = RecursiveTower(tower)
+    level = data.draw(st.integers(0, tower.top_level), label="level")
+    a, b = (data.draw(st.integers(0, tower.sizes[level] - 1)) for _ in range(2))
+    assert tower.add(a, b, level) == ref.add(a, b, level)
+    assert tower.sub(a, b, level) == ref.sub(a, b, level)
+    assert tower.neg(a, level) == ref.neg(a, level)
+    assert tower.mul(a, b, level) == ref.mul(a, b, level)
+    if a:  # the inverse is the one element whose reference product with a is 1
+        assert ref.mul(a, tower.inv(a, level), level) == 1
 
 
 def test_embedding_preserves_encoding(f16):

@@ -25,7 +25,7 @@ from rankspectra import (
 )
 from rankspectra.subspace_table import SubspaceTable
 
-from point_mask import PointMaskLattice, lines, point_mask
+from point_mask import PointMaskLattice, is_qflat, lines, point_mask
 from test_subspace_table import seed1_code
 
 # Betti table of the session example code: (l, i, dim) -> value
@@ -261,6 +261,22 @@ def test_plain_rank_function_runs_closure_pass_once(monkeypatch, make, axioms_fi
     assert calls == [True]
     ref = build_cycle_lattice(source)
     assert (L.nodes, L.nullity, L.below) == (ref.nodes, ref.nullity, ref.below)
+
+
+@pytest.mark.parametrize("q", [2, 3], ids=["q2", "q3"])
+@pytest.mark.parametrize("dim,rank", [(1, 0), (3, 1)], ids=["line-rank-0", "3-space-rank-1"])
+def test_failing_rank_function_walked_once(monkeypatch, q, dim, rank):
+    # the checked walk records its first failure and walks on, so the
+    # flats of a rank function that is no q-matroid come from that walk
+    calls = _counted_walks(monkeypatch)
+    base = uniform_qmatroid(2, 4, q)
+    target = next(enumerate_subspaces(base.gf, 4, dim))
+    M = QMatroid(base.gf, 4, lambda X: rank if X == target else base.rank(X))
+    assert not M.verify_axioms()["ok"]
+    flats = M.qflats()
+    assert calls == [True]
+    R = QMatroid(base.gf, 4, M._rank_fn)
+    assert flats == tuple(X for X in all_subspaces(R.gf, R.n) if is_qflat(R, X))
 
 
 def test_codes_and_uniform_skip_closure_pass(monkeypatch, example_code):

@@ -26,6 +26,7 @@ from rankspectra import (
     cli,
     cross_checked_weights,
     enumerate_subspaces,
+    linalg,
     prime_field,
     qmatroid,
     subspace_table,
@@ -102,10 +103,11 @@ def test_covers_are_the_sums_with_lines(q, n):
 
 @pytest.mark.parametrize("q,n", [(3, 4), (4, 3)])
 def test_covers_without_q_squared_tables(monkeypatch, q, n):
-    # once q^2 > CHUNK the row update calls the field's arithmetic element
-    # by element, with no q x q tables: the same covers as from the tables
+    # past the dense-table limit of linalg the row update calls the field's
+    # arithmetic element by element, with no q x q tables: the same covers
+    # as from the tables
     tabled = table(n, q)
-    monkeypatch.setattr(subspace_table, "CHUNK", q * q - 1)
+    monkeypatch.setattr(linalg, "_TABLE_LIMIT", q - 1)
     T = SubspaceTable(GF.of_order(q), n)
     for s in range(n):
         at = np.arange(len(T.rows[s]))
@@ -295,18 +297,19 @@ def test_closure_pass_matches_scalar_walk():
     for seed in range(400):
         M = perturbed_matroid(seed)
         T, ranks = M._table
-        walk = T.cover_walk(ranks, check=True)
-        verdicts.append(not isinstance(walk, dict))
+        flats, covers, failure = T.cover_walk(ranks, check=True)
+        verdicts.append(failure is None)
         assert verdicts[-1] == line_walk_ok(M), seed
+        # the checked walk and the early-exit walk find the same flats,
+        # and on a q-matroid the same cover edges
+        early_flats, early_covers, early_failure = T.cover_walk(ranks)
+        assert early_failure is None, seed
+        assert len(flats) == len(early_flats) == M.n + 1, seed
+        assert all(np.array_equal(a, b) for a, b in zip(flats, early_flats)), seed
         if verdicts[-1]:
-            # on a q-matroid the checked walk and the early-exit walk find
-            # the same flats and the same cover edges
-            flats, covers = walk
-            early_flats, early_covers = T.cover_walk(ranks)
-            assert len(flats) == len(early_flats) == M.n + 1, seed
-            assert all(np.array_equal(a, b) for a, b in zip(flats, early_flats)), seed
             assert covers == early_covers, seed
             continue
+        assert covers is None, seed
         # every witness is genuine by the pairwise definition
         axiom, X, Y = _witness(M, M.verify_axioms()["violation"])
         assert _violates(M, axiom, X, Y), seed
@@ -340,7 +343,8 @@ SEED1_LADDER = pytest.mark.parametrize("make", [
 def test_closure_fixed_points_are_qflats(make):
     M = make()
     T, ranks = M._ranked_table(None)
-    flats, _ = T.cover_walk(ranks, check=True)
+    flats, _, failure = T.cover_walk(ranks, check=True)
+    assert failure is None
     walked = tuple(X for s, index in enumerate(flats) for X in T.subspaces(s, index))
     assert walked == M.qflats()
     assert M.verify_axioms() == {"ok": True, "violation": None}
