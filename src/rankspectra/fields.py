@@ -15,10 +15,11 @@ and sums, negatives and differences are digit-wise mod p on the whole
 encoding at every level, XOR for p = 2 (Lidl and Niederreiter, *Finite
 Fields*).  A product at level ``i >= 1`` is one polynomial product over
 level ``i-1`` modulo the level's modulus: ``_poly_mulmod``, which the
-irreducibility test uses too.
+irreducibility test uses too; polynomials over a level compute through
+that level's ``linalg.GF``, built once per tower and level.
 
 All operations are pure functions of the encodings; a tower is immutable
-after construction and safe to share between threads.
+after construction, up to that cache, and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class FieldTower:
     ``i-1``, stored as a little-endian tuple of level-``i-1`` encodings).
     """
 
-    __slots__ = ("p", "moduli", "degrees", "sizes", "_signature")
+    __slots__ = ("p", "moduli", "degrees", "sizes", "_signature", "_gfs")
 
     def __init__(self, p: int, _moduli=(), _degrees=(), _sizes=None):
         if p > MAX_FIELD_SIZE:
@@ -67,12 +68,9 @@ class FieldTower:
         else:
             self.sizes = tuple(_sizes)
         self._signature = (self.p, self.moduli)
+        self._gfs = {}
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def prime_field(cls, p: int) -> "FieldTower":
-        return cls(p)
 
     def extend(self, modulus) -> "FieldTower":
         """Return a new tower with one more level, adjoining a root of ``modulus``.
@@ -119,6 +117,15 @@ class FieldTower:
         if not (0 <= level <= self.top_level):
             raise InputError(f"no such tower level: {level}")
         return level
+
+    def _gf(self, level: int):
+        """The ``linalg.GF`` of a level, built on first use and kept."""
+        gf = self._gfs.get(level)
+        if gf is None:
+            from .linalg import GF  # imported here: linalg imports this module
+
+            gf = self._gfs[level] = GF(self, level)
+        return gf
 
     def ext_degree(self, level: int, sublevel: int = 0) -> int:
         """Degree of level over sublevel (product of step degrees)."""
@@ -179,8 +186,8 @@ class FieldTower:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        prod = self._poly_mulmod(self._split(a, level), self._split(b, level),
-                                 self.moduli[level - 1], level - 1)
+        prod = _poly_mulmod(self._gf(level - 1), self._split(a, level),
+                            self._split(b, level), self.moduli[level - 1])
         return self._join(prod, level)
 
     def pow(self, a: int, e: int, level: int = -1) -> int:
@@ -236,59 +243,6 @@ class FieldTower:
             x = x * base + c
         return x
 
-    # -- polynomials over a level (for irreducibility work) ------------
-
-    def _poly_trim(self, f):
-        while f and f[-1] == 0:
-            f.pop()
-        return f
-
-    def _poly_mod(self, f, g, level):
-        """Remainder of f modulo g (g nonzero and trimmed), little-endian
-        lists; zero coefficients of g are skipped, and a monic g is not scaled."""
-        f = self._poly_trim(list(f))
-        dg = len(g) - 1
-        lead_inv = 1 if g[dg] == 1 else self.inv(g[dg], level)
-        while len(f) > dg:  # the top term of f is cancelled by c x^shift g
-            c = f.pop() if lead_inv == 1 else self.mul(f.pop(), lead_inv, level)
-            shift = len(f) - dg
-            for j in range(dg):
-                if g[j]:
-                    f[shift + j] = self.sub(f[shift + j], self.mul(c, g[j], level), level)
-            self._poly_trim(f)
-        return f
-
-    def _poly_mulmod(self, a, b, mod, level):
-        prod = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                prod[i + j] = self.add(prod[i + j], self.mul(x, y, level), level)
-        return self._poly_mod(prod, mod, level)
-
-    def _poly_gcd(self, f, g, level):
-        f = self._poly_trim(list(f))
-        g = self._poly_trim(list(g))
-        while g:
-            f, g = g, self._poly_mod(f, g, level)
-        if f:
-            lead_inv = self.inv(f[-1], level)
-            f = [self.mul(c, lead_inv, level) for c in f]
-        return f
-
-    def _poly_powmod(self, a, e, mod, level):
-        result = [1]
-        base = self._poly_mod(a, mod, level)
-        while e:
-            if e & 1:
-                result = self._poly_mulmod(result, base, mod, level)
-            base = self._poly_mulmod(base, base, mod, level)
-            e >>= 1
-        return result
-
     def _reducible_factor_degree(self, f, level):
         """Smallest degree of an irreducible factor witnessing reducibility, else None.
 
@@ -300,37 +254,16 @@ class FieldTower:
             raise InputError("polynomial must have degree >= 1")
         if d == 1:
             return None
-        s = self.sizes[level]
-        h = self._poly_mod([0, 1], f, level)
+        gf = self._gf(level)
+        h = _poly_mod(gf, [0, 1], f)
         for i in range(1, d // 2 + 1):
-            h = self._poly_powmod(h, s, f, level)
+            h = _poly_powmod(gf, h, gf.size, f)
             diff = list(h) + [0] * (2 - len(h))
-            diff[1] = self.sub(diff[1], 1, level)
-            g = self._poly_gcd(f, diff, level)
+            diff[1] = gf.sub(diff[1], 1)
+            g = _poly_gcd(gf, f, diff)
             if len(g) - 1 > 0:
                 return i
         return None
-
-    def _has_root(self, f, level):
-        """Whether the polynomial f (little-endian) vanishes at some element.
-
-        It evaluates through the arithmetic of ``linalg.GF``: the dense
-        tables for a small enough level, else the tower arithmetic.
-        """
-        if f[0] == 0:
-            return True
-        # imported here: linalg imports this module
-        from .linalg import GF
-
-        gf = GF(self, level)
-        add, mul = gf.add, gf.mul
-        for x in range(1, self.sizes[level]):
-            value = 0
-            for c in reversed(f):
-                value = add(mul(value, x), c)
-            if value == 0:
-                return True
-        return False
 
     def find_irreducible(self, degree: int, level: int = -1):
         """Encoding-minimal monic irreducible polynomial of ``degree`` over ``level``.
@@ -344,11 +277,12 @@ class FieldTower:
         level = self._idx(level)
         if degree < 1:
             raise InputError("degree must be >= 1")
-        size = self.sizes[level]
+        gf = self._gf(level)
+        size = gf.size
         for enc in range(size**degree):
             coeffs = [(enc // size**i) % size for i in range(degree)]
             f = tuple(coeffs) + (1,)
-            if degree >= 2 and self._has_root(f, level):
+            if degree >= 2 and _has_root(gf, f):
                 continue
             if self._reducible_factor_degree(f, level) is None:
                 return f
@@ -368,4 +302,78 @@ def _digitwise(p: int, a: int, b: int, c: int) -> int:
 
 def prime_field(p: int) -> FieldTower:
     """One-level tower F_p; errors on composite p."""
-    return FieldTower.prime_field(p)
+    return FieldTower(p)
+
+
+# -- polynomials over the field ``gf`` (a ``linalg.GF``), little-endian --
+
+
+def _poly_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_mod(gf, f, g):
+    """Remainder of f modulo g (g nonzero and trimmed); zero coefficients
+    of g are skipped, and a monic g is not scaled."""
+    sub, mul = gf.sub, gf.mul
+    f = _poly_trim(list(f))
+    dg = len(g) - 1
+    lead_inv = 1 if g[dg] == 1 else gf.inv(g[dg])
+    while len(f) > dg:  # the top term of f is cancelled by c x^shift g
+        c = f.pop() if lead_inv == 1 else mul(f.pop(), lead_inv)
+        shift = len(f) - dg
+        for j in range(dg):
+            if g[j]:
+                f[shift + j] = sub(f[shift + j], mul(c, g[j]))
+        _poly_trim(f)
+    return f
+
+
+def _poly_mulmod(gf, a, b, mod):
+    add, mul = gf.add, gf.mul
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                prod[i + j] = add(prod[i + j], mul(x, y))
+    return _poly_mod(gf, prod, mod)
+
+
+def _poly_gcd(gf, f, g):
+    f = _poly_trim(list(f))
+    g = _poly_trim(list(g))
+    while g:
+        f, g = g, _poly_mod(gf, f, g)
+    if f:
+        lead_inv = gf.inv(f[-1])
+        f = [gf.mul(c, lead_inv) for c in f]
+    return f
+
+
+def _poly_powmod(gf, a, e, mod):
+    result = [1]
+    base = _poly_mod(gf, a, mod)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(gf, result, base, mod)
+        base = _poly_mulmod(gf, base, base, mod)
+        e >>= 1
+    return result
+
+
+def _has_root(gf, f):
+    """Whether f vanishes at some element of ``gf`` (Horner at each one)."""
+    if f[0] == 0:
+        return True
+    add, mul = gf.add, gf.mul
+    for x in range(1, gf.size):
+        value = 0
+        for c in reversed(f):
+            value = add(mul(value, x), c)
+        if value == 0:
+            return True
+    return False

@@ -415,17 +415,12 @@ class Subspace:
         """Orthogonal complement w.r.t. the standard dot product.
 
         The kernel row of a free column f is e_f minus row_p[f] e_p over
-        the rows p.  Over F_2 it is the int e_f with bit p set for every
-        row holding bit f, and the kernel rows go to RREF by XOR.
+        the rows p.
         """
         gf, n = self.gf, self.n
         if self.dim == 0:
             return Subspace.full(gf, n)
         free = [j for j in range(n) if j not in self.pivots]
-        if gf.size == 2:
-            pairs = tuple(zip(self.rows, self.pivots))
-            return Subspace._spanned(gf, n, [
-                sum((row >> f & 1) << p for row, p in pairs) | 1 << f for f in free])
         rows = self.coordinate_rows()
         kernel_rows = []
         for f in free:

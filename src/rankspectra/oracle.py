@@ -118,15 +118,10 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
         gf_ext = GF(tower, ext_level)
         gf_base = GF(tower, code.q_level)
         classes = [0] * (n + 1)
-        G = code.G
         for lead in range(k):
+            rows = code.G[lead:]
             for tail in product(range(Qt), repeat=k - 1 - lead):
-                word = list(G[lead])
-                for u, row in zip(tail, G[lead + 1:]):
-                    if u == 0:
-                        continue
-                    for j in range(n):
-                        word[j] = gf_ext.add(word[j], gf_ext.mul(u, row[j]))
+                word = gf_ext.combine_rows((1, *tail), rows, n)
                 classes[rank_support(tower, ext_level, code.q_level, word,
                                      gf_base).dim] += 1
     counts = [int(c) * (Qt - 1) for c in classes]

@@ -264,15 +264,14 @@ class QMatroid:
 
     def qflats(self, cap: int | None = DEFAULT_SUBSPACE_CAP):
         """All q-flats by increasing (dimension, basis) as ``Subspace``
-        objects, their ranks in the memo; formed once, for the oracles and
-        the tests, from the table positions of ``flat_covers``."""
+        objects; formed once, for the oracles and the tests, from the table
+        positions of ``flat_covers``.  Their ranks stay out of the memo,
+        which holds only what the rank function returned."""
         if self._flats is None:
-            flats, ranks, _ = self.flat_covers(cap)
+            flats, _, _ = self.flat_covers(cap)
             table = self._table[0]
-            pairs = [pair for s, (index, rank) in enumerate(zip(flats, ranks))
-                     for pair in zip(table.subspaces(s, index), rank.tolist())]
-            self._memo.update(pairs)
-            self._flats = tuple(X for X, _ in pairs)
+            self._flats = tuple(X for s, index in enumerate(flats)
+                                for X in table.subspaces(s, index))
         return self._flats
 
     def flat_covers(self, cap: int | None = DEFAULT_SUBSPACE_CAP):

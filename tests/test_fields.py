@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,8 +265,46 @@ def test_find_irreducible_matches_gcd_scan(tower, degree):
 ])
 def test_root_filter_tables_match_tower_arithmetic(monkeypatch, tower):
     # the root filter evaluates through the dense tables of linalg; with
-    # their limit at 1 it falls back to the recursive tower arithmetic
+    # their limit at 1 and the tower's cached GFs dropped, every level
+    # falls back to the recursive tower arithmetic
     level = tower.top_level
     fast = [tower.find_irreducible(degree, level) for degree in (2, 3, 4)]
     monkeypatch.setattr(linalg, "_TABLE_LIMIT", 1)
+    tower._gfs.clear()
     assert fast == [tower.find_irreducible(degree, level) for degree in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("name,level", [("F729", 1), ("F2^31", 1), ("F16^2", 2)])
+def test_product_runs_on_the_coefficient_field(monkeypatch, name, level):
+    # a product at level L >= 1 computes through the GF of level L - 1, its
+    # dense tables here: once that is built, a product makes one level
+    # check and no tower arithmetic call per coefficient
+    tower = REFERENCE_TOWERS[name]
+    a, b = tower.sizes[level] - 2, tower.sizes[level] // 3
+    tower.mul(a, b, level)
+    calls = Counter()
+    for method in ("add", "sub", "neg", "mul", "inv", "_idx"):
+        def counted(*args, _call=getattr(FieldTower, method), _name=method, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(FieldTower, method, counted)
+    product = tower.mul(a, b, level)
+    monkeypatch.undo()
+    assert calls == {"mul": 1, "_idx": 1}
+    assert product == RecursiveTower(tower).mul(a, b, level)
+
+
+@pytest.mark.parametrize("tower,degree,expected", [
+    pytest.param(prime_field(2).extend([1, 1, 0, 0, 1]), 2, (8, 1, 1), id="F16-2"),
+    pytest.param(prime_field(2).extend([1, 1, 0, 0, 1]), 3, (2, 0, 0, 1), id="F16-3"),
+    pytest.param(prime_field(2).extend([1, 1, 0, 0, 0, 0, 1]), 2, (32, 1, 1), id="F64-2"),
+    pytest.param(prime_field(3).extend([1, 0, 1]), 3, (3, 1, 0, 1), id="F9-3"),
+    pytest.param(prime_field(3), 6, (2, 1, 0, 0, 0, 0, 1), id="F3-6"),
+    pytest.param(prime_field(2), 13, (1, 1, 0, 1, 1) + (0,) * 8 + (1,), id="F2-13"),
+    pytest.param(REFERENCE_TOWERS["F16^2"], 2, (128, 1, 1), id="F16^2-2"),
+])
+def test_find_irreducible_pinned(tower, degree, expected):
+    # the encoding-minimal irreducible over the top level; the r-extensions
+    # of the brute oracle and GF.of_order are built from these
+    assert tower.find_irreducible(degree) == expected

@@ -331,6 +331,17 @@ def seed1_code(label, m_extension, n, p=2, k=3):
     return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
 
 
+def test_qflats_memo_holds_only_ranks_of_the_rank_function():
+    # a binary code ranks its table in batches; the flats it finds are not
+    # ranked by the scalar rank function, so they stay out of its memo,
+    # which the oracles read
+    M = seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6)
+    ranked, rank_fn = [], M._rank_fn
+    M._rank_fn = lambda X: ranked.append(X) or rank_fn(X)
+    assert len(M.qflats()) == 592
+    assert set(M._memo) <= set(ranked)
+
+
 SEED1_LADDER = pytest.mark.parametrize("make", [
     lambda: uniform_qmatroid(3, 6, 2),
     lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
