@@ -13,9 +13,9 @@ F_64 and F_512, 7 over F_128, 8 over F_256 and 9 over F_512, and the
 seed-1 k=2 codes of length 5 over F_243 and over F_729 with base field
 F_3 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over F_64
 and the F_243 code are the ``code_q2_n6`` and ``code_q3_n5`` benchmark
-inputs, F_512 is the smallest field past the Q x Q product tables of
-``linalg``, and the F_729 code ranks its subspaces one at a time on the
-tower arithmetic).  U(3,9) and the n=9 code run with a raised subspace
+inputs, F_512 is the smallest field past the 256 elements that the
+Q x Q product tables of ``linalg`` once covered, and the F_729 code ranks
+its subspaces one at a time on the exp/log tables of its field).  U(3,9) and the n=9 code run with a raised subspace
 cap, ``N9_CAP``, since their 213,188,689 covers pass the default cap;
 every other rung runs at the default cap.  Each rung runs in a child
 process of its own, so every stage's rise counts from that rung's start.

@@ -21,11 +21,12 @@ both :class:`Subspace` and the matrix helpers ``rref``, ``mat_rank`` and
 result.
 
 Field arithmetic goes through :class:`GF`.  A field of at most
-``_TABLE_LIMIT`` (256) elements computes from dense tables built once per
-tower level and shared by every ``GF`` of that level: products and
-inverses from the exp/log tables of a primitive element, sums and
-negatives digit-wise mod p on the base-p encoding (XOR for p = 2).  A
-larger field calls the :class:`FieldTower` arithmetic.
+``_TABLE_LIMIT`` (4096) elements computes from the O(Q) exp/log lists of
+``exp_log``, built once per tower level and shared by every ``GF`` of that
+level and by the batched code rank of ``qmatroid``, whose int16 log sums
+(at most 4Q) it keeps below 2^15; sums are XOR for p = 2 and Zech
+logarithms for odd p.  A larger field calls the :class:`FieldTower`
+arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .fields import MAX_FIELD_SIZE, FieldTower, prime_field
 
 DEFAULT_SUBSPACE_CAP = 10**7
 DEFAULT_CODEWORD_CAP = 1 << 24
-_TABLE_LIMIT = 256
+_TABLE_LIMIT = 4096
 
 
 def _factor_prime_power(q: int):
@@ -66,8 +67,9 @@ def exp_log(tower: FieldTower, level: int):
     """(exp, log) of a primitive element g of one tower level, as lists.
 
     g is the first of 1, 2, ... whose powers, walked with ``FieldTower.mul``,
-    reach order size - 1; exp[i] = g^i for i < size - 1, log inverts it on
-    the nonzero elements and log[0] = 0.
+    reach order Q - 1, Q the size.  exp holds g^0 .. g^(Q-2) twice, then
+    zeros up to 4Q + 1 entries; log inverts it, and log[0] = 2Q points into
+    the zeros, so exp[log a + log b] = ab with no zero branch.
     """
     size = tower.sizes[level]
     for g in range(1, size):
@@ -78,57 +80,55 @@ def exp_log(tower: FieldTower, level: int):
             x = tower.mul(x, g, level)
         if len(exp) == size - 1:
             break
-    log = [0] * size
+    log = [2 * size] * size
     for i, x in enumerate(exp):
         log[x] = i
-    return exp, log
+    return exp + exp + [0] * (2 * size + 3), log
 
 
 @lru_cache(maxsize=32)
 def _table_ops(tower: FieldTower, level: int):
-    """(add, sub, neg, mul, inv) of one tower level, read from dense tables.
+    """(add, sub, neg, mul, inv) of one tower level, read from ``exp_log``.
 
-    Products come from ``exp_log``: the size x size table is filled by
-    index arithmetic.  Sums are digit-wise mod p on the base-p encoding, so
-    for p = 2 they are XOR.
+    With Q the size of the level and g^half = -1: ab = exp[log a + log b],
+    1/a = exp[Q - 1 - log a] and -a = exp[log a + half].  Sums are XOR for
+    p = 2.  For odd p, a + b = a (1 + b/a) through Zech logarithms,
+    1 + g^t = g^zech[t] (Huber, IEEE Trans. IT 36(4), 1990): adding 1 raises
+    the lowest base-p digit of the encoding.  Every list has O(Q) entries.
     """
     p, size = tower.p, tower.sizes[level]
     exp, log = exp_log(tower, level)
-    exp2 = exp + exp
-    logs = log[1:]
-    mul_t = [[0] * size]
-    for a in range(1, size):
-        # mul(a, b) = exp[log a + log b]
-        mul_t.append([0, *map(exp2[log[a]:].__getitem__, logs)])
-    inv_t = [0] + [exp[-log[a] % (size - 1)] for a in range(1, size)]
+    half = (size - 1) // 2 if p > 2 else 0
 
     def mul(a, b):
-        return mul_t[a][b]
+        return exp[log[a] + log[b]]
 
     def inv(a):
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        return inv_t[a]
+        return exp[size - 1 - log[a]]
+
+    def neg(a):
+        return exp[log[a] + half]
 
     if p == 2:
-        return xor, xor, list(range(size)).__getitem__, mul, inv
-    # digit-wise sums: each pass appends the next base-p digit at the top
-    add_t = [[0]]
-    width = 1
-    while width < size:
-        add_t = [[x + off for off in [width * ((ah + bh) % p) for bh in range(p)] for x in row]
-                 for ah in range(p) for row in add_t]
-        width *= p
-    neg_t = [row.index(0) for row in add_t]
-    sub_t = [list(map(row.__getitem__, neg_t)) for row in add_t]
+        return xor, xor, neg, mul, inv
+    # zech[t] for t in (-(Q - 1), 2(Q - 1)), held twice like exp
+    zech = [log[x + 1 - p if x % p == p - 1 else x + 1] for x in exp[:size - 1]] * 2
 
     def add(a, b):
-        return add_t[a][b]
+        if not (a and b):
+            return a or b
+        la = log[a]
+        return exp[la + zech[log[b] - la]]
 
     def sub(a, b):
-        return sub_t[a][b]
+        if not (a and b):
+            return a or neg(b)
+        la = log[a]
+        return exp[la + zech[log[b] + half - la]]
 
-    return add, sub, neg_t.__getitem__, mul, inv
+    return add, sub, neg, mul, inv
 
 
 # -- row primitives ------------------------------------------------------
@@ -226,9 +226,10 @@ class GF:
     """Arithmetic view of one level of a :class:`FieldTower`.
 
     ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` are bound once here.  A
-    field of at most ``_TABLE_LIMIT`` elements reads them from tables built
-    on first use of its (tower, level) and cached; a larger one calls the
-    tower's arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
+    field of at most ``_TABLE_LIMIT`` elements reads them from the exp/log
+    lists of ``_table_ops``, built on first use of its (tower, level) and
+    cached, and calls no tower arithmetic after that; a larger one calls
+    the tower's arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
     either way.  The row primitives of :class:`Subspace` are bound here
     too: int rows for F_2, tuple rows for every other field.
     """

@@ -35,12 +35,12 @@ from .spectra import WeightPolynomial
 _BITMASK_GROUND_LIMIT = 20
 
 # ``brute_higher`` expands message rows through ``mat_mul`` and
-# ``rank_support``: about 0.05 ms a row on the dense tables of a field of
-# at most ``_TABLE_LIMIT`` elements, about 1 ms on tower arithmetic above
-# it (0.75-1.05 ms from F_512 to F_65536 at n = 5).  The rows it may expand
-# on a tower are bounded on their own, to about 10 s: a k = 3 code over
-# F_1024 has 1,049,601 and ran for hours.  Its subcodes are under the
-# subspace cap, on either arithmetic.
+# ``rank_support``: about 45-50 us a row on the tables of a field of at
+# most ``_TABLE_LIMIT`` elements, about 1 ms on tower arithmetic above it.
+# The rows are bounded on their own, to about 15 s on either: a k = 3 code
+# over F_512 has 262,657 and runs, one over F_1024 has 1,049,601 (about
+# 50 s).  Its subcodes are under the subspace cap.
+_TABLE_ROW_LIMIT = 3 * 10**5
 _TOWER_ROW_LIMIT = 10**4
 
 
@@ -138,22 +138,23 @@ def brute_higher(code: GabidulinCode, i: int,
     basis codewords are expanded.  Each basis is an RREF, whose rows are
     messages with a leading 1, shared by many subcodes and by every i: the
     support of each row is ranked once per code, through ``rank_support``,
-    and kept on the code.  Over a field past ``_TABLE_LIMIT`` the rows are
-    counted against ``_TOWER_ROW_LIMIT`` before any is expanded: at most
-    [k, 1]_Q messages with a leading 1, and at most i per subcode.
+    and kept on the code.  The rows are counted before any is expanded,
+    against ``_TABLE_ROW_LIMIT``, or ``_TOWER_ROW_LIMIT`` over a field past
+    ``_TABLE_LIMIT``: at most [k, 1]_Q messages with a leading 1, and at
+    most i per subcode.
     """
     if not (0 <= i <= code.k):
         raise InputError(f"subcode dimension {i} out of range")
     n = code.n
     if i == 0:
         return [1] + [0] * n
-    if code.Q > _TABLE_LIMIT:
-        rows = min(gaussian_binomial(code.k, 1, code.Q),
-                   i * gaussian_binomial(code.k, i, code.Q))
-        if rows > _TOWER_ROW_LIMIT:
-            raise ResourceLimitError(
-                f"{rows} message rows on tower arithmetic exceed the limit "
-                f"{_TOWER_ROW_LIMIT}", required=rows, cap=_TOWER_ROW_LIMIT)
+    arithmetic, limit = (("tower", _TOWER_ROW_LIMIT) if code.Q > _TABLE_LIMIT
+                         else ("table", _TABLE_ROW_LIMIT))
+    rows = min(gaussian_binomial(code.k, 1, code.Q), i * gaussian_binomial(code.k, i, code.Q))
+    if rows > limit:
+        raise ResourceLimitError(
+            f"{rows} message rows on {arithmetic} arithmetic exceed the limit {limit}",
+            required=rows, cap=limit)
     supports = code._row_supports
     counts = [0] * (n + 1)
     for D in enumerate_subspaces(code.gf_code, code.k, i, cap=cap):

@@ -14,9 +14,10 @@ field, the same for every q.  The rank profile reads the ranks off one
 arrays, with a rank array per dimension.  One walk over the covers of
 that table yields the q-flats, their cover edges and the axiom verdict
 with its witness.
-A binary code over F_Q with Q <= 4096 ranks ``CHUNK`` subspaces of a
-dimension at once, eliminating the images G y^T of their row sets
-together through the exp/log tables of F_Q, and U(k, n) fills in
+A binary code over F_Q with Q <= ``linalg._TABLE_LIMIT`` (4096) ranks
+``CHUNK`` subspaces of a dimension at once, eliminating the images G y^T
+of their row sets together through the exp/log lists that the scalar
+arithmetic of F_Q reads too, and U(k, n) fills in
 min(d, k); every other rank function fills the int8 arrays through
 ``rank``, one subspace at a time.  The
 single-subspace ``rho`` stays the reference; the tests' ``is_qflat``
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
 from .linalg import (
+    _TABLE_LIMIT,
     DEFAULT_SUBSPACE_CAP,
     GF,
     Subspace,
@@ -46,9 +48,6 @@ from .linalg import (
     rank_support,
 )
 from .subspace_table import CHUNK, SubspaceTable
-
-# largest binary code field whose q-matroid ranks whole arrays of subspaces
-_BATCH_LIMIT = 4096
 
 
 class GabidulinCode:
@@ -124,20 +123,15 @@ class GabidulinCode:
 
         phi[y] = G y^T over F_Q for each of the 2^n vectors y of F_2^n, as
         a (2^n, k) array of the smallest unsigned dtype that holds F_Q:
-        phi[y + 2^j] = phi[y] XOR column j, one XOR per entry.  With g the
-        primitive element of ``exp_log``, ab = exp[log a + log b]: exp holds
-        g^0 .. g^(Q-2) twice and then zeros, 4Q + 1 entries in all, and
-        log[0] = 2Q points into the zeros, so a product with a zero factor
-        reads 0 (log a + log b lies in [2Q, 4Q]).  log is int16: for
-        Q <= ``_BATCH_LIMIT`` every such sum stays below 2^15.
+        phi[y + 2^j] = phi[y] XOR column j, one XOR per entry.  exp and log
+        are the lists of ``exp_log`` as arrays, so ab = exp[log a + log b],
+        0 when a factor is 0.  log is int16: for Q <= ``_TABLE_LIMIT`` every
+        such sum, at most 4Q, stays below 2^15.
         """
         gf = self.gf_code
-        Q = gf.size
-        dtype = np.min_scalar_type(Q - 1)
+        dtype = np.min_scalar_type(gf.size - 1)
         exp, log = exp_log(gf.tower, gf.level)
-        exp = np.array(exp + exp + [0] * (2 * Q + 3), dtype)
-        log = np.array(log, np.int16)
-        log[0] = 2 * Q
+        exp, log = np.array(exp, dtype), np.array(log, np.int16)
         phi = np.zeros((1, self.k), dtype)
         for column in np.array(self.G, dtype).T:
             phi = np.concatenate([phi, phi ^ column])
@@ -427,7 +421,7 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
 
     Base-field encodings embed into the code field unchanged, so the
     coordinate rows of U are read as rows over F_{q^m}.  A binary code over
-    at most ``_BATCH_LIMIT`` elements also ranks arrays of subspaces at
+    at most ``_TABLE_LIMIT`` elements also ranks arrays of subspaces at
     once, through ``_code_rank_rows``.
     """
     gf_code, G = code.gf_code, code.G
@@ -439,7 +433,7 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
 
     M = QMatroid(code.gf_q, code.n, rho, name="code")
     M._qmatroid_by_theorem = True
-    if M.q == 2 and code.Q <= _BATCH_LIMIT:
+    if M.q == 2 and code.Q <= _TABLE_LIMIT:
         M._rank_rows = partial(_code_rank_rows, code)
     return M
 

@@ -54,10 +54,12 @@ from math import prod
 
 import numpy as np
 
-from . import linalg
 from .linalg import GF, Subspace
 
 CHUNK = 1 << 16  # (subspace, cover) pairs per array pass, rows per rank slice
+# the row update of ``_moved_share`` tabulates sub and mul as two q x q
+# int64 arrays up to this q, 1 MiB at q = 256
+_SQUARE_TABLE_LIMIT = 256
 
 
 def subspace_rows(n: int, s: int, q: int):
@@ -111,8 +113,8 @@ def _moved_share(gf: GF, n: int, weights: np.ndarray):
     of X + v, cover vectors v, q^c for their leading columns c and the
     blocks of X: ``share(i, row)``, the share in the index of row - row[c] v
     for row i of X.  Over F_2 an XOR and a lookup, else the field's
-    arithmetic, as tables if q <= ``linalg._TABLE_LIMIT``, with the pivots
-    of the block."""
+    arithmetic, as q x q tables if q <= ``_SQUARE_TABLE_LIMIT``, with the
+    pivots of the block."""
     if gf.size == 2:
         row, pivot = np.arange(1 << n), [(r & -r).bit_length() - 1 for r in range(1 << n)]
         place = sum(((row >> j & 1) * weights[:, pivot, j] for j in range(n)),
@@ -123,7 +125,7 @@ def _moved_share(gf: GF, n: int, weights: np.ndarray):
         return moved
     q, units = gf.size, (gf.size ** np.arange(n)).tolist()
     sub, mul = (np.frompyfunc(op, 2, 1) for op in (gf.sub, gf.mul))
-    if q <= linalg._TABLE_LIMIT:  # else element by element, with no array of order q^2
+    if q <= _SQUARE_TABLE_LIMIT:  # else element by element, with no array of order q^2
         tables = [f(*np.ogrid[:q, :q]).astype(np.int64) for f in (sub, mul)]
         sub, mul = (lambda a, b, t=t: t[a, b] for t in tables)
 

@@ -464,8 +464,8 @@ def test_classical_oracle_bounded(tmp_path):
 
 
 def test_brute_higher_bounded(tmp_path):
-    # a k=3, n=5 code over F_1024: 1,049,601 message rows on tower
-    # arithmetic, about 1 ms each; the check reads skipped at once
+    # a k=3, n=5 code over F_1024: 1,049,601 message rows on the exp/log
+    # tables, about 50 us each; the check reads skipped at once
     rng = random.Random(1)
     spec = tmp_path / "f1024.json"
     spec.write_text(json.dumps({
@@ -476,7 +476,7 @@ def test_brute_higher_bounded(tmp_path):
     checks = {c.pop("check"): c for c in json.loads(proc.stdout)["checks"]}
     assert checks["brute-force higher spectra (i <= 2)"] == {
         "status": "skipped",
-        "witness": "1049601 message rows on tower arithmetic exceed the limit 10000"}
+        "witness": "1049601 message rows on table arithmetic exceed the limit 300000"}
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "--level", "quick"]],

@@ -264,7 +264,7 @@ def test_find_irreducible_matches_gcd_scan(tower, degree):
     pytest.param(prime_field(3).extend([1, 0, 1]), id="F9"),
 ])
 def test_root_filter_tables_match_tower_arithmetic(monkeypatch, tower):
-    # the root filter evaluates through the dense tables of linalg; with
+    # the root filter evaluates through the exp/log tables of linalg; with
     # their limit at 1 and the tower's cached GFs dropped, every level
     # falls back to the recursive tower arithmetic
     level = tower.top_level
@@ -277,7 +277,7 @@ def test_root_filter_tables_match_tower_arithmetic(monkeypatch, tower):
 @pytest.mark.parametrize("name,level", [("F729", 1), ("F2^31", 1), ("F16^2", 2)])
 def test_product_runs_on_the_coefficient_field(monkeypatch, name, level):
     # a product at level L >= 1 computes through the GF of level L - 1, its
-    # dense tables here: once that is built, a product makes one level
+    # exp/log tables here: once that is built, a product makes one level
     # check and no tower arithmetic call per coefficient
     tower = REFERENCE_TOWERS[name]
     a, b = tower.sizes[level] - 2, tower.sizes[level] // 3

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -15,6 +16,7 @@ from rankspectra import (
     all_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
+    linalg,
     matrix_count,
     prime_field,
     rank_support,
@@ -133,11 +135,27 @@ def test_sum_and_intersect(gf2):
     assert x.sum(y).dim == 3
 
 
-def test_complement_dimensions(gf3):
-    for X in all_subspaces(gf3, 3):
-        comp = X.complement()
-        assert comp.dim == 3 - X.dim
-        assert X.complement().complement() == X
+def test_complement_dimensions():
+    # the orthogonal complement from its definition, on every subspace:
+    # each row of X is orthogonal to each row of its complement under the
+    # dot product of the tower, the dimensions add to n, and the
+    # complement of the complement is X
+    for q, n in [(2, 5), (3, 3), (4, 3)]:
+        gf = GF.of_order(q)
+        tower, level = gf.tower, gf.level
+
+        def dot(x, y):
+            total = 0
+            for a, b in zip(x, y):
+                total = tower.add(total, tower.mul(a, b, level), level)
+            return total
+
+        for X in all_subspaces(gf, n):
+            C = X.complement()
+            assert all(dot(x, y) == 0
+                       for x in X.coordinate_rows() for y in C.coordinate_rows())
+            assert X.dim + C.dim == n
+            assert C.complement() == X
 
 
 def _tuple_complement(X):
@@ -253,12 +271,37 @@ def test_table_ops_match_tower(q, ext):
         gf.inv(0)
 
 
-@pytest.mark.parametrize("q", [257, 512])
-def test_field_above_table_limit_uses_tower(q):
+@pytest.mark.parametrize("q", [257, 512, 729, 1024, 2187, 4096])
+def test_exp_log_ops_match_tower(q):
+    # past the 256 elements of test_table_ops_match_tower: the exp/log and
+    # Zech lists of _table_ops on sampled pairs, the inverse on every unit
     tower, level = _top_level(q)
-    misses = _table_ops.cache_info().misses
     gf = GF(tower, level)
-    assert _table_ops.cache_info().misses == misses
+    assert gf.mul is _table_ops(tower, level)[3]
+    rng = random.Random(q)
+    for _ in range(3000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert gf.add(a, b) == tower.add(a, b, level)
+        assert gf.sub(a, b) == tower.sub(a, b, level)
+        assert gf.mul(a, b) == tower.mul(a, b, level)
+        assert gf.neg(a) == tower.neg(a, level)
+    # an inverse is unique, so one tower product checks it
+    assert all(tower.mul(a, gf.inv(a), level) == 1 for a in range(1, q))
+    with pytest.raises(ZeroDivisionError):
+        gf.inv(0)
+
+
+@pytest.mark.parametrize("q", [6561, 8192])
+def test_field_above_table_limit_uses_tower(monkeypatch, q):
+    # only the levels below the limit, which the tower computes through,
+    # may build their tables, whatever the cache holds
+    def tables_below_limit(tower, at):
+        assert tower.sizes[at] <= _TABLE_LIMIT
+        return _table_ops(tower, at)
+
+    tower, level = _top_level(q)
+    monkeypatch.setattr(linalg, "_table_ops", tables_below_limit)
+    gf = GF(tower, level)
     rng = random.Random(q)
     for _ in range(300):
         a, b = rng.randrange(q), rng.randrange(q)
@@ -270,6 +313,22 @@ def test_field_above_table_limit_uses_tower(q):
             assert gf.inv(a) == tower.inv(a, level)
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
+
+
+def test_table_build_is_linear_in_the_field_size():
+    # the lists of a fresh F_256 (not the modulus of GF.of_order) have O(Q)
+    # entries, far below the 65,536 of one 256 x 256 product table
+    tower = prime_field(2).extend([1, 0, 1, 1, 1, 0, 0, 0, 1])
+    tower.mul(2, 3, 1)  # the GF of level 0, which the primitive-element walk reads
+    misses = _table_ops.cache_info().misses
+    tracemalloc.start()
+    try:
+        GF(tower, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _table_ops.cache_info().misses == misses + 1
+    assert peak < 64 << 10
 
 
 def test_huge_prime_field_builds_no_tables():

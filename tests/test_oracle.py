@@ -170,17 +170,20 @@ def random_code_over(m, k, n, seed=1):
 
 
 @pytest.mark.parametrize("m, k, i, rows", [
-    (8, 3, 1, None),  # dense tables: bounded by the subspace cap alone
+    (8, 3, 1, None),  # 65,793 rows on the tables
     (8, 3, 2, None),
-    (12, 2, 1, None),  # 4097 rows on tower arithmetic
+    (12, 2, 1, None),  # 4097 rows on the tables
     (10, 2, 2, None),  # one subcode, two rows
-    (9, 3, 1, 262657),
+    (9, 3, 1, None),  # 262,657 rows on the tables
     (10, 3, 1, 1049601),
     (10, 3, 2, 1049601),
+    (13, 2, 1, None),  # 8193 rows on tower arithmetic
+    (13, 3, 1, 67117057),
 ])
 def test_brute_higher_tower_rows_checked_before_enumeration(monkeypatch, m, k, i, rows):
-    # a code over F_{2^m} with Q past the table limit counts the message rows
-    # it would expand, min([k, 1]_Q, i [k, i]_Q), before any subcode
+    # a code over F_{2^m} counts the message rows it would expand,
+    # min([k, 1]_Q, i [k, i]_Q), before any subcode, against the limit of
+    # its arithmetic: the exp/log tables up to F_4096, the tower past it
     def enumerate_nothing(*args, **kwargs):
         enumerated.append(i)
         return iter(())
@@ -194,7 +197,8 @@ def test_brute_higher_tower_rows_checked_before_enumeration(monkeypatch, m, k, i
     else:
         with pytest.raises(ResourceLimitError) as err:
             brute_higher(code, i)
-        assert (err.value.required, err.value.cap) == (rows, 10**4)
+        limit = 10**4 if m > 12 else 3 * 10**5
+        assert (err.value.required, err.value.cap) == (rows, limit)
         assert enumerated == []
     assert brute_higher(code, 0) == [1, 0, 0, 0, 0, 0]
 

@@ -26,7 +26,6 @@ from rankspectra import (
     cli,
     cross_checked_weights,
     enumerate_subspaces,
-    linalg,
     prime_field,
     qmatroid,
     subspace_table,
@@ -34,7 +33,8 @@ from rankspectra import (
     virtual_betti_table,
     weight_polys_betti,
 )
-from rankspectra.linalg import DEFAULT_SUBSPACE_CAP, exp_log
+from rankspectra.fields import FieldTower
+from rankspectra.linalg import _TABLE_LIMIT, DEFAULT_SUBSPACE_CAP, exp_log
 from rankspectra.subspace_table import SubspaceTable
 
 from point_mask import PointMaskLattice, is_qflat, line_steps
@@ -103,11 +103,11 @@ def test_covers_are_the_sums_with_lines(q, n):
 
 @pytest.mark.parametrize("q,n", [(3, 4), (4, 3)])
 def test_covers_without_q_squared_tables(monkeypatch, q, n):
-    # past the dense-table limit of linalg the row update calls the field's
-    # arithmetic element by element, with no q x q tables: the same covers
-    # as from the tables
+    # past the square-table bound of the walk the row update calls the
+    # field's arithmetic element by element, with no q x q tables: the same
+    # covers as from the tables
     tabled = table(n, q)
-    monkeypatch.setattr(linalg, "_TABLE_LIMIT", q - 1)
+    monkeypatch.setattr(subspace_table, "_SQUARE_TABLE_LIMIT", q - 1)
     T = SubspaceTable(GF.of_order(q), n)
     for s in range(n):
         at = np.arange(len(T.rows[s]))
@@ -149,16 +149,14 @@ def random_binary_code(m, n, k, rng):
 @given(n=st.integers(1, 5), data=st.data())
 def test_batched_code_ranks_match_scalar(n, data):
     # the exp/log batch against the single-subspace rho (mat_mul + mat_rank)
-    # over every field F_4 .. F_4096; above F_256 the scalar side runs on
-    # tower arithmetic, so n <= 4 there
+    # over every field F_4 .. F_4096
     for m in range(2, 13):
-        length = min(n, 4) if m > 8 else n
-        k = data.draw(st.integers(1, length))
-        code = random_binary_code(m, length, k, random.Random(data.draw(st.integers(0, 2**32))))
+        k = data.draw(st.integers(1, n))
+        code = random_binary_code(m, n, k, random.Random(data.draw(st.integers(0, 2**32))))
         M = code.qmatroid()
         assert M._rank_rows is not None
-        for s, rows in enumerate(table(length).rows):
-            scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, length, s)]
+        for s, rows in enumerate(table(n).rows):
+            scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, n, s)]
             assert M._rank_rows(rows).tolist() == scalar
 
 
@@ -186,6 +184,15 @@ def test_batch_stops_at_its_field_limit():
     misses = exp_log.cache_info().misses
     assert sum(M.rank_profile().values()) == 16
     assert exp_log.cache_info().misses == misses
+
+
+def test_batch_logs_fit_int16_up_to_the_table_limit():
+    # _code_rank_rows sums logs in int16 and indexes exp with them; a sum
+    # reaches 4Q, the last of the 4Q + 1 entries of exp
+    code = random_binary_code(12, 3, 2, random.Random(2))
+    _, exp, log = code._image_tables
+    assert code.Q == _TABLE_LIMIT and len(exp) == 4 * code.Q + 1
+    assert log.dtype == np.int16 and 4 * _TABLE_LIMIT + 1 < 2**15
 
 
 def _corrupted(dim, rank):
@@ -329,6 +336,24 @@ def seed1_code(label, m_extension, n, p=2, k=3):
         sys.path.pop(0)
     spec = random_code(1, label, p, m_extension, k, n)
     return cli.parse_spec_source(json.dumps(spec).encode())[0].matroid
+
+
+def test_code_over_f729_ranks_without_tower_arithmetic(monkeypatch):
+    # F_729 lies under the table limit: once its GF is built, ranking the
+    # subspaces of a code over it calls no tower arithmetic, inverses
+    # included
+    M = seed1_code("code_F729_n4", [2, 1, 0, 0, 0, 0, 1], 4, p=3, k=2)
+    calls = Counter()
+    for method in ("add", "sub", "neg", "mul", "inv"):
+        def counted(*args, _call=getattr(FieldTower, method), _name=method, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(FieldTower, method, counted)
+    ranks = Counter(M._rank_fn(X) for X in all_subspaces(M.gf, 4))
+    monkeypatch.undo()
+    assert calls == {}
+    assert ranks == {0: 1, 1: 40, 2: 171}
 
 
 def test_qflats_memo_holds_only_ranks_of_the_rank_function():
