@@ -301,7 +301,7 @@ def run_verification(model: Model, level: str, cap: int | None,
 
     if level == "full":
         record("classical lattice isomorphism",
-               lambda: verify_iso_summary(M, cap))
+               lambda: verify_iso_summary(lattice))
         record("inclusion-exclusion polynomials (s <= 2)",
                lambda: check_inclusion_exclusion(M, polys, cap))
         if model.code is not None:
@@ -317,10 +317,10 @@ def run_verification(model: Model, level: str, cap: int | None,
 # run, so no other command loads it.
 
 
-def verify_iso_summary(M, cap):
+def verify_iso_summary(lattice):
     from . import oracle
 
-    report = oracle.verify_lattice_isomorphism(M, cap=cap)
+    report = oracle.verify_lattice_isomorphism(lattice)
     return {"flats": report["flats"], "cycles": report["cycles"]}
 
 

@@ -13,10 +13,11 @@ Jurrius, "Constructions of new q-cryptomorphisms", JCTB 2022), and
 X |-> X^perp reverses inclusion, so node F^perp covers the nodes G^perp of
 those closures.  ``QMatroid.flat_covers`` returns them with the table
 positions and ranks of the flats, from the walk over the covers that
-found the flats (``SubspaceTable.cover_walk``).  Node i is flat i, of
+found the flats (``SubspaceTable.cover_walk``).  Flat F gives a node of
 dimension n - dim F and nullity k - rho(F); the nodes are ordered by
-(nullity, dimension, flat id), the down-sets follow in one pass in that
-order, and the subspaces F^perp are formed only when ``nodes`` is read.
+(nullity, dimension, flat id), ``flat_ids`` maps each node to its flat,
+the down-sets follow in one pass in that order, and the subspaces F^perp
+are formed only when ``nodes`` is read.
 Those pointers are closures only on a q-matroid: codes and U(k, n) are
 q-matroids by theorem (Jurrius and Pellikaan) and take the unchecked
 walk; any other rank function takes the checked walk, which
@@ -45,12 +46,13 @@ from .qmatroid import QMatroid
 class CycleLattice:
     """q-cycles of M* ordered by inclusion; rank of a node = its nullity.
 
-    Node i is F^perp for the i-th q-flat F of ``qflats()``: ``dims[i]`` is
-    its dimension, ``nullities[i]`` its nullity and ``covers[i]`` the nodes
-    it covers, whose transitive closure is the order.  The nodes are
-    reordered by (nullity, dimension, place in the input), ``covers`` and
-    ``below`` hold that order's indices, and the subspaces are formed when
-    ``nodes`` is first read.
+    Input entry i is F^perp for the i-th q-flat F of ``qflats()``:
+    ``dims[i]`` is its dimension, ``nullities[i]`` its nullity and
+    ``covers[i]`` the entries it covers, whose transitive closure is the
+    order.  The nodes are the entries reordered by (nullity, dimension,
+    place in the input): node i is the complement of q-flat ``flat_ids[i]``,
+    ``covers`` and ``below`` hold node indices, and the subspaces are formed
+    when ``nodes`` is first read.
     """
 
     def __init__(self, matroid: QMatroid, dims, nullities, covers):
@@ -63,14 +65,14 @@ class CycleLattice:
         self.nullity = [nullities[i] for i in order]
         self.dims = [dims[i] for i in order]
         self.covers = [[at[j] for j in covers[i]] for i in order]
-        self._order = order
+        self.flat_ids = order
         self.below = self._closed_below()
         self._validate()
 
     @cached_property
     def nodes(self):
         flats = self.matroid.qflats(cap=None)  # the walk is kept: no cap applies
-        return [flats[i].complement() for i in self._order]
+        return [flats[i].complement() for i in self.flat_ids]
 
     def _closed_below(self):
         """below[i], the nodes strictly below i, in one pass in index order.

@@ -4,7 +4,8 @@ Everything here recomputes spectra and structure from first principles:
 codeword enumeration over extension fields, subcode enumeration, the
 classical matroid on projective points, and a subset inclusion-exclusion
 form of the weight polynomial.  The oracles share only the field and
-linear-algebra layers with the fast pipeline, on purpose.
+linear-algebra layers with the fast pipeline, on purpose, apart from the
+cycle lattice that ``verify_lattice_isomorphism`` is given to check.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ResourceLimitError, StructuralError
+from .lattice import CycleLattice
 from .linalg import (
     _TABLE_LIMIT,
     DEFAULT_CODEWORD_CAP,
@@ -289,10 +291,10 @@ class ClassicalMatroid:
         masks = np.flatnonzero(ok)
         return list(zip(masks.tolist(), nullity[masks].tolist()))
 
-    def _spot_check_axioms(self, seed: int, pairs: int = 200):
+    def _spot_check_axioms(self, seed: int, pairs: int = 256):
         """Rank bound, monotonicity and submodularity on ordered mask pairs:
-        every pair when there are at most ``pairs`` of them, else ``pairs``
-        seeded draws."""
+        every pair when there are at most ``pairs`` of them (up to 4 points,
+        so every plane over F_2 or F_3), else ``pairs`` seeded draws."""
         ranks = self._ranks.tolist()
         masks = self.full_mask + 1
         if masks * masks <= pairs:
@@ -311,16 +313,17 @@ class ClassicalMatroid:
                     f"classical submodularity fails on {A:b}, {B:b}")
 
 
-def verify_lattice_isomorphism(M: QMatroid,
-                               cap: int | None = DEFAULT_SUBSPACE_CAP) -> dict:
-    """Match q-structure against the classical matroid on projective points.
+def verify_lattice_isomorphism(L: CycleLattice) -> dict:
+    """Match the cycle lattice against the classical matroid on projective points.
 
     Checks that flats are exactly the point sets of q-flats, that the
     dual's minimal-in-nullity sets are exactly the flat complements with
-    the expected cardinalities, and that mapping a dual q-cycle X to the
-    complement of the points of X-perp is a rank- and order-preserving
-    bijection onto them.  Any mismatch raises with a witness.
+    the expected cardinalities, and that mapping node i of ``L``, F^perp for
+    the q-flat F = ``L.flat_ids[i]``, to the complement of the points of F
+    is a bijection onto them that keeps ``L.nullity`` and ``L.below`` (j is
+    below i iff image j lies strictly inside image i).  Any mismatch raises.
     """
+    M = L.matroid
     cl = ClassicalMatroid(M)
     n, q = M.n, M.q
     point_index = {P: t for t, P in enumerate(cl.points)}
@@ -332,54 +335,48 @@ def verify_lattice_isomorphism(M: QMatroid,
                 mask |= 1 << t
         return mask
 
-    qflats = M.qflats(cap=cap)
-    flat_masks = {point_mask(F): F for F in qflats}
+    qflats = M.qflats(cap=None)  # the lattice's flats: no cap applies
+    masks = [point_mask(F) for F in qflats]
     classical_flats = set(cl.flats())
-    if set(flat_masks) != classical_flats:
+    if set(masks) != classical_flats:
         raise StructuralError(
             "flats of the classical matroid do not match the q-flats: "
-            f"{sorted(classical_flats)} vs {sorted(flat_masks)}"
+            f"{sorted(classical_flats)} vs {sorted(masks)}"
         )
     grading = [sum(q ** (n - t) for t in range(1, j + 1)) for j in range(n + 1)]
     dual_cycles = {mask: eta for mask, eta in cl.dual_cycles()}
-    complements = {cl.full_mask ^ mask for mask in flat_masks}
+    complements = {cl.full_mask ^ mask for mask in masks}
     if set(dual_cycles) != complements:
         raise StructuralError("dual cycles are not the flat complements")
-    for mask, F in flat_masks.items():
+    for mask, F in zip(masks, qflats):
         card = bin(cl.full_mask ^ mask).count("1")
         if card != grading[n - F.dim]:
             raise StructuralError(
                 f"flat complement of dim-{F.dim} q-flat has size {card}, "
                 f"expected {grading[n - F.dim]}"
             )
-    dual = M.dual()
-    qcycles = dual.qcycles(cap=cap)
-    mapping = {}
-    for X, eta in qcycles:
-        image = cl.full_mask ^ point_mask(X.complement())
+    images = [cl.full_mask ^ masks[f] for f in L.flat_ids]
+    for image, eta, dim in zip(images, L.nullity, L.dims):
         if image not in dual_cycles:
             raise StructuralError(
                 f"q-cycle image {image:b} is not a classical dual cycle")
         if dual_cycles[image] != eta:
             raise StructuralError(
-                f"nullity mismatch on q-cycle of dim {X.dim}: "
+                f"nullity mismatch on q-cycle of dim {dim}: "
                 f"{eta} vs {dual_cycles[image]}"
             )
-        mapping[X] = image
-    if len(mapping) != len(dual_cycles):
+    if sorted(images) != sorted(dual_cycles):
         raise StructuralError(
-            f"{len(mapping)} q-cycles vs {len(dual_cycles)} classical dual cycles")
-    # X contains Y iff the points of Y lie in X
-    points = {X: point_mask(X) for X, _ in qcycles}
-    for X, x in points.items():
-        for Y, y in points.items():
-            if (x & y == y) != (mapping[X] & mapping[Y] == mapping[Y]):
+            f"{len(images)} q-cycles vs {len(dual_cycles)} classical dual cycles")
+    for x, below in zip(images, L.below):
+        for j, y in enumerate(images):
+            if (j in below) != (x & y == y and x != y):
                 raise StructuralError(
                     "inclusion order not preserved by the cycle correspondence")
     return {
         "ok": True,
-        "flats": len(flat_masks),
-        "cycles": len(mapping),
+        "flats": len(masks),
+        "cycles": len(images),
         "points": cl.size,
     }
 

@@ -338,14 +338,34 @@ class QMatroid:
         rho*_U(chart) = s - rho(E) + rho(U^perp); expanding both terms,
         dim W, s and rho(E) cancel:
 
-            rho_U(W) = rho(U(W^perp)^perp) - rho(U^perp),
+            rho_U(W) = rho(U(W^perp)^perp) - rho(U^perp).
 
-        and rho(U^perp) is ranked once, here.
+        That subspace is formed with one sum.  Let B be the RREF basis, P
+        its pivot columns, and phi(x) = B x^T, a map from F_q^n onto F_q^s
+        with kernel U^perp.  For v in the chart, (v B) . x = v . phi(x), so
+        U(V)^perp = phi^-1(V^perp) and U(W^perp)^perp = phi^-1(W).  Let
+        iota_P place the chart coordinates at the columns P; B is the
+        identity on those columns, so phi(iota_P(w)) = w, and
+
+            phi^-1(W) = U^perp + iota_P(W).
+
+        iota_P keeps the pivot order and the zeros in the pivot columns, so
+        it maps the RREF of W to an RREF.  rho(U^perp) is ranked once, here.
         """
-        offset = self.rank(U.complement())
+        perp = U.complement()
+        offset = self.rank(perp)
+        gf, n, P = self.gf, self.n, U.pivots
+
+        def placed(w):
+            vec = [0] * n
+            for p, x in zip(P, w):
+                vec[p] = x
+            return gf.pack_row(vec)
 
         def rho(W: Subspace) -> int:
-            return self.rank(U.embed_subspace(W.complement()).complement()) - offset
+            image = Subspace(gf, n, tuple(map(placed, W.coordinate_rows())),
+                             tuple(P[j] for j in W.pivots))
+            return self.rank(perp.sum(image)) - offset
 
         return QMatroid(self.gf, U.dim, rho, name=f"{self.name}|U")
 

@@ -145,8 +145,8 @@ def test_criterion_6_higher_spectra(example_code, example_table, mrd_code):
 
 def test_criterion_7_structural_checks(example_matroid, example_lattice):
     # lattice construction already enforces Jordan-Dedekind; isomorphism + axioms
-    ok = verify_lattice_isomorphism(example_matroid)["ok"]
-    ok = ok and verify_lattice_isomorphism(uniform_qmatroid(2, 4, 2))["ok"]
+    ok = verify_lattice_isomorphism(example_lattice)["ok"]
+    ok = ok and verify_lattice_isomorphism(build_cycle_lattice(uniform_qmatroid(2, 4, 2)))["ok"]
     ok = ok and example_matroid.verify_axioms()["ok"]
     for k, n, q in [(1, 3, 2), (2, 4, 2), (3, 4, 2), (1, 3, 3), (2, 3, 3)]:
         ok = ok and uniform_qmatroid(k, n, q).verify_axioms()["ok"]

@@ -11,7 +11,8 @@ import pytest
 
 import rankspectra
 from rankspectra import (
-    QMatroid, ResourceLimitError, StructuralError, cli, qmatroid, subspace_table,
+    CycleLattice, QMatroid, ResourceLimitError, StructuralError, cli, qmatroid,
+    subspace_table,
 )
 from rankspectra.cli import main
 from rankspectra.subspace_table import SubspaceTable
@@ -102,12 +103,14 @@ def test_degenerate_lattice_reports_pinned(capsys, tmp_path, q, k, n):
     assert hashlib.sha256(out.encode()).hexdigest() == DEGENERATE_SHA256[q, k, n]
 
 
-@pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick")],
-                         ids=["analyze", "verify-quick"])
+@pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick"),
+                                  ("verify", "--level", "full")],
+                         ids=["analyze", "verify-quick", "verify-full"])
 def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
     calls = Counter()
     for owner, name in ((QMatroid, "dual"), (QMatroid, "qcycles"),
-                        (SubspaceTable, "cover_walk"), (qmatroid, "all_subspaces")):
+                        (SubspaceTable, "cover_walk"), (qmatroid, "all_subspaces"),
+                        (CycleLattice, "__init__")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -125,6 +128,9 @@ def test_one_flat_scan_and_no_dual(monkeypatch, capsys, argv):
         # scalar scan over all subspaces
         assert calls["cover_walk"] == 1, path
         assert calls["all_subspaces"] == 0, path
+        # the classical oracle of the full level checks the lattice the
+        # report comes from
+        assert calls["__init__"] == 1, path
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
@@ -287,7 +293,7 @@ def test_verify_full_mrd_code(capsys):
     (StructuralError, "FAIL  classical lattice isomorphism", 1),
 ], ids=["limit-skipped", "mismatch-fails"])
 def test_check_status_in_text(monkeypatch, capsys, error, line, status):
-    def stopped(M, cap):
+    def stopped(lattice):
         raise error("classical oracle stopped")
 
     monkeypatch.setattr(cli, "verify_iso_summary", stopped)

@@ -158,28 +158,6 @@ def test_complement_dimensions():
             assert C.complement() == X
 
 
-def _tuple_complement(X):
-    """The complement through coordinate tuples and ``from_rows``."""
-    gf, n = X.gf, X.n
-    if X.dim == 0:
-        return Subspace.full(gf, n)
-    kernel = []
-    for f in (j for j in range(n) if j not in X.pivots):
-        vec = [0] * n
-        vec[f] = 1
-        for row, p in zip(X.coordinate_rows(), X.pivots):
-            vec[p] = gf.neg(row[f])
-        kernel.append(tuple(vec))
-    return Subspace.from_rows(gf, n, kernel)
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_binary_complement_matches_tuple_path(gf2, n):
-    for X in all_subspaces(gf2, n):
-        C, ref = X.complement(), _tuple_complement(X)
-        assert (C.rows, C.pivots) == (ref.rows, ref.pivots)
-
-
 def test_embed_subspace(gf2):
     U = Subspace.from_rows(gf2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
     line = Subspace.from_rows(gf2, 2, [(1, 1)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rankspectra import (
     GF,
+    CycleLattice,
     GabidulinCode,
     QMatroid,
     Subspace,
@@ -428,30 +429,36 @@ def test_inclusion_exclusion_capped_before_build(monkeypatch):
 
 
 def test_lattice_isomorphism_uniform(uniform24):
-    report = verify_lattice_isomorphism(uniform24)
+    report = verify_lattice_isomorphism(build_cycle_lattice(uniform24))
     assert report["ok"] and report["flats"] == 17
 
 
-def test_lattice_isomorphism_example(example_matroid):
-    report = verify_lattice_isomorphism(example_matroid)
+def test_lattice_isomorphism_example(example_lattice):
+    report = verify_lattice_isomorphism(example_lattice)
     assert report["ok"]
     assert report["cycles"] == 46
 
 
 def test_lattice_isomorphism_rejects_order_breaking_correspondence(monkeypatch, example_code):
-    # swap the complements of two dual q-cycles of one dimension and nullity
-    # whose down-sets differ: each image is still a classical dual cycle of
-    # the right nullity, and the images still biject, but inclusion is not
-    # preserved
-    eta = dict(example_code.qmatroid().dual().qcycles())
-    X, Y = next((X, Y) for X in eta for Y in eta
-                if X.dim == Y.dim and eta[X] == eta[Y]
-                and any(X.contains(Z) != Y.contains(Z) for Z in eta))
-    swap = {X: Y, Y: X}
-    complement = Subspace.complement
-    monkeypatch.setattr(Subspace, "complement", lambda Z: complement(swap.get(Z, Z)))
+    # swap the down-sets of two nodes of one dimension and nullity whose
+    # down-sets differ: the lattice still passes its own checks, every
+    # image is still a classical dual cycle of the right nullity, and the
+    # images still biject, but inclusion is not preserved
+    M = example_code.qmatroid()
+    L = build_cycle_lattice(M)
+    a, b = next((a, b) for a in range(len(L)) for b in range(a)
+                if (L.nullity[a], L.dims[a]) == (L.nullity[b], L.dims[b])
+                and L.below[a] != L.below[b])
+    closed_below = CycleLattice._closed_below
+
+    def swapped(self):
+        below = closed_below(self)
+        below[a], below[b] = below[b], below[a]
+        return below
+
+    monkeypatch.setattr(CycleLattice, "_closed_below", swapped)
     with pytest.raises(StructuralError, match="inclusion order not preserved"):
-        verify_lattice_isomorphism(example_code.qmatroid())
+        verify_lattice_isomorphism(build_cycle_lattice(M))
 
 
 def test_inclusion_exclusion_zero_space(example_matroid):
@@ -521,5 +528,17 @@ def test_spot_check_reads_every_pair_of_three_points():
     P0, P1, _ = enumerate_subspaces(gf, 2, 1)
     M = QMatroid(gf, 2, lambda X: 0 if X.dim == 0 or X in (P0, P1) else 1)
     for seed in [*range(21), 420]:
+        with pytest.raises(StructuralError, match="submodularity"):
+            ClassicalMatroid(M, seed)
+
+
+def test_spot_check_reads_every_pair_of_four_points():
+    # the four points of F_3^2, the largest ground set read pair by pair:
+    # submodularity fails on {P0}, {P1} alone, seen by 2 of the 256 ordered
+    # mask pairs; 200 draws from seeds 12, 14, 18 and 20 miss both
+    gf = GF.of_order(3)
+    P0, P1, _, _ = enumerate_subspaces(gf, 2, 1)
+    M = QMatroid(gf, 2, lambda X: 0 if X.dim == 0 or X in (P0, P1) else 1)
+    for seed in range(21):
         with pytest.raises(StructuralError, match="submodularity"):
             ClassicalMatroid(M, seed)
