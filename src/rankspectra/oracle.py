@@ -6,11 +6,14 @@ classical matroid on projective points, and a subset inclusion-exclusion
 form of the weight polynomial.  The oracles share only the field and
 linear-algebra layers with the fast pipeline, on purpose, apart from the
 cycle lattice that ``verify_lattice_isomorphism`` is given to check.
+The classical ground set of F_q^n, its points and the span and point mask
+of every point set, is built once per (field, n); each matroid on it adds
+one rank per span and checks the rank axioms exactly, on every mask.
 """
 
 from __future__ import annotations
 
-import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -35,6 +38,10 @@ from .spectra import WeightPolynomial
 # bounds that work (2^20 subsets), not just the mask width: the 31 points
 # of a q = 2, n = 5 ground set would take 2^31 steps
 _BITMASK_GROUND_LIMIT = 20
+
+# ``inclusion_exclusion_poly`` walks the 2^points subsets of a subspace:
+# at most F_2^4, or a plane over F_q for q <= 13
+_INCLUSION_EXCLUSION_LIMIT = 15
 
 # ``brute_higher`` expands message rows through ``mat_mul`` and
 # ``rank_support``: about 45-50 us a row on the tables of a field of at
@@ -187,26 +194,61 @@ def _check_ground_size(size: int) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _ground(gf: GF, n: int):
+    """(points, index, ids, pop, masks) of F_q^n, shared per (field, n).
+
+    The projective points; each span (every subspace is the span of its
+    points) mapped to its id, the zero space 0; the span id and popcount
+    of every mask; the point mask of each span, the largest mask with its
+    id.  Callers share them and only read them.  A mask below 2^(t+1)
+    with bit t set is m + 2^t for some m < 2^t; its span is span(m) + P_t:
+
+        ids[2^t : 2^(t+1)] = lut_t[ids[:2^t]],  lut_t[u] = id(span u + P_t),
+
+    where lut_t ranges over the spans of points 0..t-1 alone: at most
+    (#subspaces x N) ``Subspace.sum`` calls instead of one per mask.
+    """
+    size = gaussian_binomial(n, 1, gf.size)
+    _check_ground_size(size)
+    points = tuple(enumerate_subspaces(gf, n, 1, cap=None))
+    index = {Subspace.zero(gf, n): 0}
+    ids = np.zeros(1 << size, dtype=np.int32)
+    pop = np.zeros(1 << size, dtype=np.int8)
+    for t, P in enumerate(points):
+        lut = np.array([index.setdefault(S.sum(P), len(index)) for S in list(index)],
+                       dtype=np.int32)
+        low = 1 << t
+        ids[low:2 * low] = lut[ids[:low]]
+        pop[low:2 * low] = pop[:low] + 1
+    masks = np.zeros(len(index), dtype=np.int64)
+    np.maximum.at(masks, ids, np.arange(1 << size))
+    ids.flags.writeable = pop.flags.writeable = False
+    return points, index, ids, pop, tuple(masks.tolist())
+
+
 class ClassicalMatroid:
     """Matroid on the projective points of the ambient space of a q-matroid.
 
     Ground set: the one-dimensional subspaces in enumeration order, as
     bitmask positions; rank of a point set = q-matroid rank of its span.
+    The ``_ground`` of F_q^n is shared; a matroid adds one ``M.rank`` per
+    span, the zero span included, read at the span id of every mask.
 
-    The rank of every point set is built once, as an int8 array over all
-    2^N masks, by giving each distinct span an id.  Mask 0 has the zero
-    span, id 0.  A mask below 2^(t+1) with bit t set is m + 2^t for some
-    m < 2^t, and its span is span(m) + P_t, so
+    The rank axioms are checked exactly, on every mask, in local form:
+    (L1) r(0) = 0; (L2) r(A + x) - r(A) is 0 or 1; (L3) r(A + x) + r(A + y)
+    >= r(A + x + y) + r(A), for distinct points x, y outside A.  These are
+    equivalent to R1 0 <= r(A) <= |A|, R2 monotone and R3 submodular
+    (Oxley, *Matroid Theory*, section 1.3).  R1-R3 give L1-L3; L1 and L2
+    give R1 and R2, adding the points of A one at a time.  By L3 the gain
+    g(C, y) = r(C + y) - r(C) does not grow as points join C, so with
+    B - A = {y_1, ..., y_k} and Y_i = {y_1, ..., y_i},
 
-        ids[2^t : 2^(t+1)] = lut_t[ids[:2^t]],  lut_t[u] = id(spans[u] + P_t).
+        r(A | B) - r(A) = sum_i g(A + Y_(i-1), y_i)
+                       <= sum_i g((A & B) + Y_(i-1), y_i) = r(B) - r(A & B).
 
-    The spans known before step t are exactly the spans of the subsets of
-    points 0..t-1, the masks below 2^t, so lut_t ranges over them alone.
-    This costs at most (#subspaces x N) ``Subspace.sum`` calls and one
-    ``M.rank`` per distinct nonzero span, instead of one sum per mask.
-    Popcounts come from the same doubling.  Every read below (rank, dual
-    rank, closure, flats, dual cycles) is an array operation or a lookup
-    on these two arrays.
+    On the (2,)*N cube of the ranks, L2 is the first difference along each
+    axis and L3 the second difference along each pair of axes.
 
     The oracle stays independent of the q-flat scan and of the subspace
     table: it reads only the points of ``enumerate_subspaces(..., 1)``,
@@ -214,39 +256,15 @@ class ClassicalMatroid:
     classical definitions.
     """
 
-    def __init__(self, M: QMatroid, seed: int = 0):
-        size = gaussian_binomial(M.n, 1, M.q)
-        _check_ground_size(size)
+    def __init__(self, M: QMatroid):
         self.M = M
-        self.points = list(enumerate_subspaces(M.gf, M.n, 1, cap=None))
-        self.size = size
-        self.full_mask = (1 << size) - 1
-        spans = [Subspace.zero(M.gf, M.n)]
-        index = {spans[0]: 0}
-        span_ranks = [0]
-        ids = np.zeros(1 << size, dtype=np.int32)
-        pop = np.zeros(1 << size, dtype=np.int8)
-        for t, P in enumerate(self.points):
-            lut = np.empty(len(spans), dtype=np.int32)
-            for u in range(len(spans)):
-                S = spans[u]
-                T = S.sum(P)
-                if T is S:
-                    lut[u] = u
-                    continue
-                v = index.get(T)
-                if v is None:
-                    v = index[T] = len(spans)
-                    spans.append(T)
-                    span_ranks.append(M.rank(T))
-                lut[u] = v
-            low = 1 << t
-            ids[low:2 * low] = lut[ids[:low]]
-            pop[low:2 * low] = pop[:low] + 1
-        self._ranks = np.array(span_ranks, dtype=np.int8)[ids]
-        self._pop = pop
+        points, self._index, ids, self._pop, self._point_masks = _ground(M.gf, M.n)
+        self.points = list(points)
+        self.size = len(points)
+        self.full_mask = (1 << self.size) - 1
+        self._ranks = np.array([M.rank(S) for S in self._index], dtype=np.int8)[ids]
         self.full_rank = int(self._ranks[-1])
-        self._spot_check_axioms(seed)
+        self._check_axioms()
 
     def rank(self, mask: int) -> int:
         return int(self._ranks[mask])
@@ -254,15 +272,6 @@ class ClassicalMatroid:
     def _dual_nullities(self) -> np.ndarray:
         """Dual nullity of every mask: |m| - rho*(m) = rho(E) - rho(E - m)."""
         return self.full_rank - self._ranks[::-1]
-
-    def closure(self, mask: int) -> int:
-        ranks = self._ranks
-        r = ranks[mask]
-        out = mask
-        for t in range(self.size):
-            if not (mask >> t & 1) and ranks[mask | 1 << t] == r:
-                out |= 1 << t
-        return out
 
     def flats(self):
         """All flats: the masks to which no point can be added at equal rank."""
@@ -291,26 +300,22 @@ class ClassicalMatroid:
         masks = np.flatnonzero(ok)
         return list(zip(masks.tolist(), nullity[masks].tolist()))
 
-    def _spot_check_axioms(self, seed: int, pairs: int = 256):
-        """Rank bound, monotonicity and submodularity on ordered mask pairs:
-        every pair when there are at most ``pairs`` of them (up to 4 points,
-        so every plane over F_2 or F_3), else ``pairs`` seeded draws."""
-        ranks = self._ranks.tolist()
-        masks = self.full_mask + 1
-        if masks * masks <= pairs:
-            draws = product(range(masks), repeat=2)
-        else:
-            rng = random.Random(seed)
-            draws = ((rng.randrange(masks), rng.randrange(masks)) for _ in range(pairs))
-        for A, B in draws:
-            rA, rB = ranks[A], ranks[B]
-            if not (0 <= rA <= bin(A).count("1")):
-                raise StructuralError(f"classical rank bound fails on {A:b}")
-            if ranks[A | B] < max(rA, rB):
-                raise StructuralError("classical rank not monotone")
-            if ranks[A | B] + ranks[A & B] > rA + rB:
-                raise StructuralError(
-                    f"classical submodularity fails on {A:b}, {B:b}")
+    def _check_axioms(self):
+        """L1, L2 and L3 of the class docstring on every mask; axis a of
+        the cube is point N-1-a."""
+        if self._ranks[0] != 0:
+            raise StructuralError("classical rank of the empty set is not 0")
+        N = self.size
+        steps = [np.diff(self._ranks.reshape((2,) * N), axis=a) for a in range(N)]
+        if any(step.min() < 0 for step in steps):
+            raise StructuralError("classical rank not monotone")
+        if any(step.max() > 1 for step in steps):
+            raise StructuralError("classical rank bound fails: a point adds more than 1")
+        for a, step in enumerate(steps):
+            for b in range(a + 1, N):
+                if np.diff(step, axis=b).max() > 0:
+                    raise StructuralError(
+                        f"classical submodularity fails on points {N - 1 - a}, {N - 1 - b}")
 
 
 def verify_lattice_isomorphism(L: CycleLattice) -> dict:
@@ -326,17 +331,8 @@ def verify_lattice_isomorphism(L: CycleLattice) -> dict:
     M = L.matroid
     cl = ClassicalMatroid(M)
     n, q = M.n, M.q
-    point_index = {P: t for t, P in enumerate(cl.points)}
-
-    def point_mask(X: Subspace) -> int:
-        mask = 0
-        for P, t in point_index.items():
-            if X.contains(P):
-                mask |= 1 << t
-        return mask
-
     qflats = M.qflats(cap=None)  # the lattice's flats: no cap applies
-    masks = [point_mask(F) for F in qflats]
+    masks = [cl._point_masks[cl._index[F]] for F in qflats]
     classical_flats = set(cl.flats())
     if set(masks) != classical_flats:
         raise StructuralError(
@@ -381,29 +377,29 @@ def verify_lattice_isomorphism(L: CycleLattice) -> dict:
     }
 
 
-def inclusion_exclusion_poly(M: QMatroid, U: Subspace,
-                             max_points: int = 15) -> WeightPolynomial:
+def inclusion_exclusion_poly(M: QMatroid, U: Subspace) -> WeightPolynomial:
     """Weight-polynomial contribution of one subspace via subset alternation.
 
     Signed sum over all subsets of the projective points of U, exponent
     the dual nullity in the classical matroid of the restriction to U,
-    with a global sign fixed by the parity of the point count.
+    with a global sign fixed by the parity of the point count.  The
+    restriction lives on the chart F_q^s of U, so every subspace of one
+    dimension shares the ground of F_q^s.  Its axiom check bounds every
+    rank by 0 and the full rank, so each nullity indexes the polynomial.
     """
     s = U.dim
     if s == 0:
         return WeightPolynomial([1])
     size = gaussian_binomial(s, 1, M.q)
     _check_ground_size(size)
-    if size > max_points:
+    if size > _INCLUSION_EXCLUSION_LIMIT:
         raise ResourceLimitError(
             f"{size} points exceed the inclusion-exclusion limit",
-            required=size, cap=max_points,
+            required=size, cap=_INCLUSION_EXCLUSION_LIMIT,
         )
     cl = ClassicalMatroid(M.restrict(U))
     nullity = cl._dual_nullities()
     length = cl.full_rank + 1
-    if nullity.min() < 0 or nullity.max() >= length:
-        raise StructuralError("classical rank outside [0, full rank]")
     parity = (cl._pop & 1).astype(bool)
     even = np.bincount(nullity[~parity], minlength=length).tolist()
     odd = np.bincount(nullity[parity], minlength=length).tolist()
