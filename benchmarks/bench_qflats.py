@@ -9,15 +9,17 @@ its lattice released, a cold ``rank_profile()`` and a cold
 ``verify_axioms()`` (table and checked cover walk), each on a fresh copy
 of the matroid.  The rungs are U(3,6), U(3,7), U(3,8) and U(3,9) over
 F_2, U(3,6) over F_3, the seed-1 random k=3 binary codes of length 6 over
-F_64 and F_512, 7 over F_128, 8 over F_256 and 9 over F_512, and the
-seed-1 k=2 codes of length 5 over F_243 and over F_729 with base field
-F_3 (``random_code`` of ``perfbench/workloads.py``; the n=6 code over F_64
+F_64 and F_512, 7 over F_128, 8 over F_256 and 9 over F_512, the seed-1
+k=2 codes of length 5 over F_243 and of length 5 and 6 over F_729, and
+the seed-1 k=3 code of length 6 over F_729, all with base field F_3
+(``random_code`` of ``perfbench/workloads.py``; the n=6 code over F_64
 and the F_243 code are the ``code_q2_n6`` and ``code_q3_n5`` benchmark
 inputs, F_512 is the smallest field past the 256 elements that the
-Q x Q product tables of ``linalg`` once covered, and the F_729 code ranks
-its subspaces one at a time on the exp/log tables of its field).  U(3,9) and the n=9 code run with a raised subspace
-cap, ``N9_CAP``, since their 213,188,689 covers pass the default cap;
-every other rung runs at the default cap.  Each rung runs in a child
+Q x Q product tables of ``linalg`` once covered, and the F_729 codes
+rank their subspaces in batches, with sums through the Zech list of
+their field).  U(3,9) and the n=9 code run with a raised subspace cap,
+``N9_CAP``, since their 213,188,689 covers pass the default cap; every
+other rung runs at the default cap.  Each rung runs in a child
 process of its own, so every stage's rise counts from that rung's start.
 Prints seconds, how far each stage raised the child's peak RSS
 (``VmHWM``, MiB), flat counts, the cover edges of the cycle lattice and
@@ -139,6 +141,8 @@ RUNGS = [
     lambda m: bench_uniform(3, 6, m, q=3),
     lambda m: bench_code("code_q3_n5", [1, 2, 0, 0, 0, 1], 5, m, p=3, k=2),
     lambda m: bench_code("code_F729_n5", [2, 1, 0, 0, 0, 0, 1], 5, m, p=3, k=2),
+    lambda m: bench_code("code_F729_n6", [2, 1, 0, 0, 0, 0, 1], 6, m, p=3, k=2),
+    lambda m: bench_code("q3_n6", [2, 1, 0, 0, 0, 0, 1], 6, m, p=3, k=3),
 ]
 
 

@@ -21,12 +21,12 @@ both :class:`Subspace` and the matrix helpers ``rref``, ``mat_rank`` and
 result.
 
 Field arithmetic goes through :class:`GF`.  A field of at most
-``_TABLE_LIMIT`` (4096) elements computes from the O(Q) exp/log lists of
-``exp_log``, built once per tower level and shared by every ``GF`` of that
-level and by the batched code rank of ``qmatroid``, whose int16 log sums
-(at most 4Q) it keeps below 2^15; sums are XOR for p = 2 and Zech
-logarithms for odd p.  A larger field calls the :class:`FieldTower`
-arithmetic.
+``_TABLE_LIMIT`` (4096) elements computes from the O(Q) exp, log and Zech
+lists of ``exp_log``, built once per tower level and shared by every
+``GF`` of that level and by the batched code rank of ``qmatroid``, whose
+int16 log sums (at most 4Q) it keeps below 2^15; sums are XOR for p = 2
+and read the one Zech list for odd p, scalar and batched alike.  A larger
+field calls the :class:`FieldTower` arithmetic.
 """
 
 from __future__ import annotations
@@ -64,14 +64,17 @@ def _factor_prime_power(q: int):
 
 @lru_cache(maxsize=32)
 def exp_log(tower: FieldTower, level: int):
-    """(exp, log) of a primitive element g of one tower level, as lists.
+    """(exp, log, zech) of a primitive element g of one tower level, as lists.
 
     g is the first of 1, 2, ... whose powers, walked with ``FieldTower.mul``,
     reach order Q - 1, Q the size.  exp holds g^0 .. g^(Q-2) twice, then
     zeros up to 4Q + 1 entries; log inverts it, and log[0] = 2Q points into
-    the zeros, so exp[log a + log b] = ab with no zero branch.
+    the zeros, so exp[log a + log b] = ab with no zero branch.  zech holds
+    the Zech logarithms, 1 + g^t = g^zech[t] (Huber, IEEE Trans. IT 36(4),
+    1990), for t in (-(Q - 1), 2(Q - 1)), twice like exp: adding 1 raises
+    the lowest base-p digit of the encoding.
     """
-    size = tower.sizes[level]
+    p, size = tower.p, tower.sizes[level]
     for g in range(1, size):
         exp = [1]
         x = g
@@ -83,7 +86,8 @@ def exp_log(tower: FieldTower, level: int):
     log = [2 * size] * size
     for i, x in enumerate(exp):
         log[x] = i
-    return exp + exp + [0] * (2 * size + 3), log
+    zech = [log[x + 1 - p if x % p == p - 1 else x + 1] for x in exp] * 2
+    return exp + exp + [0] * (2 * size + 3), log, zech
 
 
 @lru_cache(maxsize=32)
@@ -92,12 +96,11 @@ def _table_ops(tower: FieldTower, level: int):
 
     With Q the size of the level and g^half = -1: ab = exp[log a + log b],
     1/a = exp[Q - 1 - log a] and -a = exp[log a + half].  Sums are XOR for
-    p = 2.  For odd p, a + b = a (1 + b/a) through Zech logarithms,
-    1 + g^t = g^zech[t] (Huber, IEEE Trans. IT 36(4), 1990): adding 1 raises
-    the lowest base-p digit of the encoding.  Every list has O(Q) entries.
+    p = 2, and a + b = a (1 + b/a) = exp[log a + zech[log b - log a]] for
+    odd p.  Every list has O(Q) entries.
     """
     p, size = tower.p, tower.sizes[level]
-    exp, log = exp_log(tower, level)
+    exp, log, zech = exp_log(tower, level)
     half = (size - 1) // 2 if p > 2 else 0
 
     def mul(a, b):
@@ -113,8 +116,6 @@ def _table_ops(tower: FieldTower, level: int):
 
     if p == 2:
         return xor, xor, neg, mul, inv
-    # zech[t] for t in (-(Q - 1), 2(Q - 1)), held twice like exp
-    zech = [log[x + 1 - p if x % p == p - 1 else x + 1] for x in exp[:size - 1]] * 2
 
     def add(a, b):
         if not (a and b):

@@ -14,14 +14,14 @@ field, the same for every q.  The rank profile reads the ranks off one
 arrays, with a rank array per dimension.  One walk over the covers of
 that table yields the q-flats, their cover edges and the axiom verdict
 with its witness.
-A binary code over F_Q with Q <= ``linalg._TABLE_LIMIT`` (4096) ranks
-``CHUNK`` subspaces of a dimension at once, eliminating the images G y^T
-of their row sets together through the exp/log lists that the scalar
-arithmetic of F_Q reads too, and U(k, n) fills in
+A code over F_Q with Q <= ``linalg._TABLE_LIMIT`` (4096), whatever q,
+ranks ``CHUNK`` subspaces of a dimension at once, eliminating the images
+G y^T of their row sets together through the exp, log and Zech lists
+that the scalar arithmetic of F_Q reads too, and U(k, n) fills in
 min(d, k); every other rank function fills the int8 arrays through
-``rank``, one subspace at a time.  The
-single-subspace ``rho`` stays the reference; the tests' ``is_qflat``
-(``tests/point_mask.py``) decides a flat by its line steps.
+``rank``, one subspace at a time.  The single-subspace ``rho`` stays the
+reference; the tests' ``is_qflat`` (``tests/point_mask.py``) decides a
+flat by its line steps.
 """
 
 from __future__ import annotations
@@ -119,23 +119,30 @@ class GabidulinCode:
 
     @cached_property
     def _image_tables(self):
-        """(phi, exp, log) for the batched F_2 rank oracle; built on first use.
+        """(phi, exp, log, add) for the batched rank oracle; built on first use.
 
-        phi[y] = G y^T over F_Q for each of the 2^n vectors y of F_2^n, as
-        a (2^n, k) array of the smallest unsigned dtype that holds F_Q:
-        phi[y + 2^j] = phi[y] XOR column j, one XOR per entry.  exp and log
-        are the lists of ``exp_log`` as arrays, so ab = exp[log a + log b],
-        0 when a factor is 0.  log is int16: for Q <= ``_TABLE_LIMIT`` every
-        such sum, at most 4Q, stays below 2^15.
+        phi[y] = G y^T over F_Q for each of the q^n vectors y of F_q^n, at
+        its base-q packed row (``SubspaceTable``), as a (q^n, k) array of
+        the smallest unsigned dtype that holds F_Q: phi over digit j is
+        phi + d G[:, j] for d = 0 .. q - 1, concatenated.  exp and log are
+        the lists of ``exp_log`` as arrays, so ab = exp[log a + log b], 0
+        when a factor is 0.  log is int16: for Q <= ``_TABLE_LIMIT`` every
+        such sum, at most 4Q, stays below 2^15.  add sums arrays: XOR for
+        p = 2, else a (1 + b/a) through the Zech list, zero operands masked.
         """
         gf = self.gf_code
         dtype = np.min_scalar_type(gf.size - 1)
-        exp, log = exp_log(gf.tower, gf.level)
-        exp, log = np.array(exp, dtype), np.array(log, np.int16)
+        exp, log, zech = map(np.array, exp_log(gf.tower, gf.level), (dtype, np.int16, np.int16))
+        add = np.bitwise_xor
+        if gf.tower.p > 2:
+            def add(a, b):
+                la = log[a]
+                ab = exp[la + zech[(log[b] - la) % (gf.size - 1)]]
+                return np.where(a == 0, b, np.where(b == 0, a, ab))
         phi = np.zeros((1, self.k), dtype)
-        for column in np.array(self.G, dtype).T:
-            phi = np.concatenate([phi, phi ^ column])
-        return phi, exp, log
+        for column in log[np.array(self.G, np.intp).T]:
+            phi = np.concatenate([add(phi, exp[log[d] + column]) for d in range(self.q)])
+        return phi, exp, log, add
 
     def codeword(self, message):
         """Word u . G for a message over the code field (or an extension of it)."""
@@ -224,9 +231,12 @@ class QMatroid:
         """The subspace table and a rank array per dimension; built once.
 
         The ranks are int8.  They come from ``_rank_rows`` on slices of
-        ``CHUNK`` rows when the source has it, which bounds its temporaries,
-        else from ``rank`` one subspace at a time.  The caps are checked on
-        every call, as an enumeration would check them.
+        ``CHUNK`` rows when the source has it (a code over at most
+        ``_TABLE_LIMIT`` elements, U(k, n)), which bounds its temporaries,
+        else from ``rank`` one subspace at a time: a code over a larger
+        field, and the rank functions built on ``Subspace`` (``dual``,
+        ``restrict``, matroids built from a bare rank function).  The caps
+        are checked on every call, as an enumeration would check them.
         """
         for s in range(self.n + 1):
             check_subspace_count(self.n, s, self.q, cap)
@@ -440,9 +450,9 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
     """rho(U) = rank over F_{q^m} of G Y^T, Y the RREF basis of U.
 
     Base-field encodings embed into the code field unchanged, so the
-    coordinate rows of U are read as rows over F_{q^m}.  A binary code over
-    at most ``_TABLE_LIMIT`` elements also ranks arrays of subspaces at
-    once, through ``_code_rank_rows``.
+    coordinate rows of U are read as rows over F_{q^m}.  A code over at
+    most ``_TABLE_LIMIT`` elements also ranks arrays of subspaces at once,
+    through ``_code_rank_rows``, whatever q.
     """
     gf_code, G = code.gf_code, code.G
 
@@ -453,22 +463,23 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
 
     M = QMatroid(code.gf_q, code.n, rho, name="code")
     M._qmatroid_by_theorem = True
-    if M.q == 2 and code.Q <= _TABLE_LIMIT:
+    if code.Q <= _TABLE_LIMIT:
         M._rank_rows = partial(_code_rank_rows, code)
     return M
 
 
 def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
-    """rho over F_2 for an (N, d) array of int RREF rows, as int8.
+    """rho for an (N, d) array of base-q packed RREF rows, as int8.
 
     The d images phi[y] of each row set form a d x k matrix over F_Q with
     the rank of G Y^T; all N are eliminated at once, one pass per column:
     the first unused row with a nonzero entry there is the pivot, and every
-    row drops its multiple of it, the factor entry / pivot being
-    exp[log entry + Q - 1 - log pivot], one column at a time.  That zeroes
-    the pivot row, which, like the earlier pivots, is never read again.
+    row adds its multiple of it, the factor -entry / pivot being
+    exp[log entry + (half - log pivot) mod (Q - 1)] with g^half = -1, one
+    column at a time.  That zeroes the pivot row, which, like the earlier
+    pivots, is never read again.
     """
-    phi, exp, log = code._image_tables
+    phi, exp, log, add = code._image_tables
     images = phi[rows]
     count, d, k = images.shape
     rank = np.zeros(count, np.int8)
@@ -476,7 +487,7 @@ def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
         return rank
     unused = np.ones((count, d), bool)
     at = np.arange(count)
-    zero = log[0]
+    zero, half = log[0], log[code.tower.p - 1]  # -1 is encoded p - 1
     for c in range(k):
         column = images[:, :, c]
         pivot = (unused & (column != 0)).argmax(axis=1)
@@ -484,10 +495,10 @@ def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
         unused[at[found], pivot[found]] = False
         # the pivot row and the factors as logs
         prow = log[images[at, pivot, c:]]
-        factor = np.where(found[:, None], log[column] + (code.Q - 1) - prow[:, :1], zero)
-        factor = log[exp[factor]]
+        factor = log[column] + (half - prow[:, :1]) % (code.Q - 1)
+        factor = log[exp[np.where(found[:, None], factor, zero)]]
         for j in range(c, k):
-            images[:, :, j] ^= exp[factor + prow[:, j - c, None]]
+            images[:, :, j] = add(images[:, :, j], exp[factor + prow[:, j - c, None]])
         rank += found
     return rank
 

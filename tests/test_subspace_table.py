@@ -42,9 +42,12 @@ from test_qmatroid import _violates, _witness
 
 
 @cache
-def binary_tower(m):
-    t = prime_field(2)
-    return t.extend(t.find_irreducible(m))
+def field_tower(p, *degrees):
+    """F_p extended by irreducibles of the given degrees, one level each."""
+    t = prime_field(p)
+    for m in degrees:
+        t = t.extend(t.find_irreducible(m))
+    return t
 
 
 @cache
@@ -136,43 +139,69 @@ def test_large_field_allocates_nothing_of_field_size(q, n):
     assert set(covers[-1].ravel().tolist()) == {0}
 
 
-def random_binary_code(m, n, k, rng):
+def random_code(tower, n, k, rng):
+    """A random full-rank code over the top level of tower, based one level below."""
     while True:
-        gen = [[rng.randrange(2**m) for _ in range(n)] for _ in range(k)]
+        gen = [[rng.randrange(tower.sizes[-1]) for _ in range(n)] for _ in range(k)]
         try:
-            return GabidulinCode(binary_tower(m), 0, 1, gen)
+            return GabidulinCode(tower, -2, -1, gen)
         except InputError:
             continue
+
+
+def random_binary_code(m, n, k, rng):
+    return random_code(field_tower(2, m), n, k, rng)
+
+
+def _batch_matches_scalar(degrees, n, data):
+    k = data.draw(st.integers(1, n))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    M = random_code(field_tower(*degrees), n, k, rng).qmatroid()
+    assert M._rank_rows is not None
+    for s, rows in enumerate(table(n, M.q).rows):
+        scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, n, s)]
+        assert M._rank_rows(rows).tolist() == scalar
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)
 @given(n=st.integers(1, 5), data=st.data())
 def test_batched_code_ranks_match_scalar(n, data):
     # the exp/log batch against the single-subspace rho (mat_mul + mat_rank)
-    # over every field F_4 .. F_4096
+    # over every field F_4 .. F_4096 up to n = 5, and with Zech sums over
+    # F_9 .. F_2187, F_25 and F_49, and XOR over F_16 with base F_4, up to n = 4
     for m in range(2, 13):
-        k = data.draw(st.integers(1, n))
-        code = random_binary_code(m, n, k, random.Random(data.draw(st.integers(0, 2**32))))
-        M = code.qmatroid()
-        assert M._rank_rows is not None
-        for s, rows in enumerate(table(n).rows):
-            scalar = [M._rank_fn(X) for X in enumerate_subspaces(M.gf, n, s)]
-            assert M._rank_rows(rows).tolist() == scalar
+        _batch_matches_scalar((2, m), n, data)
+    for degrees in [(3, m) for m in range(2, 8)] + [(5, 2), (7, 2), (2, 2, 2)]:
+        _batch_matches_scalar(degrees, min(n, 4), data)
+
+
+def test_batch_reduces_its_factor_modulo_the_group_order():
+    # the images [1, 1] and [5, 5] of e_0 and e_1 over F_9 are proportional;
+    # the factor's log, unreduced, runs past the doubled exp list into its
+    # zeros, and the pair would rank 2
+    code = GabidulinCode(field_tower(3, 2), 0, 1, [[1, 5, 0], [1, 5, 1]])
+    M = code.qmatroid()
+    assert M._rank_fn(Subspace.from_rows(M.gf, 3, [(1, 0, 0), (0, 1, 0)])) == 1
+    assert M._rank_rows(np.array([[1, 3]])).tolist() == [1]
 
 
 def test_verify_axioms_reads_batched_ranks(example_code):
-    # over F_2 the axiom walk reads the batch's ranks and ranks nothing itself
-    M = example_code.qmatroid()
-    rho, calls = M._rank_fn, []
+    # over F_2 and F_3 the axiom walk reads the batch's ranks and ranks
+    # nothing itself
+    code_q3 = cli.parse_spec_source(
+        (Path(__file__).parent / "data" / "code_q3_k2_n4.json").read_bytes())[0].code
+    for code in (example_code, code_q3):
+        M = code.qmatroid()
+        rho, calls = M._rank_fn, []
 
-    def counted(X):
-        calls.append(X)
-        return rho(X)
+        def counted(X, rho=rho, calls=calls):
+            calls.append(X)
+            return rho(X)
 
-    M._rank_fn = counted
-    assert M.verify_axioms() == {"ok": True, "violation": None}
-    assert calls == []
-    assert all(r == rho(X) for X, r in M._memo.items())
+        M._rank_fn = counted
+        assert M.verify_axioms() == {"ok": True, "violation": None}
+        assert calls == []
+        assert all(r == rho(X) for X, r in M._memo.items())
 
 
 def test_batch_stops_at_its_field_limit():
@@ -184,13 +213,20 @@ def test_batch_stops_at_its_field_limit():
     misses = exp_log.cache_info().misses
     assert sum(M.rank_profile().values()) == 16
     assert exp_log.cache_info().misses == misses
+    # the same limit for odd p: F_2187 = 3^7 is batched, F_6561 = 3^8 is not
+    assert random_code(field_tower(3, 7), 3, 2, rng).qmatroid()._rank_rows is not None
+    M = random_code(field_tower(3, 8), 3, 2, rng).qmatroid()
+    assert M._rank_rows is None
+    misses = exp_log.cache_info().misses
+    assert sum(M.rank_profile().values()) == 28
+    assert exp_log.cache_info().misses == misses
 
 
 def test_batch_logs_fit_int16_up_to_the_table_limit():
     # _code_rank_rows sums logs in int16 and indexes exp with them; a sum
     # reaches 4Q, the last of the 4Q + 1 entries of exp
     code = random_binary_code(12, 3, 2, random.Random(2))
-    _, exp, log = code._image_tables
+    _, exp, log, _ = code._image_tables
     assert code.Q == _TABLE_LIMIT and len(exp) == 4 * code.Q + 1
     assert log.dtype == np.int16 and 4 * _TABLE_LIMIT + 1 < 2**15
 
@@ -357,7 +393,7 @@ def test_code_over_f729_ranks_without_tower_arithmetic(monkeypatch):
 
 
 def test_qflats_memo_holds_only_ranks_of_the_rank_function():
-    # a binary code ranks its table in batches; the flats it finds are not
+    # a code ranks its table in batches; the flats it finds are not
     # ranked by the scalar rank function, so they stay out of its memo,
     # which the oracles read
     M = seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6)
@@ -407,8 +443,8 @@ def test_cover_lattice_matches_point_masks(make):
 
 def _forms_no_flat_subspace(monkeypatch):
     """Refuse every flat ``Subspace``, every complement and every rank but
-    rho(E) = k; the ranked table is built before, as a q > 2 code ranks it
-    one subspace at a time."""
+    rho(E) = k; the ranked table is built before, as a source without a
+    batched rank fills it one subspace at a time."""
     def refuse(*args, **kwargs):
         raise AssertionError("formed a Subspace for a flat or a node")
 
@@ -424,8 +460,7 @@ def _forms_no_flat_subspace(monkeypatch):
     monkeypatch.setattr(QMatroid, "rank", full_rank_only)
 
 
-# U(k, n) and a binary code rank arrays of rows; a q > 2 code ranks one
-# subspace at a time
+# U(k, n) and the codes over F_64 and F_81 rank arrays of rows
 TABLE_SOURCES = pytest.mark.parametrize("make", [
     lambda: uniform_qmatroid(3, 6, 2),
     lambda: seed1_code("code_q2_n6", [1, 1, 0, 0, 0, 0, 1], 6),
