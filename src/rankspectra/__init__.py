@@ -1,13 +1,45 @@
 """Weight spectra of rank-metric codes via lattices of q-cycles."""
 
+import importlib.util
 import os
 import sys
+import types
+
+
+class _DeferredModule(types.ModuleType):
+    """A package whose body runs at the first lookup of a name it lacks.
+
+    Its spec attributes are set up front, so ``import numpy as np`` binds it
+    without running numpy's ``__init__``.  The stdlib ``LazyLoader`` would
+    run it there: every import statement reads ``__spec__`` of a module
+    already in ``sys.modules``.  ``__path__`` is held back until the load,
+    so importing a submodule first loads the package, as it would eagerly.
+    The package touches arrays from one thread only, so two first lookups
+    cannot race.
+    """
+
+    def __getattr__(self, name):
+        self.__class__ = types.ModuleType
+        self.__path__ = self.__spec__.submodule_search_locations
+        self.__spec__.loader.exec_module(self)
+        return getattr(self, name)
+
 
 # Every array operation here is on integers and none calls BLAS, so an
-# OpenBLAS loaded by the first ``import numpy`` need not start its worker
-# threads; a value already in the environment is kept.
+# OpenBLAS loaded by the first numpy load need not start its worker
+# threads; a value already in the environment is kept.  numpy loads at the
+# first array operation, so import, input parsing and input errors run
+# without it; a missing numpy still fails here, at the plain import.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        import numpy  # noqa: F401  (raises ModuleNotFoundError)
+    _numpy = importlib.util.module_from_spec(_spec)
+    del _numpy.__path__
+    _numpy.__class__ = _DeferredModule
+    sys.modules["numpy"] = _numpy
+    del _spec, _numpy
 
 __version__ = "0.1.0"
 

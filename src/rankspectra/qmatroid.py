@@ -127,18 +127,23 @@ class GabidulinCode:
         phi + d G[:, j] for d = 0 .. q - 1, concatenated.  exp and log are
         the lists of ``exp_log`` as arrays, so ab = exp[log a + log b], 0
         when a factor is 0.  log is int16: for Q <= ``_TABLE_LIMIT`` every
-        such sum, at most 4Q, stays below 2^15.  add sums arrays: XOR for
-        p = 2, else a (1 + b/a) through the Zech list, zero operands masked.
+        such sum, at most 4Q, stays below 2^15.  add sums arrays, into
+        ``out`` when given, as a ufunc would: XOR for p = 2, else a (1 + b/a)
+        through the Zech list, zero operands masked.
         """
         gf = self.gf_code
         dtype = np.min_scalar_type(gf.size - 1)
         exp, log, zech = map(np.array, exp_log(gf.tower, gf.level), (dtype, np.int16, np.int16))
         add = np.bitwise_xor
         if gf.tower.p > 2:
-            def add(a, b):
+            def add(a, b, out=None):
                 la = log[a]
                 ab = exp[la + zech[(log[b] - la) % (gf.size - 1)]]
-                return np.where(a == 0, b, np.where(b == 0, a, ab))
+                ab = np.where(a == 0, b, np.where(b == 0, a, ab))
+                if out is None:
+                    return ab
+                out[...] = ab
+                return out
         phi = np.zeros((1, self.k), dtype)
         for column in log[np.array(self.G, np.intp).T]:
             phi = np.concatenate([add(phi, exp[log[d] + column]) for d in range(self.q)])
@@ -361,6 +366,7 @@ class QMatroid:
 
         iota_P keeps the pivot order and the zeros in the pivot columns, so
         it maps the RREF of W to an RREF.  rho(U^perp) is ranked once, here.
+        The zero span needs no sum: rho_U(0) = rho(U^perp) - rho(U^perp) = 0.
         """
         perp = U.complement()
         offset = self.rank(perp)
@@ -373,6 +379,8 @@ class QMatroid:
             return gf.pack_row(vec)
 
         def rho(W: Subspace) -> int:
+            if W.dim == 0:
+                return 0
             image = Subspace(gf, n, tuple(map(placed, W.coordinate_rows())),
                              tuple(P[j] for j in W.pivots))
             return self.rank(perp.sum(image)) - offset
@@ -498,7 +506,7 @@ def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
         factor = log[column] + (half - prow[:, :1]) % (code.Q - 1)
         factor = log[exp[np.where(found[:, None], factor, zero)]]
         for j in range(c, k):
-            images[:, :, j] = add(images[:, :, j], exp[factor + prow[:, j - c, None]])
+            add(images[:, :, j], exp[factor + prow[:, j - c, None]], out=images[:, :, j])
         rank += found
     return rank
 

@@ -421,6 +421,37 @@ def test_import_sets_one_blas_thread(setup, expected):
     assert proc.stdout.strip() == expected
 
 
+def test_import_and_parsing_leave_numpy_unloaded(tmp_path):
+    # numpy loads at the first array operation: import, parsing and input
+    # errors run without it
+    proc = run_python("-c", "import sys, rankspectra, rankspectra.cli; "
+                      "from pathlib import Path; "
+                      f"[rankspectra.cli.parse_spec_source(p.read_bytes()) "
+                      f"for p in Path({str(DATA)!r}).glob('*.json')]; "
+                      "print('numpy._core' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
+    spec = tmp_path / "deficient.json"
+    spec.write_text(json.dumps({"p": 2, "m_extension": [1, 1, 0, 0, 1], "n": 4,
+                                "generator": [[1, 2, 3, 4], [2, 4, 6, 8]]}))
+    proc = run_python("-c", "import sys; from rankspectra.cli import main; "
+                      f"status = main(['analyze', {str(spec)!r}]); "
+                      "print(status, 'numpy._core' in sys.modules, file=sys.stderr)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split()[-2:] == [b"2", b"False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("-c", "import sys; sys.modules['numpy'] = None; import rankspectra"),
+    # no site directory, so no numpy to find
+    ("-S", "-c", "import rankspectra"),
+], ids=["blocked", "not-found"])
+def test_import_without_numpy_fails(argv):
+    proc = run_python(*argv)
+    assert proc.returncode == 1
+    assert b"ModuleNotFoundError" in proc.stderr
+
+
 @pytest.mark.parametrize("doc,status", [
     # 2^61 - 1 is prime: rejected by the field-size cap before any primality test
     ({"p": 2**61 - 1, "m_extension": [1, 1, 0, 0, 1], "n": 4,
