@@ -3,7 +3,10 @@
 import importlib.util
 import os
 import sys
+import threading
 import types
+
+_numpy_load = threading.RLock()
 
 
 class _DeferredModule(types.ModuleType):
@@ -14,22 +17,38 @@ class _DeferredModule(types.ModuleType):
     run it there: every import statement reads ``__spec__`` of a module
     already in ``sys.modules``.  ``__path__`` is held back until the load,
     so importing a submodule first loads the package, as it would eagerly.
-    The package touches arrays from one thread only, so two first lookups
-    cannot race.
+    The load holds a lock and the class changes only once it has finished:
+    a lookup from another thread waits for it, and one from the package's
+    own body meanwhile fails as in a partially initialized module.  If the
+    body raises, the entry leaves ``sys.modules`` and the error propagates,
+    as an eager import would do; the next lookup runs the body again.
     """
 
     def __getattr__(self, name):
-        self.__class__ = types.ModuleType
-        self.__path__ = self.__spec__.submodule_search_locations
-        self.__spec__.loader.exec_module(self)
+        with _numpy_load:
+            if type(self) is _DeferredModule:
+                if "__path__" in vars(self):
+                    raise AttributeError(f"partially initialized module "
+                                         f"{self.__name__!r} has no attribute {name!r}")
+                sys.modules.setdefault(self.__name__, self)
+                self.__path__ = self.__spec__.submodule_search_locations
+                try:
+                    self.__spec__.loader.exec_module(self)
+                except BaseException:
+                    del self.__path__
+                    if sys.modules.get(self.__name__) is self:
+                        del sys.modules[self.__name__]
+                    raise
+                self.__class__ = types.ModuleType
         return getattr(self, name)
 
 
 # Every array operation here is on integers and none calls BLAS, so an
 # OpenBLAS loaded by the first numpy load need not start its worker
 # threads; a value already in the environment is kept.  numpy loads at the
-# first array operation, so import, input parsing and input errors run
-# without it; a missing numpy still fails here, at the plain import.
+# first array operation, so import, input parsing and inputs rejected
+# there run without it; a missing numpy still fails here, at the plain
+# import.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _spec = importlib.util.find_spec("numpy")

@@ -128,8 +128,9 @@ class GabidulinCode:
         the lists of ``exp_log`` as arrays, so ab = exp[log a + log b], 0
         when a factor is 0.  log is int16: for Q <= ``_TABLE_LIMIT`` every
         such sum, at most 4Q, stays below 2^15.  add sums arrays, into
-        ``out`` when given, as a ufunc would: XOR for p = 2, else a (1 + b/a)
-        through the Zech list, zero operands masked.
+        ``out`` when given, as a ufunc would: XOR for p = 2, in place, else
+        a (1 + b/a) through the Zech list, zero operands masked, built anew
+        and copied into ``out``; that ``out`` only keeps one call for both.
         """
         gf = self.gf_code
         dtype = np.min_scalar_type(gf.size - 1)

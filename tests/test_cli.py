@@ -422,8 +422,8 @@ def test_import_sets_one_blas_thread(setup, expected):
 
 
 def test_import_and_parsing_leave_numpy_unloaded(tmp_path):
-    # numpy loads at the first array operation: import, parsing and input
-    # errors run without it
+    # numpy loads at the first array operation: import, parsing, an input
+    # rejected while parsing, --help and --version run without it
     proc = run_python("-c", "import sys, rankspectra, rankspectra.cli; "
                       "from pathlib import Path; "
                       f"[rankspectra.cli.parse_spec_source(p.read_bytes()) "
@@ -434,11 +434,12 @@ def test_import_and_parsing_leave_numpy_unloaded(tmp_path):
     spec = tmp_path / "deficient.json"
     spec.write_text(json.dumps({"p": 2, "m_extension": [1, 1, 0, 0, 1], "n": 4,
                                 "generator": [[1, 2, 3, 4], [2, 4, 6, 8]]}))
-    proc = run_python("-c", "import sys; from rankspectra.cli import main; "
-                      f"status = main(['analyze', {str(spec)!r}]); "
-                      "print(status, 'numpy._core' in sys.modules, file=sys.stderr)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split()[-2:] == [b"2", b"False"]
+    for argv, status in ((["analyze", str(spec)], 2), (["--help"], 0), (["--version"], 0)):
+        proc = run_python("-c", "import atexit, sys; atexit.register(lambda: print("
+                          "'numpy._core' in sys.modules, file=sys.stderr)); "
+                          "from rankspectra.cli import console_main; console_main()", *argv)
+        assert proc.returncode == status, proc.stderr
+        assert proc.stderr.split()[-1:] == [b"False"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,6 +451,41 @@ def test_import_without_numpy_fails(argv):
     proc = run_python(*argv)
     assert proc.returncode == 1
     assert b"ModuleNotFoundError" in proc.stderr
+
+
+# a stand-in numpy package, run at the first lookup after import rankspectra
+DEFERRED_NUMPY = {
+    # a lookup from another thread waits for the load; the body's own lookup
+    # meanwhile sees a partially initialized module
+    "slow": ("import sys, time\n"
+             "early = hasattr(sys.modules[__name__], 'zeros')\n"
+             "time.sleep(0.3)\n"
+             "zeros = 'loaded'\n",
+             "import threading, time\n"
+             "loader = threading.Thread(target=lambda: numpy.zeros)\n"
+             "loader.start(); time.sleep(0.1)\n"
+             "print(numpy.zeros, numpy.early); loader.join()\n",
+             b"loaded False"),
+    # a failed load raises its own error each time and leaves sys.modules
+    "broken": ("raise ImportError('broken numpy')\n",
+               "for _ in range(2):\n"
+               "    try:\n"
+               "        numpy.zeros\n"
+               "    except ImportError as error:\n"
+               "        print(error, 'numpy' in sys.modules)\n",
+               b"broken numpy False\nbroken numpy False"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFERRED_NUMPY))
+def test_deferred_numpy_load(tmp_path, case):
+    body, script, expected = DEFERRED_NUMPY[case]
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text(body)
+    proc = run_python("-c", f"import sys; sys.path.insert(0, {str(tmp_path)!r})\n"
+                      "import rankspectra, numpy\n" + script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 @pytest.mark.parametrize("doc,status", [
