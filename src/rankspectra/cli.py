@@ -106,7 +106,7 @@ def parse_spec(doc: dict) -> Model:
     n = fields["n"]
     if form == "generator":
         gen = doc["generator"]
-        _require(isinstance(gen, list) and gen, "generator must be a nonempty list")
+        _require(isinstance(gen, list), "generator must be a list")
         for row in gen:
             _as_int_list(row, "generator row")
             _require(len(row) == n, "generator row length must equal n")
@@ -274,9 +274,12 @@ def run_verification(model: Model, level: str, cap: int | None,
     checks.append({"check": "q-matroid axioms", "status":
                    "pass" if axioms["ok"] else "fail"}
                   | ({} if axioms["ok"] else {"witness": axioms["violation"]}))
-
-    lattice = build_cycle_lattice(M, cap=cap)
-    table = virtual_betti_table(lattice)
+    try:  # fails after a failed axiom check too, whose walk has no covers
+        lattice = build_cycle_lattice(M, cap=cap)
+        table = virtual_betti_table(lattice)
+    except StructuralError as exc:  # the later checks all read the lattice
+        return checks + [{"check": "cycle lattice Jordan-Dedekind", "status": "fail",
+                          "witness": str(exc)}]
     polys = weight_polys_betti(table)
     checks.append({"check": "cycle lattice Jordan-Dedekind", "status": "pass"})
 
@@ -376,8 +379,7 @@ def _add_common(parser):
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--cap-codewords", type=int,
                         default=DEFAULT_CODEWORD_CAP)
-    parser.add_argument("--cap-subspaces", "--max-subspaces", type=int,
-                        dest="cap_subspaces", default=DEFAULT_SUBSPACE_CAP)
+    parser.add_argument("--cap-subspaces", type=int, default=DEFAULT_SUBSPACE_CAP)
 
 
 COMMANDS = ("analyze", "betti", "weights", "spectrum", "higher", "verify", "mrd")

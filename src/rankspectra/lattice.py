@@ -22,9 +22,8 @@ Those pointers are closures only on a q-matroid: codes and U(k, n) are
 q-matroids by theorem (Jurrius and Pellikaan) and take the unchecked
 walk; any other rank function takes the checked walk, which
 ``verify_axioms`` shares, and the lattice raises StructuralError if it
-fails.  The lattice is checked on its cover edges, each of which must
-add one to the nullity, and by the top node of each bitset of common
-lower bounds, which must be the whole set below that node.
+fails.  ``CycleLattice._validate`` checks, from the cover edges and the
+down-sets, that the order is a lattice graded by nullity.
 Moebius values on the lattice, and on its collapsed versions (all nodes
 of rank <= l identified with the bottom), each found in one forward
 sweep over the nodes, stand in for the graded Betti numbers of the
@@ -90,12 +89,14 @@ class CycleLattice:
     # -- structure checks ----------------------------------------------
 
     def _validate(self):
-        """Zero bottom, Jordan-Dedekind on the cover edges, unique meets, height.
+        """Zero bottom, Jordan-Dedekind on the covers, unique meets, height, top.
 
         If each cover edge adds one to the nullity, every edge points to an
         earlier node, below[i] closes the edges of i, and a chain of covers
         gives nullity[j] < nullity[i] for every j below i: the index order
-        is a linear extension, and a node of nullity 1 covers the bottom
+        is a linear extension.  Every node but node 0 covers one, so a chain
+        of covers down from any node ends at node 0, the one node of
+        nullity 0, which is the bottom; a node of nullity 1 covers the bottom
         alone.  So the top bit m of the common lower bounds c = down[i] &
         down[j] is maximal in c; a unique maximal element of a finite poset
         is its maximum, so the meet is unique iff c == down[m], which holds
@@ -104,6 +105,9 @@ class CycleLattice:
         120 MB on U(3,9), whose nodes are almost all of nullity 1.  The
         down-set of a node m of nullity <= 1 is m and at most the bottom,
         bit 0, so it is formed only while c with top bit m is compared.
+        So the order is a meet-semilattice; with the last node, of nullity k
+        by the height, above all others as its top, it is a lattice: the
+        join of i and j is the meet of their upper bounds.
         """
         if not self.dims or self.dims[0] != 0 or self.nullity[0] != 0:
             raise StructuralError("lattice must have the zero subspace as unique bottom")
@@ -133,6 +137,10 @@ class CycleLattice:
             raise StructuralError(
                 f"lattice height {max(self.nullity)} differs from rank {self.k}"
             )
+        if not all(self.covers[1:]):
+            raise StructuralError("a lattice node other than the bottom covers no node")
+        if len(self.below[-1]) != len(self) - 1:
+            raise StructuralError("lattice has no top: the last node is not above all others")
 
     # -- Moebius functions ----------------------------------------------
 

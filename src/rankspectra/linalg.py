@@ -227,15 +227,15 @@ class GF:
     """Arithmetic view of one level of a :class:`FieldTower`.
 
     ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` are bound once here.  A
-    field of at most ``_TABLE_LIMIT`` elements reads them from the exp/log
-    lists of ``_table_ops``, built on first use of its (tower, level) and
-    cached, and calls no tower arithmetic after that; a larger one calls
-    the tower's arithmetic.  ``inv(0)`` raises ``ZeroDivisionError``
-    either way.  The row primitives of :class:`Subspace` are bound here
-    too: int rows for F_2, tuple rows for every other field.
+    field of at most ``_TABLE_LIMIT`` elements keeps the cached lists of
+    ``exp_log`` as ``exp_log``, reads them through ``_table_ops`` and
+    calls no tower arithmetic; a larger one has ``exp_log`` None and calls
+    the tower's arithmetic.  ``inv(0)`` raises ``ZeroDivisionError`` either
+    way.  The row primitives of :class:`Subspace` are bound here too: int
+    rows for F_2, tuple rows for every other field.
     """
 
-    __slots__ = ("tower", "level", "size", "add", "sub", "neg", "mul", "inv",
+    __slots__ = ("tower", "level", "size", "exp_log", "add", "sub", "neg", "mul", "inv",
                  "pack_row", "unpack_row", "reduce_row", "row_nonzero", "lead_row",
                  "clear_column", "combine_rows")
 
@@ -243,14 +243,13 @@ class GF:
         self.tower = tower
         self.level = tower._idx(level)
         self.size = tower.sizes[self.level]
-        if self.size <= _TABLE_LIMIT:
+        self.exp_log = exp_log(tower, self.level) if self.size <= _TABLE_LIMIT else None
+        if self.exp_log is not None:
             self.add, self.sub, self.neg, self.mul, self.inv = _table_ops(tower, self.level)
         else:
-            self.add = partial(tower.add, level=self.level)
-            self.sub = partial(tower.sub, level=self.level)
-            self.neg = partial(tower.neg, level=self.level)
-            self.mul = partial(tower.mul, level=self.level)
-            self.inv = partial(tower.inv, level=self.level)
+            self.add, self.sub, self.neg, self.mul, self.inv = (
+                partial(op, level=self.level)
+                for op in (tower.add, tower.sub, tower.neg, tower.mul, tower.inv))
         (self.pack_row, self.unpack_row, self.reduce_row, self.row_nonzero,
          self.lead_row, self.clear_column, self.combine_rows) = (
             _BINARY_ROWS if self.size == 2

@@ -13,6 +13,7 @@ one rank per span and checks the rank axioms exactly, on every mask.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import product
 
@@ -22,7 +23,6 @@ from . import _kernels
 from .errors import InputError, ResourceLimitError, StructuralError
 from .lattice import CycleLattice
 from .linalg import (
-    _TABLE_LIMIT,
     DEFAULT_CODEWORD_CAP,
     DEFAULT_SUBSPACE_CAP,
     GF,
@@ -44,13 +44,16 @@ _BITMASK_GROUND_LIMIT = 20
 _INCLUSION_EXCLUSION_LIMIT = 15
 
 # ``brute_higher`` expands message rows through ``mat_mul`` and
-# ``rank_support``: about 45-50 us a row on the tables of a field of at
-# most ``_TABLE_LIMIT`` elements, about 1 ms on tower arithmetic above it.
+# ``rank_support``: about 45-50 us a row on the exp/log tables of a field
+# (``GF.exp_log``), about 1 ms on the tower arithmetic of a field without.
 # The rows are bounded on their own, to about 15 s on either: a k = 3 code
 # over F_512 has 262,657 and runs, one over F_1024 has 1,049,601 (about
 # 50 s).  Its subcodes are under the subspace cap.
 _TABLE_ROW_LIMIT = 3 * 10**5
 _TOWER_ROW_LIMIT = 10**4
+
+# per code, the rank support of each message row's codeword (``brute_higher``)
+_row_supports: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _extension_setup(code: GabidulinCode, r: int):
@@ -117,8 +120,6 @@ def brute_spectrum(code: GabidulinCode, r: int = 1,
             required=total, cap=cap,
         )
     n, k = code.n, code.k
-    if k == 0:
-        return [1] + [0] * n
     if code.q == 2:
         basis = _binary_basis(code, tower, ext_level)
         classes = sum(_kernels.spectrum_counts(basis, Qt**s, 2 * Qt**s)
@@ -147,24 +148,24 @@ def brute_higher(code: GabidulinCode, i: int,
     basis codewords are expanded.  Each basis is an RREF, whose rows are
     messages with a leading 1, shared by many subcodes and by every i: the
     support of each row is ranked once per code, through ``rank_support``,
-    and kept on the code.  The rows are counted before any is expanded,
-    against ``_TABLE_ROW_LIMIT``, or ``_TOWER_ROW_LIMIT`` over a field past
-    ``_TABLE_LIMIT``: at most [k, 1]_Q messages with a leading 1, and at
-    most i per subcode.
+    and kept in ``_row_supports``.  The rows are counted before any is
+    expanded, against ``_TABLE_ROW_LIMIT``, or ``_TOWER_ROW_LIMIT`` over a
+    field without exp/log tables: at most [k, 1]_Q messages with a leading
+    1, and at most i per subcode.
     """
     if not (0 <= i <= code.k):
         raise InputError(f"subcode dimension {i} out of range")
     n = code.n
     if i == 0:
         return [1] + [0] * n
-    arithmetic, limit = (("tower", _TOWER_ROW_LIMIT) if code.Q > _TABLE_LIMIT
+    arithmetic, limit = (("tower", _TOWER_ROW_LIMIT) if code.gf_code.exp_log is None
                          else ("table", _TABLE_ROW_LIMIT))
     rows = min(gaussian_binomial(code.k, 1, code.Q), i * gaussian_binomial(code.k, i, code.Q))
     if rows > limit:
         raise ResourceLimitError(
             f"{rows} message rows on {arithmetic} arithmetic exceed the limit {limit}",
             required=rows, cap=limit)
-    supports = code._row_supports
+    supports = _row_supports.setdefault(code, {})
     counts = [0] * (n + 1)
     for D in enumerate_subspaces(code.gf_code, code.k, i, cap=cap):
         support = Subspace.zero(code.gf_q, n)
@@ -211,7 +212,7 @@ def _ground(gf: GF, n: int):
     """
     size = gaussian_binomial(n, 1, gf.size)
     _check_ground_size(size)
-    points = tuple(enumerate_subspaces(gf, n, 1, cap=None))
+    points = tuple(enumerate_subspaces(gf, n, 1, cap=None)) if n else ()  # F_q^0: none
     index = {Subspace.zero(gf, n): 0}
     ids = np.zeros(1 << size, dtype=np.int32)
     pop = np.zeros(1 << size, dtype=np.int8)

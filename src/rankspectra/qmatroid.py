@@ -14,12 +14,14 @@ field, the same for every q.  The rank profile reads the ranks off one
 arrays, with a rank array per dimension.  One walk over the covers of
 that table yields the q-flats, their cover edges and the axiom verdict
 with its witness.
-A code over F_Q with Q <= ``linalg._TABLE_LIMIT`` (4096), whatever q,
+A code over F_Q with exp/log lists (``GF.exp_log``, Q <= 4096), whatever q,
 ranks ``CHUNK`` subspaces of a dimension at once, eliminating the images
 G y^T of their row sets together through the exp, log and Zech lists
 that the scalar arithmetic of F_Q reads too, and U(k, n) fills in
 min(d, k); every other rank function fills the int8 arrays through
-``rank``, one subspace at a time.  The single-subspace ``rho`` stays the
+``rank``, one subspace at a time.  Each source passes its batched rank
+and that it is a q-matroid by theorem to the ``QMatroid`` constructor,
+and a code has k >= 1 rows.  The single-subspace ``rho`` stays the
 reference; the tests' ``is_qflat`` (``tests/point_mask.py``) decides a
 flat by its line steps.
 """
@@ -34,14 +36,12 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .fields import FieldTower
 from .linalg import (
-    _TABLE_LIMIT,
     DEFAULT_SUBSPACE_CAP,
     GF,
     Subspace,
     all_subspaces,
     check_subspace_count,
     enumerate_subspaces,
-    exp_log,
     gaussian_binomial,
     mat_mul,
     mat_rank,
@@ -55,7 +55,7 @@ class GabidulinCode:
 
     ``tower`` must contain the designated base level F_q and, one extension
     step above it, the code field F_{q^m}.  The generator matrix must have
-    full rank k over F_{q^m}; degenerate inputs are rejected.
+    k >= 1 rows and full rank k over F_{q^m}; degenerate inputs are rejected.
     """
 
     def __init__(self, tower: FieldTower, q_level: int, code_level: int, generator):
@@ -69,17 +69,16 @@ class GabidulinCode:
         self.gf_q = GF(tower, q_level)
         self.gf_code = GF(tower, code_level)
         self.G = tuple(tuple(int(x) for x in row) for row in generator)
+        if not self.G:
+            raise InputError("generator matrix has no rows: a code needs k >= 1")
         self.k = len(self.G)
-        self.n = len(self.G[0]) if self.G else 0
+        self.n = len(self.G[0])
         if any(len(row) != self.n for row in self.G):
             raise InputError("ragged generator matrix")
         if any(not (0 <= x < self.gf_code.size) for row in self.G for x in row):
             raise InputError("generator entry out of range for the code field")
-        if self.k and mat_rank(self.gf_code, self.G) != self.k:
+        if mat_rank(self.gf_code, self.G) != self.k:
             raise InputError("generator matrix does not have full rank")
-        # rank support of the codeword of each message row, filled and read
-        # by ``oracle.brute_higher`` across its calls
-        self._row_supports: dict = {}
 
     @property
     def q(self) -> int:
@@ -125,16 +124,16 @@ class GabidulinCode:
         its base-q packed row (``SubspaceTable``), as a (q^n, k) array of
         the smallest unsigned dtype that holds F_Q: phi over digit j is
         phi + d G[:, j] for d = 0 .. q - 1, concatenated.  exp and log are
-        the lists of ``exp_log`` as arrays, so ab = exp[log a + log b], 0
-        when a factor is 0.  log is int16: for Q <= ``_TABLE_LIMIT`` every
-        such sum, at most 4Q, stays below 2^15.  add sums arrays, into
+        the lists of ``GF.exp_log`` as arrays, so ab = exp[log a + log b], 0
+        when a factor is 0.  log is int16: with those lists, Q <= 4096, and
+        every such sum, at most 4Q, stays below 2^15.  add sums arrays, into
         ``out`` when given, as a ufunc would: XOR for p = 2, in place, else
         a (1 + b/a) through the Zech list, zero operands masked, built anew
         and copied into ``out``; that ``out`` only keeps one call for both.
         """
         gf = self.gf_code
         dtype = np.min_scalar_type(gf.size - 1)
-        exp, log, zech = map(np.array, exp_log(gf.tower, gf.level), (dtype, np.int16, np.int16))
+        exp, log, zech = map(np.array, gf.exp_log, (dtype, np.int16, np.int16))
         add = np.bitwise_xor
         if gf.tower.p > 2:
             def add(a, b, out=None):
@@ -165,7 +164,7 @@ class GabidulinCode:
 class QMatroid:
     """Ambient (n, q) with a memoized rank oracle on canonical subspaces."""
 
-    def __init__(self, gf: GF, n: int, rank_fn, name: str = ""):
+    def __init__(self, gf: GF, n: int, rank_fn, rank_rows=None, by_theorem: bool = False):
         self.gf = gf
         self.n = n
         self.q = gf.size
@@ -178,11 +177,10 @@ class QMatroid:
         self._profile: Counter | None = None
         # ranks of an (N, d) array of packed RREF rows, when the source
         # has a batched form; and the ranked subspace table
-        self._rank_rows = None
+        self._rank_rows = rank_rows
         self._table = None
         # True when the source is a q-matroid by theorem (codes, U(k, n))
-        self._qmatroid_by_theorem = False
-        self.name = name
+        self._qmatroid_by_theorem = by_theorem
 
     # -- rank and derived functions ------------------------------------
 
@@ -194,12 +192,8 @@ class QMatroid:
         return value
 
     @property
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.gf, self.n)
-
-    @property
     def full_rank(self) -> int:
-        return self.rank(self.full_space)
+        return self.rank(Subspace.full(self.gf, self.n))
 
     def nullity(self, X: Subspace) -> int:
         return X.dim - self.rank(X)
@@ -212,7 +206,7 @@ class QMatroid:
         return self.full_rank - self.rank(X.complement())
 
     def dual(self) -> "QMatroid":
-        return QMatroid(self.gf, self.n, self.dual_rank, name=f"dual({self.name})")
+        return QMatroid(self.gf, self.n, self.dual_rank)
 
     # -- flats and cycles ------------------------------------------------
 
@@ -237,8 +231,8 @@ class QMatroid:
         """The subspace table and a rank array per dimension; built once.
 
         The ranks are int8.  They come from ``_rank_rows`` on slices of
-        ``CHUNK`` rows when the source has it (a code over at most
-        ``_TABLE_LIMIT`` elements, U(k, n)), which bounds its temporaries,
+        ``CHUNK`` rows when the source has it (a code over a field with
+        tables, U(k, n)), which bounds its temporaries,
         else from ``rank`` one subspace at a time: a code over a larger
         field, and the rank functions built on ``Subspace`` (``dual``,
         ``restrict``, matroids built from a bare rank function).  The caps
@@ -386,7 +380,7 @@ class QMatroid:
                              tuple(P[j] for j in W.pivots))
             return self.rank(perp.sum(image)) - offset
 
-        return QMatroid(self.gf, U.dim, rho, name=f"{self.name}|U")
+        return QMatroid(self.gf, U.dim, rho)
 
     # -- axiom verification ---------------------------------------------
 
@@ -459,8 +453,8 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
     """rho(U) = rank over F_{q^m} of G Y^T, Y the RREF basis of U.
 
     Base-field encodings embed into the code field unchanged, so the
-    coordinate rows of U are read as rows over F_{q^m}.  A code over at
-    most ``_TABLE_LIMIT`` elements also ranks arrays of subspaces at once,
+    coordinate rows of U are read as rows over F_{q^m}.  A code over a
+    field with exp/log tables also ranks arrays of subspaces at once,
     through ``_code_rank_rows``, whatever q.
     """
     gf_code, G = code.gf_code, code.G
@@ -470,11 +464,8 @@ def qmatroid_from_code(code: GabidulinCode) -> QMatroid:
             return 0
         return mat_rank(gf_code, mat_mul(gf_code, G, tuple(zip(*U.coordinate_rows()))))
 
-    M = QMatroid(code.gf_q, code.n, rho, name="code")
-    M._qmatroid_by_theorem = True
-    if code.Q <= _TABLE_LIMIT:
-        M._rank_rows = partial(_code_rank_rows, code)
-    return M
+    batched = None if code.gf_code.exp_log is None else partial(_code_rank_rows, code)
+    return QMatroid(code.gf_q, code.n, rho, batched, by_theorem=True)
 
 
 def _code_rank_rows(code: GabidulinCode, rows: np.ndarray) -> np.ndarray:
@@ -516,8 +507,6 @@ def uniform_qmatroid(k: int, n: int, q: int) -> QMatroid:
     """U(k, n): rho(X) = min(dim X, k)."""
     if not (0 <= k <= n):
         raise InputError(f"uniform q-matroid needs 0 <= k <= n, got k={k}, n={n}")
-    gf = GF.of_order(q)
-    M = QMatroid(gf, n, lambda X: min(X.dim, k), name=f"U({k},{n})")
-    M._rank_rows = lambda rows: np.full(len(rows), min(rows.shape[1], k), np.int8)
-    M._qmatroid_by_theorem = True
-    return M
+    return QMatroid(GF.of_order(q), n, lambda X: min(X.dim, k),
+                    lambda rows: np.full(len(rows), min(rows.shape[1], k), np.int8),
+                    by_theorem=True)

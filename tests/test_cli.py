@@ -11,8 +11,8 @@ import pytest
 
 import rankspectra
 from rankspectra import (
-    CycleLattice, QMatroid, ResourceLimitError, StructuralError, cli, qmatroid,
-    subspace_table,
+    CycleLattice, QMatroid, ResourceLimitError, StructuralError, cli,
+    enumerate_subspaces, qmatroid, subspace_table, uniform_qmatroid,
 )
 from rankspectra.cli import main
 from rankspectra.subspace_table import SubspaceTable
@@ -39,6 +39,14 @@ VERIFY_QUICK_SHA256 = {
     "mrd_2_4.json": "1257f966d0b8c3b919960a11d34f13f0a2508594b06d380f4c72d210ce3a496d",
     "uniform_2_4.json": "5f94e9a082df7274787e5bdb8793416482dcc13850ad6fbbb13eefc0212c0633",
     "uniform_2_4_q3.json": "43b194bad38f32106f93745c2291d09ac7418d2b7eb5547aaff8abd8be334ad8",
+}
+# sha256 of the `verify --level full` stdout for every input in tests/data
+VERIFY_FULL_SHA256 = {
+    "code_q3_k2_n4.json": "1f363d8c6a3b81874cde37b65720cd3f79ef67bbc21610701709f6e4d9819450",
+    "example_code.json": "6e8d017d79cd04b31052a7dfcbcce55f2edf37c9ee15541ccab6c9ee26dc63f4",
+    "mrd_2_4.json": "11f9006e52e49597277ff429472ea5ddbfea6c00f4cf7b3163b012bd616897c0",
+    "uniform_2_4.json": "0b27eeb2d30e7778aa63e463a134f3db7f1d80910f165a4c1093da14d922896d",
+    "uniform_2_4_q3.json": "489e556f1e91dbf90662d5b4d635492ba7947acd73d670964a25c64dc4b291a0",
 }
 
 # sha256 of the `analyze` stdout for U(k, n) over F_q, keyed (q, k, n): the
@@ -93,6 +101,13 @@ def test_verify_quick_report_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_QUICK_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.json")))
+def test_verify_full_report_pinned(capsys, name):
+    status, out = run_cli(capsys, "verify", "--level", "full", str(DATA / name))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FULL_SHA256[name]
+
+
 @pytest.mark.parametrize("q,k,n", sorted(DEGENERATE_SHA256),
                          ids=[f"U({k},{n})-q{q}" for q, k, n in sorted(DEGENERATE_SHA256)])
 def test_degenerate_lattice_reports_pinned(capsys, tmp_path, q, k, n):
@@ -101,6 +116,21 @@ def test_degenerate_lattice_reports_pinned(capsys, tmp_path, q, k, n):
     status, out = run_cli(capsys, "analyze", str(path))
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DEGENERATE_SHA256[q, k, n]
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick"),
+                                  ("verify", "--level", "full")],
+                         ids=["analyze", "verify-quick", "verify-full"])
+def test_empty_ambient_space_passes_every_level(capsys, tmp_path, argv):
+    # F_q^0 has no projective points: its classical ground set has one
+    # mask, the empty set, and U(0,0) passes every check
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps({"uniform": {"q": 2, "k": 0, "n": 0}}))
+    status, out = run_cli(capsys, *argv[:1], str(path), *argv[1:])
+    assert status == 0
+    if argv[0] == "verify":
+        checks = json.loads(out)["checks"]
+        assert [c["status"] for c in checks] == ["pass"] * (7 if "full" in argv else 5)
 
 
 @pytest.mark.parametrize("argv", [("analyze",), ("verify", "--level", "quick"),
@@ -301,6 +331,43 @@ def test_check_status_in_text(monkeypatch, capsys, error, line, status):
                         "--format", "text")
     assert code == status
     assert line in out.splitlines()
+
+
+def test_verify_reports_failed_axiom_check(monkeypatch, capsys):
+    # U(2,4) with one line of rank 2 as the uniform source: the report
+    # lists the checks run, the axiom check with its witness, and the
+    # lattice, which cannot be built on a rank function that fails
+    base = uniform_qmatroid(2, 4, 2)
+    line = next(enumerate_subspaces(base.gf, 4, 1))
+    M = QMatroid(base.gf, 4, lambda X: 2 if X == line else base.rank(X))
+    monkeypatch.setattr(cli, "uniform_qmatroid", lambda k, n, q: M)
+    status, report = run_json(capsys, "verify", UNIFORM)
+    assert status == 1
+    axioms, lattice = report["checks"]
+    assert axioms == {"check": "q-matroid axioms", "status": "fail",
+                      "witness": {"axiom": "P1", "X": line.serialize(), "rank": 2}}
+    assert lattice == {"check": "cycle lattice Jordan-Dedekind", "status": "fail",
+                       "witness": "the rank function fails the q-matroid axioms"}
+
+
+def test_verify_reports_failed_lattice_check(monkeypatch, capsys):
+    # a source whose cover edges lose every edge of one node: the axioms
+    # pass, and the lattice check fails with the lattice's own message
+    M = uniform_qmatroid(2, 4, 2)
+    monkeypatch.setattr(cli, "uniform_qmatroid", lambda k, n, q: M)
+    flat_covers = M.flat_covers
+
+    def cut(cap):
+        flats, ranks, covers = flat_covers(cap)
+        return flats, ranks, [[] if i == 1 else edges for i, edges in enumerate(covers)]
+
+    monkeypatch.setattr(M, "flat_covers", cut)
+    status, report = run_json(capsys, "verify", UNIFORM)
+    assert status == 1
+    assert report["checks"] == [
+        {"check": "q-matroid axioms", "status": "pass"},
+        {"check": "cycle lattice Jordan-Dedekind", "status": "fail",
+         "witness": "a lattice node other than the bottom covers no node"}]
 
 
 def test_mrd_subcommand(capsys):
@@ -604,6 +671,22 @@ def test_non_full_rank_generator(tmp_path, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"p": 2, "m_extension": [1, 1, 0, 0, 1], "n": 4, "generator": []},
+    {"mrd_gabidulin": {"p": 2, "m_extension": [1, 1, 0, 0, 1], "n": 4, "k": 0,
+                       "anchors": [1, 2, 4, 8]}},
+], ids=["generator", "mrd_gabidulin"])
+def test_code_without_rows_rejected(tmp_path, capsys, doc):
+    # both code forms need k >= 1; a length-0 code is never reported
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(doc))
+    status = main(["analyze", str(bad)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "input error: generator matrix has no rows: a code needs k >= 1\n"
+
+
 def test_two_forms_rejected(tmp_path, capsys):
     doc = {"p": 2, "m_extension": [1, 1, 0, 0, 1], "n": 4,
            "generator": [[1, 0, 0, 0]], "uniform": {"q": 2, "k": 1, "n": 4}}
@@ -618,6 +701,13 @@ def test_subspace_cap_exit(capsys):
     status = main(["analyze", EXAMPLE, "--cap-subspaces", "10"])
     capsys.readouterr()
     assert status == 3
+
+
+def test_cap_subspaces_has_no_alias(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["analyze", EXAMPLE, "--max-subspaces", "10"])
+    assert "unrecognized arguments: --max-subspaces" in capsys.readouterr().err
+    assert raised.value.code == 2
 
 
 def test_csv_rejected_for_betti(capsys):

@@ -141,6 +141,30 @@ def test_cover_edges_checked_by_the_lattice(uniform24, dims, nullities, covers, 
     assert str(raised.value) == message
 
 
+def test_lattice_without_top_rejected():
+    # two maximal nodes of nullity k = 1 and no top: every edge adds one
+    # and no two nodes of nullity >= 2 lack a meet; the pairwise reference
+    # rejects the same poset, the zero space and two lines of F_2^2
+    message = "lattice has no top: the last node is not above all others"
+    M = uniform_qmatroid(1, 2, 2)
+    with pytest.raises(StructuralError) as raised:
+        CycleLattice(M, [0, 1, 1], [0, 1, 1], [[], [0], [0]])
+    assert str(raised.value) == message
+    nodes = list(all_subspaces(M.gf, 2))[:3]
+    assert [X.dim for X in nodes] == [0, 1, 1]
+    assert (_verdict(PointMaskLattice, M, nodes, [0, 1, 1])
+            == _verdict(ReferenceLattice, M, nodes, [0, 1, 1]) == message)
+
+
+def test_node_covering_nothing_rejected():
+    # node 2 covers nothing, so it does not lie above the bottom; the rest
+    # would still yield a Betti table
+    with pytest.raises(StructuralError) as raised:
+        CycleLattice(uniform_qmatroid(2, 3, 2), [0, 1, 1, 2], [0, 1, 1, 2],
+                     [[], [0], [], [1, 2]])
+    assert str(raised.value) == "a lattice node other than the bottom covers no node"
+
+
 def test_virtual_betti_example(example_table):
     nonzero = {key: v for key, v in example_table.entries.items()
                if v and key[1] != 0}
@@ -368,7 +392,8 @@ def test_meet_check_rejects_bowtie(uniform24):
 
 class ReferenceLattice(PointMaskLattice):
     """The point-mask order checked by the O(N^3) pairwise scans that the
-    package's check replaced."""
+    package's check replaced, then by the package's cover and top checks,
+    in its order, with covers found by the same scan."""
 
     def _validate(self):
         if not self.nodes or self.nodes[0].dim != 0 or self.nullity[0] != 0:
@@ -376,12 +401,15 @@ class ReferenceLattice(PointMaskLattice):
         if sum(1 for r in self.nullity if r == 0) != 1:
             raise StructuralError("more than one rank-0 node")
         size = len(self.nodes)
+        covered = [[] for _ in range(size)]
         # Jordan-Dedekind: every covering step raises the rank by exactly one
         for i in range(size):
             for j in self.below[i]:
                 is_cover = not any(
                     t in self.below[i] and j in self.below[t] for t in range(size)
                 )
+                if is_cover:
+                    covered[i].append(j)
                 if is_cover and self.nullity[i] != self.nullity[j] + 1:
                     raise StructuralError(
                         "Jordan-Dedekind violated between nodes of ranks "
@@ -402,6 +430,11 @@ class ReferenceLattice(PointMaskLattice):
             raise StructuralError(
                 f"lattice height {max(self.nullity)} differs from rank {self.k}"
             )
+        # every node but the bottom covers one, and the last node is a top
+        if not all(covered[1:]):
+            raise StructuralError("a lattice node other than the bottom covers no node")
+        if any(j not in self.below[size - 1] for j in range(size - 1)):
+            raise StructuralError("lattice has no top: the last node is not above all others")
 
 
 # free q-matroid U(4,4): every subspace of F_2^4 is a node, and its height 4

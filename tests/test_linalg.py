@@ -22,7 +22,7 @@ from rankspectra import (
     rank_support,
     rank_weight,
 )
-from rankspectra.linalg import _TABLE_LIMIT, _table_ops, mat_mul, mat_rank, rref
+from rankspectra.linalg import _TABLE_LIMIT, _table_ops, exp_log, mat_mul, mat_rank, rref
 
 
 def _reference_rref(gf, rows):
@@ -256,6 +256,7 @@ def test_exp_log_ops_match_tower(q):
     tower, level = _top_level(q)
     gf = GF(tower, level)
     assert gf.mul is _table_ops(tower, level)[3]
+    assert gf.exp_log is exp_log(tower, level)  # the cached lists it reads
     rng = random.Random(q)
     for _ in range(3000):
         a, b = rng.randrange(q), rng.randrange(q)
@@ -280,6 +281,7 @@ def test_field_above_table_limit_uses_tower(monkeypatch, q):
     tower, level = _top_level(q)
     monkeypatch.setattr(linalg, "_table_ops", tables_below_limit)
     gf = GF(tower, level)
+    assert gf.exp_log is None
     rng = random.Random(q)
     for _ in range(300):
         a, b = rng.randrange(q), rng.randrange(q)

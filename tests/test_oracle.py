@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 from pathlib import Path
@@ -233,6 +234,17 @@ def test_brute_higher_ranks_each_message_row_once(monkeypatch, name, ranked):
     counts = [brute_higher(code, i) for i in range(3)]
     assert calls == ranked
     assert counts == [uncached_higher(code, i) for i in range(3)]
+
+
+def test_row_supports_live_as_long_as_their_code():
+    # the oracle keeps the supports per code, and drops them with the code
+    code = cli.parse_spec_source((DATA / "mrd_2_4.json").read_bytes())[0].code
+    before = len(oracle._row_supports)
+    brute_higher(code, 1)
+    assert len(oracle._row_supports[code]) == 17
+    del code
+    gc.collect()
+    assert len(oracle._row_supports) == before
 
 
 def test_classical_matroid_ranks(uniform24):

@@ -304,7 +304,6 @@ def test_failing_n8_rank_function_gets_a_witness():
     # the default cap, and the checked walk names a genuine witness
     base = uniform_qmatroid(3, 8, 2)
     target = next(enumerate_subspaces(base.gf, 8, 4))
-    M = QMatroid(base.gf, 8, lambda X: 2 if X == target else base.rank(X))
 
     def rank_rows(rows):
         rank = base._rank_rows(rows)
@@ -312,7 +311,7 @@ def test_failing_n8_rank_function_gets_a_witness():
             rank[(rows == target.rows).all(axis=1)] = 2
         return rank
 
-    M._rank_rows = rank_rows
+    M = QMatroid(base.gf, 8, lambda X: 2 if X == target else base.rank(X), rank_rows)
     result = M.verify_axioms()
     assert not result["ok"]
     assert _violates(M, *_witness(M, result["violation"]))

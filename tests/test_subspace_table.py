@@ -478,7 +478,8 @@ def test_rank_slices_match_whole_dimensions(monkeypatch, make):
     M, slices = make(), []
     if M._rank_rows is not None:
         rank_rows = M._rank_rows
-        M._rank_rows = lambda rows: slices.append(len(rows)) or rank_rows(rows)
+        M = QMatroid(M.gf, M.n, M._rank_fn,
+                     lambda rows: slices.append(len(rows)) or rank_rows(rows))
     monkeypatch.setattr(qmatroid, "CHUNK", 7)
     ranks = M._ranked_table(None)[1]
     assert [rank.dtype for rank in ranks] == [np.dtype(np.int8)] * (M.n + 1)
